@@ -1,9 +1,9 @@
-"""Pure-Python enumeration kernel.
+"""Enumeration kernel behind the brute-force index oracle.
 
-Twin of the compiled kernel in _oracle.pyx: the two must stay
-behaviorally identical, bit for bit, including tie-breaking.  This one
-runs on arbitrary-precision integers, so it has no overflow ceiling and
-doubles as the reference implementation in the kernel tests.
+The inner loop of the oracle sweeps, kept apart from the geometry so it
+runs on plain integers: no Fraction or Class2 is built per candidate.
+It computes on arbitrary-precision integers, so it has no overflow
+ceiling.
 """
 
 from __future__ import annotations

@@ -132,23 +132,6 @@ def classify_divisor(variety: BundleVariety, cls: Class2) -> Positivity:
     return Positivity(pseff=pseff, big=big, nef=nef, ample=ample)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """A class remembered together with the variety whose basis it uses."""
-
-    variety: BundleVariety
-    cls: Class2
-
-    def classify(self) -> Positivity:
-        return classify_divisor(self.variety, self.cls)
-
-    def generalized_index(self) -> tuple[Fraction, IndexWitness]:
-        return generalized_index(self.variety, self.cls)
-
-    def fano_index(self) -> Fraction:
-        return fano_index(self.variety, self.cls)
-
-
 def relative_anticanonical(variety: BundleVariety) -> Class2:
     """-K_{X/Z} = (r'+1) L + (b_total - m) F.
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bundle import BundleVariety, Positivity
-from .errors import DomainError, ParseError, UnsupportedRequest
+from .errors import DomainError, FoliadexError, ParseError, UnsupportedRequest
 from .families import (
     cone_table_record,
     mixed_record,
@@ -41,7 +41,13 @@ from .foliation import (
     PullbackOverBundle,
     TranscendentalRankOne,
 )
-from .lattice import Class2, parse_rational, render_rational
+from .lattice import (
+    Class2,
+    parse_rational,
+    reduced_targets,
+    render_optional,
+    render_rational,
+)
 from .rankone import (
     GeneralizedCone,
     PolarizedBase,
@@ -108,9 +114,16 @@ def _variety_to_json(variety) -> dict:
     raise TypeError(f"cannot serialize ambient {variety!r}")
 
 
+def _int(value, name: str) -> int:
+    """An integer field read from JSON; true and false are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _base_from_json(obj: dict) -> PolarizedBase:
     return PolarizedBase(
-        dim=obj["dim"],
+        dim=_int(obj["dim"], "dim"),
         is_projective_space=obj["is_projective_space"],
         singularity_class=SingularityClass(obj["singularity_class"]),
         label=obj["label"],
@@ -120,14 +133,18 @@ def _base_from_json(obj: dict) -> PolarizedBase:
 def _variety_from_json(obj: dict):
     family = obj["family"]
     if family == "bundle":
-        return BundleVariety(base_dim=obj["base_dim"], m=obj["m"], b=tuple(obj["b"]))
+        return BundleVariety(
+            base_dim=_int(obj["base_dim"], "base_dim"),
+            m=_int(obj["m"], "m"),
+            b=tuple(_int(bi, "b") for bi in obj["b"]),
+        )
     if family == "wps":
-        return WeightedProjectiveSpace(tuple(obj["weights"]))
+        return WeightedProjectiveSpace(tuple(_int(a, "weights") for a in obj["weights"]))
     if family == "cone":
         return GeneralizedCone(
             base=_base_from_json(obj["base"]),
-            m=obj["m"],
-            vertex_rank=obj["vertex_rank"],
+            m=_int(obj["m"], "m"),
+            vertex_rank=_int(obj["vertex_rank"], "vertex_rank"),
         )
     if family == "polarized-base":
         return _base_from_json(obj)
@@ -179,13 +196,15 @@ def _fol_from_json(obj: dict, ambient=None) -> FoliationDescriptor:
     elif kind == "cone":
         recipe = ConeInduced(base=_fol_from_json(params["base"]))
     elif kind == "coordinate":
-        recipe = CoordinateProjection(j=params["j"])
+        recipe = CoordinateProjection(j=_int(params["j"], "j"))
     elif kind == "pn1":
-        recipe = PnCatalogCase1(d=params["d"])
+        recipe = PnCatalogCase1(d=_int(params["d"], "d"))
     elif kind == "pn2":
-        recipe = PnCatalogCase2(d_f=params["d_f"], d_g=params["d_g"])
+        recipe = PnCatalogCase2(
+            d_f=_int(params["d_f"], "d_f"), d_g=_int(params["d_g"], "d_g")
+        )
     elif kind == "transcendental":
-        recipe = TranscendentalRankOne(p=params["p"])
+        recipe = TranscendentalRankOne(p=_int(params["p"], "p"))
     else:
         raise DomainError(f"unknown recipe {kind!r}")
     canonical_obj = obj["canonical"]
@@ -198,17 +217,13 @@ def _fol_from_json(obj: dict, ambient=None) -> FoliationDescriptor:
         )
     return FoliationDescriptor(
         ambient=ambient,
-        rank=obj["rank"],
-        algebraic_rank=obj["algebraic_rank"],
+        rank=_int(obj["rank"], "rank"),
+        algebraic_rank=_int(obj["algebraic_rank"], "algebraic_rank"),
         canonical=canonical,
         recipe=recipe,
         leaf_rc=LeafStatus(obj["leaf_rc"]),
         provenance=obj["provenance"],
     )
-
-
-def _optional_rational_to_json(value: Optional[Fraction]) -> Optional[str]:
-    return None if value is None else render_rational(value)
 
 
 def _optional_rational_from_json(text: Optional[str]) -> Optional[Fraction]:
@@ -217,9 +232,9 @@ def _optional_rational_from_json(text: Optional[str]) -> Optional[Fraction]:
 
 def _invariants_to_json(inv: InvariantReport) -> dict:
     return {
-        "gen_index": _optional_rational_to_json(inv.gen_index),
-        "fano_index": _optional_rational_to_json(inv.fano_index),
-        "seshadri_antican": _optional_rational_to_json(inv.seshadri_antican),
+        "gen_index": render_optional(inv.gen_index, None),
+        "fano_index": render_optional(inv.fano_index, None),
+        "seshadri_antican": render_optional(inv.seshadri_antican, None),
         "positivity": {
             "pseff": inv.positivity.pseff,
             "big": inv.positivity.big,
@@ -260,8 +275,8 @@ def _request_from_json(obj: Optional[dict]) -> Optional[SynthesisRequest]:
         return None
     return SynthesisRequest(
         kind=SynthKind(obj["kind"]),
-        n=obj["n"],
-        r=obj["r"],
+        n=_int(obj["n"], "n"),
+        r=_int(obj["r"], "r"),
         c=parse_rational(obj["c"]),
     )
 
@@ -316,7 +331,9 @@ def export_catalog(catalog: Catalog) -> str:
 def import_catalog(text: str) -> Catalog:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer literal past Python's digit limit,
+        # or nesting deeper than the decoder's recursion limit
         raise ParseError(f"catalog is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("catalog must be a JSON object")
@@ -325,32 +342,25 @@ def import_catalog(text: str) -> Catalog:
         raise DomainError(
             f"unsupported schema version {version!r}, expected {SCHEMA_VERSION!r}"
         )
+    record_objs = obj.get("records", [])
+    if not isinstance(record_objs, list):
+        raise ParseError("catalog records must be a JSON array")
     records = []
-    for i, record_obj in enumerate(obj.get("records", [])):
+    for i, record_obj in enumerate(record_objs):
         try:
             records.append(_record_from_json(record_obj))
-        except (KeyError, TypeError, IndexError) as exc:
+        except FoliadexError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            # ValueError: an unknown enum value or an inconsistent
+            # invariant report; DomainError is a ValueError too, and
+            # passes through above unchanged.
             raise ParseError(f"malformed record at position {i}: {exc!r}") from exc
     return Catalog(metadata=obj.get("metadata", {}), records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
 # The standard catalog.
-
-
-def _reduced_targets(limit: Fraction, q_max: int, exclusive: bool = False) -> list[Fraction]:
-    """All reduced p/q with q <= q_max and 0 < p/q <= limit (or < with exclusive)."""
-    found = set()
-    for q in range(1, q_max + 1):
-        p = 1
-        while True:
-            c = Fraction(p, q)
-            if c > limit or (exclusive and c == limit):
-                break
-            if c.denominator == q:
-                found.add(c)
-            p += 1
-    return sorted(found)
 
 
 def _try_synth(records: list[ExampleRecord], kind: SynthKind, n: int, r: int, c) -> None:
@@ -365,7 +375,7 @@ def standard_catalog() -> Catalog:
 
     # Generalized-index targets over representative (rank, dimension) pairs.
     for r, n in ((1, 3), (2, 3), (2, 4), (3, 4), (3, 5)):
-        for c in _reduced_targets(Fraction(r), q_max=8):
+        for c in reduced_targets(Fraction(r), q_max=8):
             _try_synth(records, SynthKind.GENERALIZED_INDEX, n, r, c)
     _try_synth(records, SynthKind.GENERALIZED_INDEX, 2, 1, 1)
     for a in range(2, 11):
@@ -376,7 +386,7 @@ def standard_catalog() -> Catalog:
     for n in range(3, 7):
         for r in range(1, n):
             bound = Fraction(min(r, n - 2))
-            for c in _reduced_targets(bound, q_max=8):
+            for c in reduced_targets(bound, q_max=8):
                 if c.denominator > 1:
                     _try_synth(records, SynthKind.FANO_INDEX, n, r, c)
         for a in range(2, 9):
@@ -391,14 +401,15 @@ def standard_catalog() -> Catalog:
     for n in range(3, 7):
         for r in range(1, n):
             bound = Fraction(min(r, n - 2))
-            for c in _reduced_targets(bound, q_max=8):
+            for c in reduced_targets(bound, q_max=8):
                 if c.denominator > 1:
                     _try_synth(records, SynthKind.SESHADRI, n, r, c)
-        for c in _reduced_targets(Fraction(n - 1), q_max=8, exclusive=True):
-            if n - 2 < c:
+        for c in reduced_targets(Fraction(n - 1), q_max=8):
+            if n - 2 < c < n - 1:
                 _try_synth(records, SynthKind.SESHADRI, n, n - 1, c)
-    for c in _reduced_targets(Fraction(1), q_max=8, exclusive=True):
-        _try_synth(records, SynthKind.SESHADRI, 2, 1, c)
+    for c in reduced_targets(Fraction(1), q_max=8):
+        if c < 1:
+            _try_synth(records, SynthKind.SESHADRI, 2, 1, c)
 
     # Weighted family sweeps.
     for n in range(3, 7):

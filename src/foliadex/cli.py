@@ -26,7 +26,7 @@ from .catalog import (
     standard_catalog,
 )
 from .errors import DomainError, ParseError, UnsupportedRequest
-from .lattice import parse_rational, render_rational
+from .lattice import parse_rational, render_optional
 from .oracle import kernel_backend
 from .report import CheckStatus, SweepReport
 from .synthesis import ExampleRecord, SynthesisRequest, SynthKind, synthesize
@@ -75,15 +75,6 @@ def _aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _variety_label(variety) -> str:
-    label = variety.label
-    return label() if callable(label) else label
-
-
-def _opt(value, blank: str = "") -> str:
-    return blank if value is None else render_rational(value)
-
-
 # ---------------------------------------------------------------------------
 # synth
 
@@ -99,12 +90,12 @@ def _record_summary_pairs(record: ExampleRecord) -> list[tuple[str, str]]:
     return [
         ("id", record.id),
         ("branch", record.branch),
-        ("variety", _variety_label(record.variety)),
+        ("variety", record.variety.label()),
         ("rank", f"{fol.rank} (algebraic {fol.algebraic_rank})"),
         ("canonical", str(fol.canonical)),
-        ("gen_index", _opt(inv.gen_index, "-")),
-        ("fano_index", _opt(inv.fano_index, "-")),
-        ("seshadri_antican", _opt(inv.seshadri_antican, "-")),
+        ("gen_index", render_optional(inv.gen_index, "-")),
+        ("fano_index", render_optional(inv.fano_index, "-")),
+        ("seshadri_antican", render_optional(inv.seshadri_antican, "-")),
         ("positivity", " ".join(shown) if shown else "none"),
         ("leaf_rc", fol.leaf_rc.value),
         (
@@ -221,17 +212,19 @@ _INVARIANT_COLUMNS = (
 )
 
 
-def _row_values(row) -> dict:
+def _row_cells(row, columns: Sequence[str]) -> list:
+    """One table row as JSON values; an absent invariant is None."""
     inv = row.record.invariants
     fol = row.record.foliation
-    return {
+    values = {
         **row.params,
         "anticanonical": str(-fol.canonical),
-        "gen_index": inv.gen_index,
-        "fano_index": inv.fano_index,
-        "seshadri": inv.seshadri_antican,
+        "gen_index": render_optional(inv.gen_index, None),
+        "fano_index": render_optional(inv.fano_index, None),
+        "seshadri": render_optional(inv.seshadri_antican, None),
         "algebraic_rank": fol.algebraic_rank,
     }
+    return [values[col] for col in columns]
 
 
 def cmd_table(args) -> int:
@@ -243,35 +236,15 @@ def cmd_table(args) -> int:
             ranges[name] = parse_range(value)
     rows = table_rows(args.family, ranges)
     columns = list(FAMILY_PARAMS[args.family]) + list(_INVARIANT_COLUMNS)
+    cells = [_row_cells(row, columns) for row in rows]
     if fmt == "json":
-        payload = []
-        for row in rows:
-            values = _row_values(row)
-            entry = {}
-            for col in columns:
-                value = values[col]
-                if col in ("gen_index", "fano_index", "seshadri"):
-                    entry[col] = None if value is None else render_rational(value)
-                else:
-                    entry[col] = value
-            entry["id"] = row.record.id
-            payload.append(entry)
-        return_text = json.dumps(
-            {"family": args.family, "columns": columns, "rows": payload}, indent=2
-        )
-        print(return_text)
+        payload = [
+            {**dict(zip(columns, row_cells)), "id": row.record.id}
+            for row, row_cells in zip(rows, cells)
+        ]
+        print(json.dumps({"family": args.family, "columns": columns, "rows": payload}, indent=2))
         return 0
-    text_rows = []
-    for row in rows:
-        values = _row_values(row)
-        rendered = []
-        for col in columns:
-            value = values[col]
-            if col in ("gen_index", "fano_index", "seshadri"):
-                rendered.append(_opt(value))
-            else:
-                rendered.append(str(value))
-        text_rows.append(rendered)
+    text_rows = [["" if cell is None else str(cell) for cell in row_cells] for row_cells in cells]
     if fmt == "csv":
         print(_csv_text(columns, text_rows).rstrip("\n"))
     else:

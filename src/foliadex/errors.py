@@ -1,10 +1,10 @@
 """Exception taxonomy.
 
 Domain errors are precondition violations on mathematically meaningful
-inputs (a divisor outside the big cone, a non-Fano cone foliation, weights
-with a common factor).  Parse errors are malformed text.  Unsupported
-requests are well-formed synthesis targets that no implemented construction
-realizes; the message names the violated bound so callers can surface it.
+inputs (a divisor outside the big cone, weights with a common factor).
+Parse errors are malformed text.  Unsupported requests are well-formed
+synthesis targets that no implemented construction realizes; the message
+names the violated bound so callers can surface it.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ class ParseError(FoliadexError, ValueError):
 
 class DomainError(FoliadexError, ValueError):
     """Structurally valid input outside an operation's mathematical domain."""
-
-
-class NotFanoError(DomainError):
-    """The anticanonical class in question is not ample."""
 
 
 class UnsupportedRequest(FoliadexError):

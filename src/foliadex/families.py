@@ -27,7 +27,7 @@ from .foliation import (
     wps_coordinate_foliation,
 )
 from .invariants import compute_invariants
-from .lattice import render_rational
+from .lattice import render_optional
 from .rankone import (
     GeneralizedCone,
     PolarizedBase,
@@ -50,10 +50,6 @@ from .synthesis import (
 )
 
 
-def _render_opt(value: Optional[Fraction]) -> str:
-    return "absent" if value is None else render_rational(value)
-
-
 def family_formula_check(
     inv: InvariantReport,
     expected: tuple[Optional[Fraction], Optional[Fraction], Optional[Fraction]],
@@ -61,7 +57,7 @@ def family_formula_check(
     actual = (inv.gen_index, inv.fano_index, inv.seshadri_antican)
 
     def render(triple: tuple[Optional[Fraction], ...]) -> str:
-        return "(" + ", ".join(_render_opt(v) for v in triple) + ")"
+        return "(" + ", ".join(render_optional(v, "absent") for v in triple) + ")"
 
     detail = (
         f"(iota-hat, iota, eps) = {render(actual)}, closed form {render(expected)}"

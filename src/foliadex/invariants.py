@@ -20,12 +20,9 @@ from .foliation import Ambient, FoliationDescriptor
 from .rankone import (
     GeneralizedCone,
     PolarizedBase,
-    RankOneClass,
     SingularityClass,
     WeightedProjectiveSpace,
-    cartier_index,
-    rank_one_positivity,
-    seshadri_of_generator,
+    rank_one_invariants,
 )
 from .report import InvariantReport
 
@@ -57,21 +54,6 @@ def _bundle_invariants(variety: BundleVariety, fol: FoliationDescriptor) -> Inva
     )
 
 
-def _rank_one_invariants(
-    variety: GeneralizedCone | WeightedProjectiveSpace, fol: FoliationDescriptor
-) -> InvariantReport:
-    s = -fol.canonical.s
-    flags = rank_one_positivity(RankOneClass(s))
-    gen = fano = None
-    if s > 0:
-        value = s / cartier_index(variety)
-        gen = fano = value
-    sesh = s * seshadri_of_generator(variety) if s >= 0 else None
-    return InvariantReport(
-        gen_index=gen, fano_index=fano, seshadri_antican=sesh, positivity=flags
-    )
-
-
 def compute_invariants(fol: FoliationDescriptor) -> InvariantReport:
     """Exact (gen_index, fano_index, seshadri_antican, positivity) of -K.
 
@@ -84,7 +66,7 @@ def compute_invariants(fol: FoliationDescriptor) -> InvariantReport:
     if isinstance(ambient, BundleVariety):
         return _bundle_invariants(ambient, fol)
     if isinstance(ambient, (GeneralizedCone, WeightedProjectiveSpace)):
-        return _rank_one_invariants(ambient, fol)
+        return rank_one_invariants(ambient, -fol.canonical.s)
     raise DomainError(
         "invariants are computed on bundles, cones and weighted projective "
         f"spaces, not on {type(ambient).__name__}"

@@ -39,17 +39,35 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not a rational literal: {text!r}")
     body = text.strip()
-    if "/" in body:
-        num, den = body.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(body))
+    num, _, den = body.partition("/")
+    try:
+        num_value, den_value = int(num), int(den or "1")
+    except ValueError as exc:
+        # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise ParseError(f"rational literal too long: {len(body)} characters") from exc
+    if den_value == 0:
+        raise ParseError(f"zero denominator: {text!r}")
+    return Fraction(num_value, den_value)
 
 
 def render_rational(value: Fraction) -> str:
     """Render in lowest terms; integers print without a denominator."""
     return str(value)
+
+
+def render_optional(value: Fraction | None, absent: str | None) -> str | None:
+    """render_rational(value), or absent when the value is None."""
+    return absent if value is None else render_rational(value)
+
+
+def reduced_targets(limit: Fraction, q_max: int) -> list[Fraction]:
+    """Every reduced p/q with q <= q_max and 0 < p/q <= limit, ascending."""
+    return sorted(
+        Fraction(p, q)
+        for q in range(1, q_max + 1)
+        for p in range(1, math.floor(limit * q) + 1)
+        if math.gcd(p, q) == 1
+    )
 
 
 def _coerce(value: int | Fraction) -> Fraction:
@@ -163,8 +181,3 @@ class Cone2:
 
     def contains(self, cls: Class2) -> bool:
         return self.membership(cls) is not Membership.OUTSIDE
-
-
-def cone2_membership(cone: Cone2, cls: Class2) -> Membership:
-    """Functional alias for Cone2.membership."""
-    return cone.membership(cls)

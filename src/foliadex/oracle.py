@@ -47,6 +47,19 @@ def oracle_generalized_index(
     return Fraction(num, den)
 
 
+def audited_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, str]:
+    """The oracle's index of cls over the audit rectangle d <= 3, c <= 3*b1 + 6.
+
+    Construction checks and catalog verification audit the closed form
+    over this one rectangle.  Returns the enumerated value and the
+    rectangle as the check details print it.
+    """
+    d_max = 3
+    c_max = 3 * variety.b1 + 6
+    value = oracle_generalized_index(variety, cls, d_max, c_max)
+    return value, f"enumeration (d <= {d_max}, c <= {c_max})"
+
+
 def kernel_backend() -> str:
-    """Which enumeration kernel import selected ("compiled" or "pure")."""
-    return _kernels.backend()
+    """Name of the enumeration kernel: always "pure" (pure Python)."""
+    return "pure"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import BundleVariety, Positivity
-from .errors import DomainError, NotFanoError
+from .errors import DomainError
 from .lattice import Class2
 from .report import InvariantReport
 
@@ -213,20 +213,6 @@ def rank_one_positivity(cls: RankOneClass) -> Positivity:
     return Positivity(pseff=s >= 0, big=s > 0, nef=s >= 0, ample=s > 0)
 
 
-def index_pair(variety: RankOneAmbient, cls: RankOneClass) -> tuple[Fraction, Fraction]:
-    """(generalized index, Fano index) of an ample class s*H.
-
-    Integral classes are the integer multiples of H and ample Cartier
-    witnesses the positive multiples of cartier_index(V)*H, so both
-    optimizations are solved by the smallest witness and the two indices
-    coincide: s / cartier_index(V).
-    """
-    if cls.s <= 0:
-        raise DomainError(f"index_pair needs an ample class, got {cls}")
-    value = cls.s / cartier_index(variety)
-    return value, value
-
-
 def pushforward_to_cone(resolution: BundleVariety, cls: Class2) -> RankOneClass:
     """Image of a class under contracting the sub-bundle divisor.
 
@@ -239,25 +225,20 @@ def pushforward_to_cone(resolution: BundleVariety, cls: Class2) -> RankOneClass:
     return RankOneClass(cls.beta + Fraction(cls.gamma, resolution.m))
 
 
-def cone_foliation_invariants(cone: GeneralizedCone, d: int | Fraction) -> InvariantReport:
-    """Invariants of the foliation induced on the cone by a rank-one
-    foliation on the base with canonical degree d.
+def rank_one_invariants(variety: RankOneAmbient, s: Fraction) -> InvariantReport:
+    """Invariants of the anticanonical class s*H.
 
-    The induced foliation has -K = (r' - d/m) H.  It is Fano exactly when
-    d < m*r'; H is Cartier with eps(H) = 1 at a general point, so all
-    three invariants coincide at r' - d/m.
+    Integral classes are the integer multiples of H and ample Cartier
+    witnesses the positive multiples of cartier_index(V)*H, so both
+    index optimizations are solved by the smallest witness and the two
+    indices coincide at s / cartier_index(V); they are absent unless
+    s > 0.  The Seshadri value scales the generator's by s >= 0.
     """
-    d = Fraction(d)
-    s = cone.vertex_rank - d / Fraction(cone.m)
-    if s <= 0:
-        raise NotFanoError(
-            f"degree {d} needs d < m*r' = {cone.m * cone.vertex_rank} for a Fano foliation"
-        )
-    value = s / cartier_index(cone)
-    eps = s * seshadri_of_generator(cone)
+    flags = rank_one_positivity(RankOneClass(s))
+    gen = fano = None
+    if s > 0:
+        gen = fano = s / cartier_index(variety)
+    sesh = s * seshadri_of_generator(variety) if s >= 0 else None
     return InvariantReport(
-        gen_index=value,
-        fano_index=value,
-        seshadri_antican=eps,
-        positivity=rank_one_positivity(RankOneClass(s)),
+        gen_index=gen, fano_index=fano, seshadri_antican=sesh, positivity=flags
     )

@@ -35,8 +35,8 @@ from .foliation import (
     wps_coordinate_foliation,
 )
 from .invariants import compute_invariants
-from .lattice import Class2, render_rational
-from .oracle import oracle_generalized_index
+from .lattice import Class2, render_optional, render_rational
+from .oracle import audited_index
 from .rankone import (
     GeneralizedCone,
     WeightedProjectiveSpace,
@@ -133,16 +133,12 @@ def skip(name: str, detail: str) -> CheckOutcome:
     return CheckOutcome(name=name, status=CheckStatus.SKIP, detail=detail)
 
 
-def _opt(value: Optional[Fraction]) -> str:
-    return "absent" if value is None else render_rational(value)
-
-
 def target_check(inv: InvariantReport, field: str, expected: Fraction) -> CheckOutcome:
     actual = getattr(inv, field)
     return passfail(
         "target-invariant-exact",
         actual == expected,
-        f"{field} = {_opt(actual)}, target {render_rational(expected)}",
+        f"{field} = {render_optional(actual, 'absent')}, target {render_rational(expected)}",
     )
 
 
@@ -173,24 +169,20 @@ def witness_check(variety: BundleVariety, fol: FoliationDescriptor) -> CheckOutc
 def oracle_agreement_check(
     variety: BundleVariety, fol: FoliationDescriptor, inv: InvariantReport
 ) -> CheckOutcome:
-    d_max = 3
-    c_max = 3 * variety.b1 + 6
-    value = oracle_generalized_index(variety, -fol.canonical, d_max, c_max)
+    value, rectangle = audited_index(variety, -fol.canonical)
     ok = value == inv.gen_index
     if inv.positivity.ample:
         # The closed form for ample classes is a derived extension of the
         # big-not-ample formula, so its oracle audit is named separately.
         name = "ample-regime-oracle-agreement"
-        detail = (
-            f"derived ample-regime closed form {_opt(inv.gen_index)} vs "
-            f"enumeration (d <= {d_max}, c <= {c_max}) = {render_rational(value)}"
-        )
+        closed_form = "derived ample-regime closed form"
     else:
         name = "gen-index-oracle-agreement"
-        detail = (
-            f"closed form {_opt(inv.gen_index)} vs enumeration "
-            f"(d <= {d_max}, c <= {c_max}) = {render_rational(value)}"
-        )
+        closed_form = "closed form"
+    detail = (
+        f"{closed_form} {render_optional(inv.gen_index, 'absent')} vs {rectangle} = "
+        f"{render_rational(value)}"
+    )
     return passfail(name, ok, detail)
 
 
@@ -257,7 +249,8 @@ def mixed_gap_check(inv: InvariantReport, r: int) -> CheckOutcome:
         and inv.fano_index < inv.gen_index
     )
     detail = (
-        f"fano_index = {_opt(inv.fano_index)} < gen_index = {_opt(inv.gen_index)}"
+        f"fano_index = {render_optional(inv.fano_index, 'absent')} < "
+        f"gen_index = {render_optional(inv.gen_index, 'absent')}"
         f" with target gap 1 < {r}"
     )
     return passfail("mixed-index-gap", ok, detail)

@@ -24,8 +24,8 @@ from .foliation import (
     PnCatalogCase2,
 )
 from .invariants import ambient_is_smooth, compute_invariants
-from .lattice import Class2, render_rational
-from .oracle import kernel_backend, oracle_generalized_index
+from .lattice import Class2, reduced_targets, render_rational
+from .oracle import audited_index, kernel_backend, oracle_generalized_index
 from .rankone import WeightedProjectiveSpace
 from .report import CheckOutcome, CheckReport, CheckStatus, SweepReport
 from .synthesis import (
@@ -176,13 +176,11 @@ def _oracle_outcome(record: ExampleRecord) -> CheckOutcome:
         return skip(name, "anticanonical class not big")
     antican = -record.foliation.canonical
     value, _ = generalized_index(variety, antican)
-    d_max = 3
-    c_max = 3 * variety.b1 + 6
-    enumerated = oracle_generalized_index(variety, antican, d_max, c_max)
+    enumerated, rectangle = audited_index(variety, antican)
     ok = value == enumerated == record.invariants.gen_index
     detail = (
-        f"closed form {render_rational(value)}, enumeration "
-        f"(d <= {d_max}, c <= {c_max}) {render_rational(enumerated)}, stored "
+        f"closed form {render_rational(value)}, {rectangle} "
+        f"{render_rational(enumerated)}, stored "
         f"{render_rational(record.invariants.gen_index)}"
     )
     return passfail(name, ok, detail)
@@ -294,21 +292,11 @@ def _sweep_one_bundle(
             report.add(record_id, passfail("closed-form-vs-oracle", ok, detail))
 
 
-def _synth_targets(r: int, q_max: int) -> list[Fraction]:
-    seen = set()
-    for q in range(1, q_max + 1):
-        for p in range(1, r * q + 1):
-            c = Fraction(p, q)
-            if c.denominator == q:
-                seen.add(c)
-    return sorted(seen)
-
-
 def _synth_sweep(grid: SynthGrid) -> SweepReport:
     report = SweepReport()
     for n in range(2, grid.n_max + 1):
         for r in range(1, n):
-            for c in _synth_targets(r, grid.q_max):
+            for c in reduced_targets(Fraction(r), grid.q_max):
                 request = SynthesisRequest(grid.kind, n, r, c)
                 try:
                     record = synthesize(request)

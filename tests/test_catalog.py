@@ -1,5 +1,6 @@
 """Catalog serialization and the standard example catalog."""
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,17 @@ def test_round_trip_is_byte_identical(std_catalog):
     assert text.endswith("\n")
 
 
+def test_export_bytes_are_pinned(std_catalog):
+    # The standard export is a published artifact: any change to how a
+    # record renders must show up here, not slip through a round trip.
+    data = export_catalog(std_catalog).encode("utf-8")
+    assert len(data) == 3_663_290
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "c406488a4cab4ad1683f787a6dc7f381e03eb4f4a8fb91b9fe9fa32b0e9af1d4"
+    )
+
+
 def test_schema_version_gate(std_catalog):
     obj = json.loads(export_catalog(std_catalog))
     obj["schema_version"] = "2"
@@ -39,6 +51,10 @@ def test_invalid_json_rejected():
         import_catalog("{not json")
     with pytest.raises(ParseError):
         import_catalog("[1, 2, 3]")
+    with pytest.raises(ParseError):
+        import_catalog("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError):
+        import_catalog('{"schema_version": "1", "records": 5}')
 
 
 def test_malformed_record_rejected(std_catalog):

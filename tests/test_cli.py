@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from foliadex import Catalog, export_catalog
+from foliadex import SCHEMA_VERSION, Catalog, export_catalog, record_to_json
 from foliadex.cli import main
 
 
@@ -147,6 +147,50 @@ def test_tampered_catalog_fails_verify(capsys, tmp_path, std_catalog):
     code, out, _ = run(capsys, "verify", "--catalog", str(path))
     assert code == 1
     assert "stored-invariants-match-recomputation" in out
+
+
+def _big_not_ample(record):
+    inv = record["invariants"]
+    return inv["gen_index"] is not None and not inv["positivity"]["ample"]
+
+
+def _bundle_with_m_one(record):
+    # JSON true equals 1, so only m = 1 hides the boolean from recomputation
+    variety = record["variety"]
+    return variety["family"] == "bundle" and variety["m"] == 1
+
+
+@pytest.mark.parametrize(
+    "path, value, victim",
+    [
+        (("foliation", "leaf_rc"), "maybe", None),
+        (("checks", 0, "status"), "maybe", None),
+        (("invariants", "positivity", "big"), False, _big_not_ample),
+        (("invariants", "gen_index"), "1" * 5000, None),
+        (("variety", "m"), True, _bundle_with_m_one),
+        (None, "1" * 5000 + "/3", None),
+    ],
+    ids=["leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target"],
+)
+def test_bad_input_fails_in_one_line(capsys, tmp_path, std_catalog, path, value, victim):
+    if path is None:
+        argv = ["synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", value]
+    else:
+        records = (record_to_json(r) for r in std_catalog.records)
+        record = next(r for r in records if victim is None or victim(r))
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        catalog = tmp_path / "mutated.json"
+        catalog.write_text(
+            json.dumps({"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [record]})
+        )
+        argv = ["verify", "--catalog", str(catalog)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_missing_catalog_file(capsys):

@@ -1,38 +1,11 @@
-"""The two enumeration kernels must be indistinguishable from outside."""
+"""The enumeration kernel: exact, attained and maximal."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from foliadex._kernels import _compiled, _fits_compiled, backend, best_index_bound, oracle_py
-
-needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled kernel not built")
-
-
-@needs_compiled
-@given(
-    st.integers(-50, 50),
-    st.integers(-50, 50),
-    st.integers(1, 12),
-    st.integers(1, 6),
-    st.integers(0, 5),
-    st.integers(1, 12),
-    st.integers(1, 60),
-)
-@settings(max_examples=300)
-def test_twins_agree(beta_num, gamma_num, scale, m, b1, d_max, c_max):
-    args = (beta_num, gamma_num, scale, m, b1, d_max, c_max)
-    try:
-        pure = oracle_py.best_index_bound(*args)
-    except ValueError:
-        with pytest.raises(ValueError):
-            _compiled.best_index_bound(*args)
-        return
-    assert _compiled.best_index_bound(*args) == pure
+from foliadex._kernels import best_index_bound
 
 
 def test_empty_range_raises():
@@ -41,34 +14,13 @@ def test_empty_range_raises():
         best_index_bound(1, 1, 1, 1, 5, 3, 4)
 
 
-def test_overflow_routes_to_pure():
+def test_huge_integers_stay_exact():
     huge = 10**30
-    args = (huge, huge, 1, 2, 1, 3, 10)
-    assert not _fits_compiled(*args)
-    num, den, d, c = best_index_bound(*args)
+    num, den, d, c = best_index_bound(huge, huge, 1, 2, 1, 3, 10)
     # beta/d dominates at d=1 only if beta <= (m*beta+gamma)/(c+m*d); here
     # 3*huge/(c+2d) < huge iff c+2d > 3, so the bound is the second term
-    assert oracle_py.best_index_bound(*args) == (num, den, d, c)
     assert Fraction(num, den) == Fraction(3 * huge, 4)
     assert (d, c) == (1, 2)
-
-
-def test_range_limit_guards_dimensions():
-    assert not _fits_compiled(1, 1, 1, 1, 1, 2**31, 10)
-    assert _fits_compiled(1, 1, 1, 1, 1, 3, 10)
-
-
-def test_backend_reports_compiled_state():
-    assert backend() == ("pure" if _compiled is None else "compiled")
-
-
-def test_pure_env_forces_fallback():
-    code = "from foliadex._kernels import backend; print(backend())"
-    env = dict(os.environ, FOLIADEX_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "pure"
 
 
 @given(

@@ -9,7 +9,6 @@ from foliadex.lattice import (
     Class2,
     Cone2,
     Membership,
-    cone2_membership,
     content,
     parse_rational,
     render_rational,
@@ -40,9 +39,9 @@ PSEFF_LIKE = Cone2(Class2(1, -2), Class2(0, 1))
 
 
 def test_cone_membership_cases():
-    assert cone2_membership(PSEFF_LIKE, Class2(1, -2)) is Membership.BOUNDARY
-    assert cone2_membership(PSEFF_LIKE, Class2(1, 0)) is Membership.INTERIOR
-    assert cone2_membership(PSEFF_LIKE, Class2(1, -3)) is Membership.OUTSIDE
+    assert PSEFF_LIKE.membership(Class2(1, -2)) is Membership.BOUNDARY
+    assert PSEFF_LIKE.membership(Class2(1, 0)) is Membership.INTERIOR
+    assert PSEFF_LIKE.membership(Class2(1, -3)) is Membership.OUTSIDE
 
 
 def test_cone_rejects_bad_rays():
@@ -81,7 +80,7 @@ def test_parse_render_round_trip(x):
 )
 def test_positive_ray_combinations_are_interior(a, b):
     v = Class2(a, -2 * a) + Class2(0, b)
-    assert cone2_membership(PSEFF_LIKE, v) is Membership.INTERIOR
+    assert PSEFF_LIKE.membership(v) is Membership.INTERIOR
 
 
 @given(st.integers(1, 1000), st.integers(-50, 50), st.integers(-50, 50))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from foliadex.bundle import BundleVariety, relative_anticanonical
-from foliadex.errors import DomainError, NotFanoError
+from foliadex.errors import DomainError
 from foliadex.foliation import wps_coordinate_foliation
 from foliadex.lattice import Class2
 from foliadex.rankone import (
@@ -17,11 +17,10 @@ from foliadex.rankone import (
     SingularityClass,
     WeightedProjectiveSpace,
     cartier_index,
-    cone_foliation_invariants,
-    index_pair,
     projective_space,
     projective_space_base,
     pushforward_to_cone,
+    rank_one_invariants,
     seshadri_of_generator,
 )
 
@@ -52,17 +51,17 @@ def test_seshadri_of_generator():
     assert seshadri_of_generator(projective_space(3)) == 1
 
 
+def index_pair(variety, s):
+    inv = rank_one_invariants(variety, Fraction(s))
+    return inv.gen_index, inv.fano_index
+
+
 def test_index_pair_values():
-    assert index_pair(W1112, RankOneClass(Fraction(3))) == (Fraction(3, 2), Fraction(3, 2))
-    assert index_pair(W123, RankOneClass(Fraction(3))) == (Fraction(1, 2), Fraction(1, 2))
-    assert index_pair(CONE_P2_2_2, RankOneClass(Fraction(3, 2))) == (
-        Fraction(3, 2),
-        Fraction(3, 2),
-    )
-    with pytest.raises(DomainError):
-        index_pair(W123, RankOneClass(Fraction(0)))
-    with pytest.raises(DomainError):
-        index_pair(W123, RankOneClass(Fraction(-1)))
+    assert index_pair(W1112, 3) == (Fraction(3, 2), Fraction(3, 2))
+    assert index_pair(W123, 3) == (Fraction(1, 2), Fraction(1, 2))
+    assert index_pair(CONE_P2_2_2, Fraction(3, 2)) == (Fraction(3, 2), Fraction(3, 2))
+    assert index_pair(W123, 0) == (None, None)
+    assert index_pair(W123, -1) == (None, None)
 
 
 def test_pushforward_to_cone():
@@ -72,6 +71,11 @@ def test_pushforward_to_cone():
     assert pushforward_to_cone(x, Class2(3, -3)) == RankOneClass(Fraction(3, 2))
     with pytest.raises(DomainError):
         pushforward_to_cone(BundleVariety(2, 2, (1, 0)), Class2(1, 0))
+
+
+def cone_foliation_invariants(cone, d):
+    # the induced foliation of a base foliation with K = d*H has -K = (r' - d/m) H
+    return rank_one_invariants(cone, cone.vertex_rank - Fraction(d, cone.m))
 
 
 def test_cone_foliation_invariants():
@@ -89,10 +93,10 @@ def test_cone_foliation_invariants():
         inv = cone_foliation_invariants(cone, 0)
         assert inv.gen_index == inv.fano_index == inv.seshadri_antican == r - 1
 
-    with pytest.raises(NotFanoError):
-        cone_foliation_invariants(
-            GeneralizedCone(base=projective_space_base(2), m=1, vertex_rank=2), 2
-        )
+    not_fano = cone_foliation_invariants(
+        GeneralizedCone(base=projective_space_base(2), m=1, vertex_rank=2), 2
+    )
+    assert not_fano.gen_index is None and not_fano.fano_index is None
 
 
 def test_cone_singularity_propagation():
@@ -136,7 +140,7 @@ def test_index_pair_components_agree(tail_seed, s_num):
     if math.gcd(*tail) != 1:
         return
     w = WeightedProjectiveSpace((1,) + tail)
-    a, b = index_pair(w, RankOneClass(Fraction(s_num)))
+    a, b = index_pair(w, s_num)
     assert a == b
 
 
@@ -145,8 +149,8 @@ def test_index_pair_homogeneity(rprime, m, num, den):
     cone = GeneralizedCone(base=projective_space_base(2), m=m, vertex_rank=rprime)
     k = Fraction(num, den)
     s = Fraction(3, 2)
-    scaled = index_pair(cone, RankOneClass(s * k))
-    base = index_pair(cone, RankOneClass(s))
+    scaled = index_pair(cone, s * k)
+    base = index_pair(cone, s)
     assert scaled == (k * base[0], k * base[1])
     assert seshadri_of_generator(cone) * (s * k) == k * (
         seshadri_of_generator(cone) * s
@@ -160,7 +164,7 @@ def test_weighted_sub_case_formulas():
             w = WeightedProjectiveSpace((1, 1, 1) + (m,) * (n - 2))
             fol = wps_coordinate_foliation(w, 1)
             s = -fol.canonical.s
-            iota = index_pair(w, RankOneClass(s))[1]
+            iota = index_pair(w, s)[1]
             eps = s * seshadri_of_generator(w)
             assert iota == n - 2 + Fraction(1, m)
             assert eps == n - 2 + Fraction(1, m)
@@ -172,7 +176,7 @@ def test_weighted_sub_case_formulas():
                 w = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
                 fol = wps_coordinate_foliation(w, 1)
                 s = -fol.canonical.s
-                assert index_pair(w, RankOneClass(s))[1] == Fraction(
+                assert index_pair(w, s)[1] == Fraction(
                     (n - 2) * mprime + m, mprime * m
                 )
                 assert s * seshadri_of_generator(w) == 1 + Fraction(
@@ -185,11 +189,11 @@ def test_weighted_sub_case_formulas():
             w = WeightedProjectiveSpace((1, a1, a2))
             fol1 = wps_coordinate_foliation(w, 1)
             s1 = -fol1.canonical.s
-            assert index_pair(w, RankOneClass(s1))[1] == Fraction(1, a1)
+            assert index_pair(w, s1)[1] == Fraction(1, a1)
             assert s1 * seshadri_of_generator(w) == 1
             fol2 = wps_coordinate_foliation(w, 2)
             s2 = -fol2.canonical.s
-            assert index_pair(w, RankOneClass(s2))[1] == Fraction(1, a2)
+            assert index_pair(w, s2)[1] == Fraction(1, a2)
             assert s2 * seshadri_of_generator(w) == Fraction(a1, a2)
 
 
