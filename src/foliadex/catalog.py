@@ -121,12 +121,26 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _bool(value, name: str) -> bool:
+    """A boolean field read from JSON; 0 and 1 are not booleans."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+def _str(value, name: str) -> str:
+    """A string field read from JSON."""
+    if not isinstance(value, str):
+        raise ParseError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _base_from_json(obj: dict) -> PolarizedBase:
     return PolarizedBase(
         dim=_int(obj["dim"], "dim"),
-        is_projective_space=obj["is_projective_space"],
+        is_projective_space=_bool(obj["is_projective_space"], "is_projective_space"),
         singularity_class=SingularityClass(obj["singularity_class"]),
-        label=obj["label"],
+        label=_str(obj["label"], "label"),
     )
 
 
@@ -222,7 +236,7 @@ def _fol_from_json(obj: dict, ambient=None) -> FoliationDescriptor:
         canonical=canonical,
         recipe=recipe,
         leaf_rc=LeafStatus(obj["leaf_rc"]),
-        provenance=obj["provenance"],
+        provenance=_str(obj["provenance"], "provenance"),
     )
 
 
@@ -251,10 +265,10 @@ def _invariants_from_json(obj: dict) -> InvariantReport:
         fano_index=_optional_rational_from_json(obj["fano_index"]),
         seshadri_antican=_optional_rational_from_json(obj["seshadri_antican"]),
         positivity=Positivity(
-            pseff=flags["pseff"],
-            big=flags["big"],
-            nef=flags["nef"],
-            ample=flags["ample"],
+            pseff=_bool(flags["pseff"], "pseff"),
+            big=_bool(flags["big"], "big"),
+            nef=_bool(flags["nef"], "nef"),
+            ample=_bool(flags["ample"], "ample"),
         ),
     )
 
@@ -299,15 +313,17 @@ def _record_to_json(record: ExampleRecord) -> dict:
 def _record_from_json(obj: dict) -> ExampleRecord:
     variety = _variety_from_json(obj["variety"])
     return ExampleRecord(
-        id=obj["id"],
+        id=_str(obj["id"], "id"),
         request=_request_from_json(obj["request"]),
-        branch=obj["branch"],
+        branch=_str(obj["branch"], "branch"),
         variety=variety,
         foliation=_fol_from_json(obj["foliation"], ambient=variety),
         invariants=_invariants_from_json(obj["invariants"]),
         checks=tuple(
             CheckOutcome(
-                name=c["name"], status=CheckStatus(c["status"]), detail=c["detail"]
+                name=_str(c["name"], "check name"),
+                status=CheckStatus(c["status"]),
+                detail=_str(c["detail"], "check detail"),
             )
             for c in obj["checks"]
         ),

@@ -13,6 +13,7 @@ from foliadex import (
     import_catalog,
     verify_record,
 )
+from foliadex.cli import main
 
 
 def test_round_trip_preserves_objects(std_catalog):
@@ -36,6 +37,17 @@ def test_export_bytes_are_pinned(std_catalog):
     assert (
         hashlib.sha256(data).hexdigest()
         == "c406488a4cab4ad1683f787a6dc7f381e03eb4f4a8fb91b9fe9fa32b0e9af1d4"
+    )
+
+
+def test_oracle_sweep_report_bytes_are_pinned(capsys):
+    # One audit per distinct class must leave the published sweep report
+    # byte for byte as the per-row sweep wrote it.
+    assert main(["verify", "--grid", "oracle", "--out", "json"]) == 0
+    data = capsys.readouterr().out.encode("utf-8")
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "a0bfdc567b127721d156bd6362e605b30027e0882be3f879e50a6eff51a35042"
     )
 
 

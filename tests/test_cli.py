@@ -154,6 +154,10 @@ def _big_not_ample(record):
     return inv["gen_index"] is not None and not inv["positivity"]["ample"]
 
 
+def _cone(record):
+    return record["variety"]["family"] == "cone"
+
+
 def _bundle_with_m_one(record):
     # JSON true equals 1, so only m = 1 hides the boolean from recomputation
     variety = record["variety"]
@@ -169,8 +173,15 @@ def _bundle_with_m_one(record):
         (("invariants", "gen_index"), "1" * 5000, None),
         (("variety", "m"), True, _bundle_with_m_one),
         (None, "1" * 5000 + "/3", None),
+        (("variety", "base", "is_projective_space"), "no", _cone),
+        (("variety", "base", "label"), 5, _cone),
+        (("invariants", "positivity", "pseff"), 1, None),
+        (("id",), 7, None),
     ],
-    ids=["leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target"],
+    ids=[
+        "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
+        "str-bool", "int-label", "int-flag", "int-id",
+    ],
 )
 def test_bad_input_fails_in_one_line(capsys, tmp_path, std_catalog, path, value, victim):
     if path is None:

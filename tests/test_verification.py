@@ -1,5 +1,6 @@
 """Machine verification: the oracle, the record checks, and the sweeps."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,16 @@ from foliadex import (
     SynthGrid,
     SynthKind,
     check_record,
+    generalized_index,
     mixed_record,
     oracle_generalized_index,
     rc_genus_record,
+    render_rational,
     run_sweep,
     synth_fano_index,
     verify_record,
 )
+from foliadex import _kernels, verification
 
 
 def test_oracle_frozen_values():
@@ -105,6 +109,76 @@ def test_small_oracle_sweep_is_clean():
     report = run_sweep(OracleGrid(m_max=2, b1_max=1, rprime_max=2, k_max=2, coeff_max=3))
     assert report.failed == 0
     assert report.total > 0
+
+
+def _reference_failures(grid: OracleGrid) -> list[dict[str, str]]:
+    """The failures of an oracle sweep that audits every row on its own."""
+    failures = []
+    for rprime in range(1, grid.rprime_max + 1):
+        for b_ascending in itertools.combinations_with_replacement(
+            range(grid.b1_max + 1), rprime
+        ):
+            b = tuple(reversed(b_ascending))
+            for m in range(1, grid.m_max + 1):
+                for k in range(1, grid.k_max + 1):
+                    x = BundleVariety(base_dim=k, m=m, b=b)
+                    for beta in range(1, grid.coeff_max + 1):
+                        for gamma in range(-grid.coeff_max, grid.coeff_max + 1):
+                            if not -m * beta < gamma <= b[0] * beta:
+                                continue
+                            cls = Class2(beta, gamma)
+                            value, _ = generalized_index(x, cls)
+                            formula = Fraction(m * beta + gamma, m + b[0] + 1)
+                            enumerated = verification.oracle_generalized_index(
+                                x, cls, grid.d_max, grid.c_max
+                            )
+                            if value == formula == enumerated:
+                                continue
+                            failures.append({
+                                "record": f"oracle:k={k}:m={m}:b={','.join(map(str, b))}"
+                                f":beta={beta}:gamma={gamma}",
+                                "check": "closed-form-vs-oracle",
+                                "detail": f"closed form {render_rational(value)}, "
+                                f"direct formula {render_rational(formula)}, "
+                                f"enumeration {render_rational(enumerated)}",
+                            })
+    return failures
+
+
+def test_failure_fans_out_to_every_variety_sharing_the_class(monkeypatch):
+    # The sweep audits each (m, b1, beta, gamma) once; a wrong enumeration
+    # must still fail every (k, b-tail) row that shares the class.
+    honest = verification.oracle_generalized_index
+
+    def wrong_for_one_class(variety, cls, d_max, c_max):
+        value = honest(variety, cls, d_max, c_max)
+        if (variety.m, variety.b1, cls.beta, cls.gamma) == (2, 1, 2, 1):
+            return value + 1
+        return value
+
+    monkeypatch.setattr(verification, "oracle_generalized_index", wrong_for_one_class)
+    grid = OracleGrid(m_max=2, b1_max=1, rprime_max=2, k_max=2, coeff_max=3)
+    report = run_sweep(grid)
+    expected = _reference_failures(grid)
+    # b-tails with b1 = 1: (1,), (1, 0), (1, 1); each at k = 1, 2
+    assert len(expected) == 6
+    assert report.failures == expected
+    assert report.failed == 6
+
+
+def test_sweep_calls_the_kernel_once_per_distinct_class(monkeypatch):
+    honest = _kernels.best_index_bound
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(_kernels, "best_index_bound", counting)
+    report = run_sweep(OracleGrid())
+    assert report.total == 24312
+    assert len(calls) == 856
+    assert len(set(calls)) == 856
 
 
 def test_synth_sweep_is_clean():
