@@ -365,6 +365,9 @@ def import_catalog(text: str) -> Catalog:
     for i, record_obj in enumerate(record_objs):
         try:
             records.append(_record_from_json(record_obj))
+        except ParseError as exc:
+            # a typed field (_int, _bool, _str) names itself, not its record
+            raise ParseError(f"malformed record at position {i}: {exc}") from exc
         except FoliadexError:
             raise
         except (KeyError, TypeError, IndexError, ValueError) as exc:

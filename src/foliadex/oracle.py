@@ -2,12 +2,31 @@
 
 For a big class D on a bundle, the generalized index is the best t such
 that D - t*H stays pseudoeffective for some integral ample H.  This
-module enumerates every integral ample H = (d, c) inside a rectangle and
-takes the exact maximum, deliberately ignoring the closed form, so the
-two computations can only agree if both are right.  The enumeration is
-exhaustive within its bounds, and any rectangle containing (1, b1+1)
-already contains the true optimum, so enlarging the bounds never changes
-the answer; that stability is itself tested.
+module enumerates every integral ample H = (d, c) inside a bounded set
+and takes the exact maximum, deliberately ignoring the closed form, so
+the two computations can only agree if both are right.
+
+The bound min(beta/d, (m*beta + gamma)/(c + m*d)) never rises as d or c
+grows, and every integral ample H = (d, c) has d >= 1 and
+c >= b1*d + 1 >= b1 + 1, so the optimum is always attained at the corner
+H = L + (b1+1)F.  Any enumerated set that contains this corner therefore
+already contains the true optimum, and enlarging it never changes the
+answer.  That stability is itself tested.
+
+Two sets are enumerated, both by the one kernel loop:
+
+- oracle_generalized_index takes the rectangle d <= d_max, c <= c_max
+  of the (L, F) basis, which the oracle sweep sizes by its grid;
+- audited_index, the audit behind every bundle record, takes the window
+  1 <= d <= 3, 1 <= c - b1*d <= 6 of 18 classes, whatever b1 is.
+
+The window is the kernel's rectangle in the basis (N, F) with
+N = L + b1*F.  There H = dL + cF reads dN + (c - b1*d)F, so the ample
+cone is the open positive quadrant, a class beta*L + gamma*F reads
+beta*N + (gamma - b1*beta)F, and the pseudoeffective ray L - mF reads
+N - (m + b1)F.  The kernel is called with those coordinates and b1 = 0,
+and its bound on t is the same number in either basis.  The corner
+(1, b1+1) is (1, 1) in the new basis, the window's first candidate.
 """
 
 from __future__ import annotations
@@ -19,6 +38,24 @@ from . import _kernels
 from .bundle import BundleVariety, classify_divisor
 from .errors import DomainError
 from .lattice import Class2
+
+# The audit window in (N, F) coordinates: 1 <= d <= AUDIT_D_MAX and
+# 1 <= c - b1*d <= AUDIT_C_SPAN.
+AUDIT_D_MAX = 3
+AUDIT_C_SPAN = 6
+
+
+def _require_big(variety: BundleVariety, cls: Class2) -> None:
+    if not classify_divisor(variety, cls).big:
+        raise DomainError(f"oracle needs a big class, got {cls}")
+
+
+def _kernel_index(cls: Class2, m: int, b1: int, d_max: int, c_max: int) -> Fraction:
+    scale = math.lcm(cls.beta.denominator, cls.gamma.denominator)
+    num, den, _, _ = _kernels.best_index_bound(
+        int(cls.beta * scale), int(cls.gamma * scale), scale, m, b1, d_max, c_max
+    )
+    return Fraction(num, den)
 
 
 def oracle_generalized_index(
@@ -36,28 +73,26 @@ def oracle_generalized_index(
         raise DomainError(
             f"need c_max >= b1*d_max + 1 = {variety.b1 * d_max + 1}, got {c_max}"
         )
-    if not classify_divisor(variety, cls).big:
-        raise DomainError(f"oracle needs a big class, got {cls}")
-    scale = math.lcm(cls.beta.denominator, cls.gamma.denominator)
-    beta_num = int(cls.beta * scale)
-    gamma_num = int(cls.gamma * scale)
-    num, den, _, _ = _kernels.best_index_bound(
-        beta_num, gamma_num, scale, variety.m, variety.b1, d_max, c_max
-    )
-    return Fraction(num, den)
+    _require_big(variety, cls)
+    return _kernel_index(cls, variety.m, variety.b1, d_max, c_max)
 
 
 def audited_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, str]:
-    """The oracle's index of cls over the audit rectangle d <= 3, c <= 3*b1 + 6.
+    """The oracle's index of cls over the window d <= 3, 1 <= c - b1*d <= 6.
 
     Construction checks and catalog verification audit the closed form
-    over this one rectangle.  Returns the enumerated value and the
-    rectangle as the check details print it.
+    over this one window of 18 ample classes, enumerated in the basis
+    (L + b1*F, F) described in the module docstring, so an audit costs
+    the same whatever b1 is.  The window contains the corner
+    H = L + (b1+1)F, where the optimum lies, so it agrees with every
+    rectangle oracle_generalized_index accepts.  Returns the enumerated
+    value and the window as the check details print it.
     """
-    d_max = 3
-    c_max = 3 * variety.b1 + 6
-    value = oracle_generalized_index(variety, cls, d_max, c_max)
-    return value, f"enumeration (d <= {d_max}, c <= {c_max})"
+    _require_big(variety, cls)
+    b1 = variety.b1
+    shifted = Class2(cls.beta, cls.gamma - b1 * cls.beta)
+    value = _kernel_index(shifted, variety.m + b1, 0, AUDIT_D_MAX, AUDIT_C_SPAN)
+    return value, f"enumeration (d <= {AUDIT_D_MAX}, 1 <= c - b1*d <= {AUDIT_C_SPAN})"
 
 
 def kernel_backend() -> str:

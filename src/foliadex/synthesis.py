@@ -283,10 +283,10 @@ def case1_parameters(r: int, p: int, q: int) -> CaseParameters:
 
     l must make the leftover twist budget positive while keeping p/q
     below the reachable bound (1 - 1/(ql))r + 1/(ql); both conditions are
-    monotone in l, so the minimal l is found by direct scan.  The budget
-    l(p-q) + (p-qr) + 1 is then spread greedily over b_2..b_r, each entry
-    capped at b_1 = lq - 1; the cap inequality is implied by the second
-    condition, so the greedy fill always lands exactly.
+    linear in l, so the minimal l is the larger of their two thresholds.
+    The budget l(p-q) + (p-qr) + 1 is then spread greedily over b_2..b_r,
+    each entry capped at b_1 = lq - 1; the cap inequality is implied by
+    the second condition, so the greedy fill always lands exactly.
     """
     if not (isinstance(p, int) and isinstance(q, int)) or p < 1 or q < 1:
         raise DomainError(f"need positive integers, got p={p}, q={q}")
@@ -295,19 +295,9 @@ def case1_parameters(r: int, p: int, q: int) -> CaseParameters:
     if not (q < p < q * r):
         raise DomainError(f"need q < p < q*r, got p={p}, q={q}, r={r}")
 
-    l = None
-    for candidate in range(1, 10**6 + 1):
-        if (
-            candidate * (p - q) + (p - q * r) + 1 > 0
-            and candidate * (q * r - p) >= r - 1
-        ):
-            l = candidate
-            break
-    if l is None:
-        raise RuntimeError(
-            f"no feasible twist scale below 10^6 for (r={r}, p={p}, q={q}); "
-            "unreachable for inputs passing the preconditions"
-        )
+    # The conditions read l*(p-q) > q*r - p - 1 >= 0 and
+    # l*(q*r-p) >= r - 1; the least l meeting each is an integer quotient.
+    l = max(1, (q * r - p - 1) // (p - q) + 1, -(-(r - 1) // (q * r - p)))
 
     b1 = l * q - 1
     surplus = l * (p - q) + (p - q * r) + 1

@@ -33,11 +33,45 @@ def test_export_bytes_are_pinned(std_catalog):
     # The standard export is a published artifact: any change to how a
     # record renders must show up here, not slip through a round trip.
     data = export_catalog(std_catalog).encode("utf-8")
+    assert len(data) == 3_665_965
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "cb67558f760ddbd3d4b575b4eab262818f9bb3c35d7a6885e1d31891aa307dbc"
+    )
+
+
+WINDOW = "enumeration (d <= 3, 1 <= c - b1*d <= 6)"
+
+
+def _with_rectangle_details(std_catalog):
+    """The standard export with each audit detail naming the former rectangle.
+
+    Audits once enumerated d <= 3, c <= 3*b1 + 6 in the (L, F) basis;
+    the export is otherwise unchanged by the move to the fixed window.
+    """
+    obj = json.loads(export_catalog(std_catalog))
+    for record_obj, record in zip(obj["records"], std_catalog.records):
+        for check in record_obj["checks"]:
+            if WINDOW in check["detail"]:
+                rectangle = f"enumeration (d <= 3, c <= {3 * record.variety.b1 + 6})"
+                check["detail"] = check["detail"].replace(WINDOW, rectangle)
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def test_export_differs_from_the_rectangle_export_only_in_audit_details(std_catalog):
+    data = _with_rectangle_details(std_catalog).encode("utf-8")
     assert len(data) == 3_663_290
     assert (
         hashlib.sha256(data).hexdigest()
         == "c406488a4cab4ad1683f787a6dc7f381e03eb4f4a8fb91b9fe9fa32b0e9af1d4"
     )
+
+
+def test_rectangle_export_still_verifies(std_catalog, tmp_path, capsys):
+    path = tmp_path / "rectangle.json"
+    path.write_text(_with_rectangle_details(std_catalog))
+    assert main(["verify", "--catalog", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_oracle_sweep_report_bytes_are_pinned(capsys):

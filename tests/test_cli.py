@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foliadex
 from foliadex import SCHEMA_VERSION, Catalog, export_catalog, record_to_json
 from foliadex.cli import main
 
@@ -202,6 +207,27 @@ def test_bad_input_fails_in_one_line(capsys, tmp_path, std_catalog, path, value,
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    if path is not None:
+        assert "position 0" in err  # the mutated record is the catalog's only one
+
+
+@pytest.mark.parametrize("n, r", [(3, 2), (4, 3)])
+def test_case1_synth_work_is_bounded(n, r):
+    # q = 10^6 gives b1 of order 10^12, and (4, 3) needs a twist scale
+    # l near 2*10^6; each request must still finish in seconds
+    argv = [
+        "synth", "--kind", "generalized-index", "--n", str(n), "--r", str(r),
+        "--c", "1000001/1000000", "--out", "json",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "foliadex.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["invariants"]["gen_index"] == "1000001/1000000"
+    assert all(check["status"] == "pass" for check in record["checks"])
 
 
 def test_missing_catalog_file(capsys):

@@ -1,6 +1,7 @@
 """Synthesis: target invariant in, certified example record out."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,22 @@ def test_case1_parameters_values():
     assert (wide.l, wide.b_list) == (2, (3, 3, 3))
     with pytest.raises(DomainError):
         case1_parameters(2, 1, 2)  # needs q < p
+
+
+def _scanned_twist_scale(r, p, q):
+    # the minimal l found by direct scan, as case1_parameters once did
+    l = 1
+    while not (l * (p - q) + (p - q * r) + 1 > 0 and l * (q * r - p) >= r - 1):
+        l += 1
+    return l
+
+
+def test_case1_twist_scale_matches_the_scan():
+    for r in range(2, 7):
+        for q in range(1, 41):
+            for p in range(q + 1, q * r):
+                if math.gcd(p, q) == 1:
+                    assert case1_parameters(r, p, q).l == _scanned_twist_scale(r, p, q), (r, p, q)
 
 
 def test_request_validation():

@@ -23,9 +23,10 @@ from foliadex import (
     render_rational,
     run_sweep,
     synth_fano_index,
+    synth_generalized_index,
     verify_record,
 )
-from foliadex import _kernels, verification
+from foliadex import _kernels, oracle, verification
 
 
 def test_oracle_frozen_values():
@@ -62,6 +63,65 @@ def test_oracle_stable_under_bound_enlargement(beta, gamma_off, extra_d, extra_c
         x, cls, base_d + extra_d, x.b1 * (base_d + extra_d) + 1 + extra_c
     )
     assert grown == small
+
+
+def _audited_classes(std_catalog):
+    """Every (variety, class) the catalog audits, plus the case-1 targets (q+1)/q."""
+    records = list(std_catalog.records)
+    for r in range(2, 5):
+        for q in range(2, 61):
+            records.append(synth_generalized_index(r + 1, r, Fraction(q + 1, q)))
+    return {
+        (rec.variety, -rec.foliation.canonical)
+        for rec in records
+        if isinstance(rec.variety, BundleVariety) and rec.invariants.gen_index is not None
+    }
+
+
+def test_audit_window_agrees_with_the_rectangle(std_catalog):
+    classes = _audited_classes(std_catalog)
+    assert max(variety.b1 for variety, _ in classes) > 10_000
+    for variety, cls in classes:
+        value, window = oracle.audited_index(variety, cls)
+        assert value == oracle_generalized_index(variety, cls, 3, 3 * variety.b1 + 6)
+        assert window == "enumeration (d <= 3, 1 <= c - b1*d <= 6)"
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(0, 39),
+    st.fractions(min_value=Fraction(1, 7), max_value=9, max_denominator=7),
+    st.fractions(min_value=Fraction(1, 7), max_value=400, max_denominator=7),
+)
+@settings(max_examples=150)
+def test_audit_window_agrees_on_fractional_classes(m, b1, beta, offset):
+    x = BundleVariety(1, m, (b1,))
+    cls = Class2(beta, -m * beta + offset)  # big; ample once offset > (m + b1)*beta
+    value, _ = oracle.audited_index(x, cls)
+    assert value == oracle_generalized_index(x, cls, 3, 3 * b1 + 6)
+
+
+def test_audit_window_is_stable_under_growth(std_catalog, monkeypatch):
+    classes = _audited_classes(std_catalog)
+    small = {key: oracle.audited_index(*key)[0] for key in classes}
+    monkeypatch.setattr(oracle, "AUDIT_D_MAX", 6)
+    monkeypatch.setattr(oracle, "AUDIT_C_SPAN", 12)
+    assert {key: oracle.audited_index(*key)[0] for key in classes} == small
+
+
+@pytest.mark.parametrize("q", [3, 320])
+def test_case1_audit_sends_the_kernel_a_fixed_window(monkeypatch, q):
+    honest = _kernels.best_index_bound
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(_kernels, "best_index_bound", counting)
+    rec = synth_generalized_index(5, 4, Fraction(q + 1, q))
+    assert rec.branch == "case1" and rec.variety.b1 > q
+    assert [args[4:] for args in calls] == [(0, 3, 6)]  # b1 = 0: 3 x 6 = 18 candidates
 
 
 def test_check_record_order_and_results():
