@@ -311,13 +311,13 @@ def _record_to_json(record: ExampleRecord) -> dict:
 
 
 def _record_from_json(obj: dict) -> ExampleRecord:
-    variety = _variety_from_json(obj["variety"])
     return ExampleRecord(
         id=_str(obj["id"], "id"),
         request=_request_from_json(obj["request"]),
         branch=_str(obj["branch"], "branch"),
-        variety=variety,
-        foliation=_fol_from_json(obj["foliation"], ambient=variety),
+        foliation=_fol_from_json(
+            obj["foliation"], ambient=_variety_from_json(obj["variety"])
+        ),
         invariants=_invariants_from_json(obj["invariants"]),
         checks=tuple(
             CheckOutcome(
@@ -365,15 +365,13 @@ def import_catalog(text: str) -> Catalog:
     for i, record_obj in enumerate(record_objs):
         try:
             records.append(_record_from_json(record_obj))
-        except ParseError as exc:
-            # a typed field (_int, _bool, _str) names itself, not its record
-            raise ParseError(f"malformed record at position {i}: {exc}") from exc
-        except FoliadexError:
-            raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            # ValueError: an unknown enum value or an inconsistent
-            # invariant report; DomainError is a ValueError too, and
-            # passes through above unchanged.
+        except (FoliadexError, KeyError, TypeError, IndexError, ValueError) as exc:
+            # A package error (a typed field, a validating constructor)
+            # keeps its class and message; anything else (a missing key,
+            # an unknown enum value, an inconsistent invariant report)
+            # becomes a ParseError naming the exception.
+            if isinstance(exc, FoliadexError):
+                raise type(exc)(f"malformed record at position {i}: {exc}") from exc
             raise ParseError(f"malformed record at position {i}: {exc!r}") from exc
     return Catalog(metadata=obj.get("metadata", {}), records=tuple(records))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -75,6 +76,14 @@ def _aligned(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def _render_pairs(pairs: Sequence[tuple[str, str]], fmt: str) -> str:
+    """Key/value pairs as a one-row csv, or one aligned line per pair."""
+    if fmt == "csv":
+        return _csv_text([k for k, _ in pairs], [[v for _, v in pairs]]).rstrip("\n")
+    width = max(len(k) for k, _ in pairs)
+    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+
+
 # ---------------------------------------------------------------------------
 # synth
 
@@ -109,11 +118,7 @@ def _record_summary_pairs(record: ExampleRecord) -> list[tuple[str, str]]:
 def _render_record(record: ExampleRecord, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record_to_json(record), indent=2)
-    pairs = _record_summary_pairs(record)
-    if fmt == "csv":
-        return _csv_text([k for k, _ in pairs], [[v for _, v in pairs]]).rstrip("\n")
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs)
+    return _render_pairs(_record_summary_pairs(record), fmt)
 
 
 def cmd_synth(args) -> int:
@@ -161,13 +166,7 @@ def cmd_verify(args) -> int:
             grid = StandardGrid()
         elif args.grid == "oracle":
             grid = OracleGrid(
-                m_max=args.m_max,
-                b1_max=args.b1_max,
-                rprime_max=args.rprime_max,
-                k_max=args.k_max,
-                coeff_max=args.coeff_max,
-                d_max=args.d_max,
-                c_max=args.c_max,
+                **{f.name: getattr(args, f.name) for f in dataclasses.fields(OracleGrid)}
             )
         elif args.grid == "synth":
             if args.kind is None:
@@ -188,20 +187,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 
-_RANGE_OPTIONS = (
-    "a",
-    "n",
-    "r",
-    "m",
-    "mprime",
-    "a1",
-    "a2",
-    "base_dim",
-    "rprime",
-    "d",
-    "p",
-    "q",
-)
+
+def _table_params() -> tuple[str, ...]:
+    """Every family parameter once, in order of first declaration."""
+    names = (name for params in FAMILY_PARAMS.values() for name in params)
+    return tuple(dict.fromkeys(names))
+
 
 _INVARIANT_COLUMNS = (
     "anticanonical",
@@ -229,11 +220,11 @@ def _row_cells(row, columns: Sequence[str]) -> list:
 
 def cmd_table(args) -> int:
     fmt = _resolve_format(args.out)
-    ranges = {}
-    for name in _RANGE_OPTIONS:
-        value = getattr(args, name)
-        if value is not None:
-            ranges[name] = parse_range(value)
+    ranges = {
+        name: parse_range(getattr(args, name))
+        for name in _table_params()
+        if getattr(args, name) is not None
+    }
     rows = table_rows(args.family, ranges)
     columns = list(FAMILY_PARAMS[args.family]) + list(_INVARIANT_COLUMNS)
     cells = [_row_cells(row, columns) for row in rows]
@@ -258,36 +249,22 @@ def cmd_table(args) -> int:
 
 def cmd_info(args) -> int:
     fmt = _resolve_format(args.out)
-    families = sorted(FAMILY_PARAMS)
-    kinds = [kind.value for kind in SynthKind]
+    info = {
+        "name": "foliadex",
+        "version": __version__,
+        "kernel_backend": kernel_backend(),
+        "schema_version": SCHEMA_VERSION,
+        "table_families": sorted(FAMILY_PARAMS),
+        "synth_kinds": [kind.value for kind in SynthKind],
+    }
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "name": "foliadex",
-                    "version": __version__,
-                    "kernel_backend": kernel_backend(),
-                    "schema_version": SCHEMA_VERSION,
-                    "table_families": families,
-                    "synth_kinds": kinds,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(info, indent=2))
         return 0
     pairs = [
-        ("name", "foliadex"),
-        ("version", __version__),
-        ("kernel_backend", kernel_backend()),
-        ("schema_version", SCHEMA_VERSION),
-        ("table_families", ", ".join(families)),
-        ("synth_kinds", ", ".join(kinds)),
+        (key, ", ".join(value) if isinstance(value, list) else value)
+        for key, value in info.items()
     ]
-    if fmt == "csv":
-        print(_csv_text([k for k, _ in pairs], [[v for _, v in pairs]]).rstrip("\n"))
-        return 0
-    width = max(len(k) for k, _ in pairs)
-    print("\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs))
+    print(_render_pairs(pairs, fmt))
     return 0
 
 
@@ -314,6 +291,10 @@ def cmd_catalog_import(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser assembly.
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _add_out(parser) -> None:
@@ -348,13 +329,8 @@ def build_parser() -> _Parser:
         default="standard",
     )
     verify.add_argument("--catalog", default=None, help="verify an exported catalog file")
-    verify.add_argument("--m-max", type=int, default=4)
-    verify.add_argument("--b1-max", type=int, default=3)
-    verify.add_argument("--rprime-max", type=int, default=3)
-    verify.add_argument("--k-max", type=int, default=3)
-    verify.add_argument("--coeff-max", type=int, default=6)
-    verify.add_argument("--d-max", type=int, default=6)
-    verify.add_argument("--c-max", type=int, default=40)
+    for field in dataclasses.fields(OracleGrid):
+        verify.add_argument(_flag(field.name), type=int, default=field.default)
     verify.add_argument("--kind", default=None, help="synthesis kind for --grid synth")
     verify.add_argument("--n-max", type=int, default=4)
     verify.add_argument("--q-max", type=int, default=6)
@@ -363,18 +339,9 @@ def build_parser() -> _Parser:
 
     table = sub.add_parser("table", help="tabulate a parametric family")
     table.add_argument("--family", required=True)
-    table.add_argument("--a")
-    table.add_argument("--n")
-    table.add_argument("--r")
-    table.add_argument("--m")
-    table.add_argument("--mprime")
-    table.add_argument("--a1")
-    table.add_argument("--a2")
-    table.add_argument("--base-dim", default="2")
-    table.add_argument("--rprime")
-    table.add_argument("--d")
-    table.add_argument("--p")
-    table.add_argument("--q")
+    for name in _table_params():
+        table.add_argument(_flag(name))
+    table.set_defaults(base_dim="2")
     _add_out(table)
     table.set_defaults(func=cmd_table)
 

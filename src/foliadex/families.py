@@ -1,11 +1,14 @@
-"""Parametric example families beyond the synthesis dispatcher.
+"""Parametric example families, one builder per family table.
 
-Each builder returns an ExampleRecord for one row of a family table:
-the weighted-hypersurface pencils in their four weight patterns, cone
-rows over the plane, the index-gap bundles, and the two boundary
-families whose leaves are not rationally connected.  Rows carry a
-family-formula check comparing all three recomputed invariants against
-the closed forms the family realizes.
+Each builder returns an ExampleRecord for one row of a family table,
+its parameters are the table's parameter columns, and it raises
+DomainError or UnsupportedRequest for an infeasible tuple.  The
+Hirzebruch and case-1/case-2 bundle rows are synthesis requests.  The
+weighted-hypersurface pencils in their four weight patterns, the cone
+rows, the index-gap bundles, and the two boundary families whose leaves
+are not rationally connected are built here and carry a family-formula
+check comparing all three recomputed invariants against the closed
+forms the family realizes.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .synthesis import (
     oracle_agreement_check,
     passfail,
     positivity_check,
+    synth_generalized_index,
     witness_check,
 )
 
@@ -68,12 +72,18 @@ def family_formula_check(
 def _family_record(
     record_id: str,
     branch: str,
-    variety,
     fol: FoliationDescriptor,
     expected: tuple[Optional[Fraction], Optional[Fraction], Optional[Fraction]],
     extra: tuple[CheckOutcome, ...] = (),
+    inv: Optional[InvariantReport] = None,
 ) -> ExampleRecord:
-    inv = compute_invariants(fol)
+    """A table row: the family-formula and ample checks, then extra.
+
+    inv is compute_invariants(fol), passed in by builders whose extra
+    checks needed it already.
+    """
+    if inv is None:
+        inv = compute_invariants(fol)
     checks = (
         family_formula_check(inv, expected),
         positivity_check(inv, "ample"),
@@ -82,11 +92,39 @@ def _family_record(
         id=record_id,
         request=None,
         branch=branch,
-        variety=variety,
         foliation=fol,
         invariants=inv,
         checks=checks,
     )
+
+
+def hirzebruch_record(a: int) -> ExampleRecord:
+    """Hirzebruch surface F_(a-1) with its ruling: iota-hat = 1 - 1/a."""
+    if a < 2:
+        raise DomainError("need a >= 2")
+    return synth_generalized_index(2, 1, Fraction(a - 1, a))
+
+
+def _lowest_terms(p: int, q: int) -> Fraction:
+    if q < 1 or math.gcd(p, q) != 1:
+        raise DomainError("p/q not in lowest terms")
+    return Fraction(p, q)
+
+
+def case1_record(n: int, r: int, p: int, q: int) -> ExampleRecord:
+    """Fibration over a case-1 bundle: iota-hat = p/q, a non-integer in (1, r)."""
+    c = _lowest_terms(p, q)
+    if c <= 1 or c.denominator == 1:
+        raise DomainError("case1 targets are non-integers in (1, r)")
+    return synth_generalized_index(n, r, c)
+
+
+def case2_record(n: int, r: int, p: int, q: int) -> ExampleRecord:
+    """Pullback to a case-2 bundle: iota-hat = p/q in (0, 1)."""
+    c = _lowest_terms(p, q)
+    if not c < 1:
+        raise DomainError("case2 targets lie in (0, 1)")
+    return synth_generalized_index(n, r, c)
 
 
 def wps1_record(n: int, m: int) -> ExampleRecord:
@@ -97,7 +135,7 @@ def wps1_record(n: int, m: int) -> ExampleRecord:
     fol = wps_coordinate_foliation(variety, 1)
     value = Fraction(m * (n - 2) + 1, m)
     return _family_record(
-        f"table:wps1:n={n}:m={m}", "wps1", variety, fol, (value, value, value)
+        f"table:wps1:n={n}:m={m}", "wps1", fol, (value, value, value)
     )
 
 
@@ -116,7 +154,6 @@ def wps2_record(n: int, mprime: int, m: int) -> ExampleRecord:
     return _family_record(
         f"table:wps2:n={n}:mprime={mprime}:m={m}",
         "wps2",
-        variety,
         fol,
         (index, index, eps),
     )
@@ -136,7 +173,7 @@ def wps3_record(a1: int, a2: int) -> ExampleRecord:
     fol = wps_coordinate_foliation(variety, 1)
     index = Fraction(1, a1)
     return _family_record(
-        f"table:wps3:a1={a1}:a2={a2}", "wps3", variety, fol,
+        f"table:wps3:a1={a1}:a2={a2}", "wps3", fol,
         (index, index, Fraction(1)),
     )
 
@@ -147,7 +184,7 @@ def wps4_record(a1: int, a2: int) -> ExampleRecord:
     fol = wps_coordinate_foliation(variety, 2)
     index = Fraction(1, a2)
     return _family_record(
-        f"table:wps4:a1={a1}:a2={a2}", "wps4", variety, fol,
+        f"table:wps4:a1={a1}:a2={a2}", "wps4", fol,
         (index, index, Fraction(a1, a2)),
     )
 
@@ -172,7 +209,6 @@ def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleReco
     return _family_record(
         f"table:cone:k={base_dim}:rprime={rprime}:m={m}:d={d}",
         "cone",
-        cone,
         fol,
         (value, value, value),
         extra=extra,
@@ -191,21 +227,18 @@ def mixed_record(r: int) -> ExampleRecord:
     variety = BundleVariety(base_dim=r + 2, m=1, b=(r - 2,) * r)
     fol = pullback_over_bundle(variety, pn_foliation(r + 2, r, -r))
     inv = compute_invariants(fol)
-    checks = (
-        family_formula_check(inv, (Fraction(r), Fraction(1), None)),
-        positivity_check(inv, "ample"),
+    extra = (
         witness_check(variety, fol),
         oracle_agreement_check(variety, fol, inv),
         mixed_gap_check(inv, r),
     )
-    return ExampleRecord(
-        id=f"table:mixed:r={r}",
-        request=None,
-        branch="mixed",
-        variety=variety,
-        foliation=fol,
-        invariants=inv,
-        checks=checks,
+    return _family_record(
+        f"table:mixed:r={r}",
+        "mixed",
+        fol,
+        (Fraction(r), Fraction(1), None),
+        extra=extra,
+        inv=inv,
     )
 
 
@@ -239,20 +272,17 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
     fol = cone_foliation(cone, base_fol)
     inv = compute_invariants(fol)
     value = (r - 1) - Fraction(2, m)
-    checks = (
-        family_formula_check(inv, (value, value, value)),
-        positivity_check(inv, "ample"),
+    extra = (
         cone_resolution_check(cone, fol),
         boundary_sharpness_check(inv, fol, at_equality=False),
     )
-    return ExampleRecord(
-        id=f"table:rc-genus:r={r}:m={m}",
-        request=None,
-        branch="rc-genus",
-        variety=cone,
-        foliation=fol,
-        invariants=inv,
-        checks=checks,
+    return _family_record(
+        f"table:rc-genus:r={r}:m={m}",
+        "rc-genus",
+        fol,
+        (value, value, value),
+        extra=extra,
+        inv=inv,
     )
 
 
@@ -291,18 +321,15 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
     fol = cone_foliation(cone, base_fol)
     inv = compute_invariants(fol)
     value = Fraction(r - 1)
-    checks = (
-        family_formula_check(inv, (value, value, value)),
-        positivity_check(inv, "ample"),
+    extra = (
         cone_resolution_check(cone, fol),
         boundary_sharpness_check(inv, fol, at_equality=True),
     )
-    return ExampleRecord(
-        id=f"table:rc-flat:n={n}:r={r}:m={m}",
-        request=None,
-        branch="rc-flat",
-        variety=cone,
-        foliation=fol,
-        invariants=inv,
-        checks=checks,
+    return _family_record(
+        f"table:rc-flat:n={n}:r={r}:m={m}",
+        "rc-flat",
+        fol,
+        (value, value, value),
+        extra=extra,
+        inv=inv,
     )

@@ -37,10 +37,6 @@ from .rankone import (
 Ambient = Union[BundleVariety, WeightedProjectiveSpace, GeneralizedCone, PolarizedBase]
 
 
-def ambient_dim(ambient: Ambient) -> int:
-    return ambient.dim
-
-
 class LeafStatus(enum.Enum):
     """Is the closure of a general leaf of the algebraic part rationally connected?"""
 
@@ -133,7 +129,7 @@ class FoliationDescriptor:
     provenance: str
 
     def __post_init__(self) -> None:
-        n = ambient_dim(self.ambient)
+        n = self.ambient.dim
         if not (1 <= self.rank < n):
             raise DomainError(f"rank must satisfy 1 <= rank < dim = {n}, got {self.rank}")
         if not (0 <= self.algebraic_rank <= self.rank):
@@ -158,10 +154,6 @@ class FoliationDescriptor:
     @property
     def purely_transcendental(self) -> bool:
         return self.algebraic_rank == 0
-
-    @property
-    def algebraically_integrable(self) -> bool:
-        return self.algebraic_rank == self.rank
 
 
 def _inherited_leaf_status(base: FoliationDescriptor) -> LeafStatus:

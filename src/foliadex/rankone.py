@@ -163,16 +163,8 @@ class RankOneClass:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", Fraction(self.s))
 
-    def __add__(self, other: RankOneClass) -> RankOneClass:
-        return RankOneClass(self.s + other.s)
-
     def __neg__(self) -> RankOneClass:
         return RankOneClass(-self.s)
-
-    def __mul__(self, k: int | Fraction) -> RankOneClass:
-        return RankOneClass(Fraction(k) * self.s)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return f"({self.s})H"

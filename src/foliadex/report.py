@@ -82,13 +82,6 @@ class SweepReport:
         else:
             self.skipped += 1
 
-    def merge(self, other: SweepReport) -> None:
-        self.total += other.total
-        self.passed += other.passed
-        self.failed += other.failed
-        self.skipped += other.skipped
-        self.failures.extend(other.failures)
-
     @property
     def ok(self) -> bool:
         return self.failed == 0

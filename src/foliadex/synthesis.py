@@ -112,10 +112,14 @@ class ExampleRecord:
     id: str
     request: Optional[SynthesisRequest]
     branch: str
-    variety: Variety
     foliation: FoliationDescriptor
     invariants: InvariantReport
     checks: tuple[CheckOutcome, ...]
+
+    @property
+    def variety(self) -> Variety:
+        """The ambient of the record's foliation."""
+        return self.foliation.ambient
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +333,10 @@ def _record_id(request: SynthesisRequest, branch: str) -> str:
 def _gen_bundle_record(
     request: SynthesisRequest,
     branch: str,
-    variety: BundleVariety,
     fol: FoliationDescriptor,
     case_params: Optional[CaseParameters] = None,
 ) -> ExampleRecord:
+    variety = fol.ambient
     inv = compute_invariants(fol)
     checks = [
         target_check(inv, "gen_index", request.c),
@@ -347,7 +351,6 @@ def _gen_bundle_record(
         id=_record_id(request, branch),
         request=request,
         branch=branch,
-        variety=variety,
         foliation=fol,
         invariants=inv,
         checks=tuple(checks),
@@ -357,7 +360,6 @@ def _gen_bundle_record(
 def _ample_record(
     request: SynthesisRequest,
     branch: str,
-    variety: Variety,
     fol: FoliationDescriptor,
     extra: tuple[CheckOutcome, ...] = (),
 ) -> ExampleRecord:
@@ -370,7 +372,6 @@ def _ample_record(
         id=_record_id(request, branch),
         request=request,
         branch=branch,
-        variety=variety,
         foliation=fol,
         invariants=inv,
         checks=checks,
@@ -380,7 +381,7 @@ def _ample_record(
 def _pn_record(request: SynthesisRequest) -> ExampleRecord:
     c = int(request.c)
     fol = pn_foliation(request.n, request.r, -c)
-    return _ample_record(request, "pn", fol.ambient, fol)
+    return _ample_record(request, "pn", fol)
 
 
 def _cone_record(request: SynthesisRequest) -> ExampleRecord:
@@ -397,7 +398,7 @@ def _cone_record(request: SynthesisRequest) -> ExampleRecord:
         base_fol = transcendental_rank1(n - rprime, p)
     fol = cone_foliation(cone, base_fol)
     extra = (cone_resolution_check(cone, fol),)
-    return _ample_record(request, "cone", cone, fol, extra=extra)
+    return _ample_record(request, "cone", fol, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +430,14 @@ def _synth_generalized_index(request: SynthesisRequest) -> ExampleRecord:
             a = c.denominator
             variety = BundleVariety(base_dim=1, m=a - 1, b=(0,))
             return _gen_bundle_record(
-                request, "hirzebruch", variety, fibration_foliation(variety)
+                request, "hirzebruch", fibration_foliation(variety)
             )
         raise _surface_open_question(c)
     if c > 1:
         params = case1_parameters(r, c.numerator, c.denominator)
         variety = BundleVariety(base_dim=n - r, m=params.q, b=params.b_list)
         return _gen_bundle_record(
-            request, "case1", variety, fibration_foliation(variety), case_params=params
+            request, "case1", fibration_foliation(variety), case_params=params
         )
     p, q = c.numerator, c.denominator
     variety = BundleVariety(base_dim=n - 1, m=q, b=(q - 1,))
@@ -446,7 +447,7 @@ def _synth_generalized_index(request: SynthesisRequest) -> ExampleRecord:
     else:
         base_fol = transcendental_rank1(n - 1, d)
     fol = pullback_over_bundle(variety, base_fol)
-    return _gen_bundle_record(request, "case2", variety, fol)
+    return _gen_bundle_record(request, "case2", fol)
 
 
 def _synth_fano_index(request: SynthesisRequest) -> ExampleRecord:
@@ -465,7 +466,7 @@ def _synth_fano_index(request: SynthesisRequest) -> ExampleRecord:
             variety = WeightedProjectiveSpace((1, a, a + 1))
             branch = "wps3"
         fol = wps_coordinate_foliation(variety, 1)
-        return _ample_record(request, branch, variety, fol)
+        return _ample_record(request, branch, fol)
     raise _rank_open_question(n, c)
 
 
@@ -478,13 +479,13 @@ def _synth_seshadri(request: SynthesisRequest) -> ExampleRecord:
     if n == 2:
         variety = WeightedProjectiveSpace((1, c.numerator, c.denominator))
         fol = wps_coordinate_foliation(variety, 2)
-        return _ample_record(request, "wps4", variety, fol)
+        return _ample_record(request, "wps4", fol)
     if r == n - 1 and n - 2 < c < n - 1:
         ratio = (c - 1) / (n - 2)
         mprime, m = ratio.numerator, ratio.denominator
         variety = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
         fol = wps_coordinate_foliation(variety, 1)
-        return _ample_record(request, "wps2", variety, fol)
+        return _ample_record(request, "wps2", fol)
     raise UnsupportedRequest(
         f"no construction for a Seshadri target {render_rational(c)} with "
         f"n={n}, r={r}"

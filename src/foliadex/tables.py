@@ -9,14 +9,17 @@ the rows that exist.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, UnsupportedRequest
 from .families import (
+    case1_record,
+    case2_record,
     cone_table_record,
+    hirzebruch_record,
     mixed_record,
     rc_flat_record,
     rc_genus_record,
@@ -25,22 +28,29 @@ from .families import (
     wps3_record,
     wps4_record,
 )
-from .synthesis import ExampleRecord, synth_generalized_index
+from .synthesis import ExampleRecord
+
+# Row builder per family; a builder's parameters are the family's
+# parameter names, in order.
+_BUILDERS = {
+    "hirzebruch": hirzebruch_record,
+    "wps1": wps1_record,
+    "wps2": wps2_record,
+    "wps3": wps3_record,
+    "wps4": wps4_record,
+    "cone": cone_table_record,
+    "case1": case1_record,
+    "case2": case2_record,
+    "mixed": mixed_record,
+    "rc-genus": rc_genus_record,
+    "rc-flat": rc_flat_record,
+}
 
 # Parameter names per family, in declaration order; the table columns
 # lead with these.
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "hirzebruch": ("a",),
-    "wps1": ("n", "m"),
-    "wps2": ("n", "mprime", "m"),
-    "wps3": ("a1", "a2"),
-    "wps4": ("a1", "a2"),
-    "cone": ("base_dim", "rprime", "m", "d"),
-    "case1": ("n", "r", "p", "q"),
-    "case2": ("n", "r", "p", "q"),
-    "mixed": ("r",),
-    "rc-genus": ("r", "m"),
-    "rc-flat": ("n", "r", "m"),
+    family: tuple(inspect.signature(builder).parameters)
+    for family, builder in _BUILDERS.items()
 }
 
 
@@ -69,43 +79,6 @@ class TableRow:
     record: ExampleRecord
 
 
-def _build(family: str, values: dict[str, int]) -> ExampleRecord:
-    if family == "hirzebruch":
-        a = values["a"]
-        if a < 2:
-            raise DomainError("need a >= 2")
-        return synth_generalized_index(2, 1, Fraction(a - 1, a))
-    if family == "wps1":
-        return wps1_record(values["n"], values["m"])
-    if family == "wps2":
-        return wps2_record(values["n"], values["mprime"], values["m"])
-    if family == "wps3":
-        return wps3_record(values["a1"], values["a2"])
-    if family == "wps4":
-        return wps4_record(values["a1"], values["a2"])
-    if family == "cone":
-        return cone_table_record(
-            values["base_dim"], values["rprime"], values["m"], values["d"]
-        )
-    if family in ("case1", "case2"):
-        p, q = values["p"], values["q"]
-        c = Fraction(p, q)
-        if c.denominator != q:
-            raise DomainError("p/q not in lowest terms")
-        if family == "case1" and (c <= 1 or c.denominator == 1):
-            raise DomainError("case1 targets are non-integers in (1, r)")
-        if family == "case2" and not c < 1:
-            raise DomainError("case2 targets lie in (0, 1)")
-        return synth_generalized_index(values["n"], values["r"], c)
-    if family == "mixed":
-        return mixed_record(values["r"])
-    if family == "rc-genus":
-        return rc_genus_record(values["r"], values["m"])
-    if family == "rc-flat":
-        return rc_flat_record(values["n"], values["r"], values["m"])
-    raise DomainError(f"unknown family {family!r}")
-
-
 def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
     if family not in FAMILY_PARAMS:
         raise DomainError(
@@ -119,7 +92,7 @@ def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
     for combo in itertools.product(*(tuple(ranges[name]) for name in names)):
         values = dict(zip(names, combo))
         try:
-            record = _build(family, values)
+            record = _BUILDERS[family](**values)
         except (DomainError, UnsupportedRequest):
             continue
         rows.append(TableRow(params=values, record=record))

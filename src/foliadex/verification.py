@@ -261,7 +261,7 @@ class StandardGrid:
 
 @dataclass(frozen=True)
 class EmptyGrid:
-    """No checks at all; the zero of SweepReport.merge."""
+    """No checks at all: an empty SweepReport."""
 
 
 def _oracle_sweep(grid: OracleGrid) -> SweepReport:

@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, file round trips."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,8 @@ import pytest
 
 import foliadex
 from foliadex import SCHEMA_VERSION, Catalog, export_catalog, record_to_json
-from foliadex.cli import main
+from foliadex.cli import build_parser, main
+from foliadex.verification import OracleGrid
 
 
 def run(capsys, *argv):
@@ -163,6 +165,10 @@ def _cone(record):
     return record["variety"]["family"] == "cone"
 
 
+def _wps(record):
+    return record["variety"]["family"] == "wps"
+
+
 def _bundle_with_m_one(record):
     # JSON true equals 1, so only m = 1 hides the boolean from recomputation
     variety = record["variety"]
@@ -182,10 +188,11 @@ def _bundle_with_m_one(record):
         (("variety", "base", "label"), 5, _cone),
         (("invariants", "positivity", "pseff"), 1, None),
         (("id",), 7, None),
+        (("foliation", "rank"), 99, _wps),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
-        "str-bool", "int-label", "int-flag", "int-id",
+        "str-bool", "int-label", "int-flag", "int-id", "rank-99",
     ],
 )
 def test_bad_input_fails_in_one_line(capsys, tmp_path, std_catalog, path, value, victim):
@@ -241,6 +248,13 @@ def test_info_fields(capsys):
     assert code == 0
     for token in ("name", "foliadex", "version", "kernel_backend", "schema_version"):
         assert token in out
+
+
+def test_verify_flags_default_to_the_oracle_grid():
+    args = build_parser().parse_args(["verify"])
+    grid = OracleGrid()
+    for field in dataclasses.fields(OracleGrid):
+        assert getattr(args, field.name) == getattr(grid, field.name), field.name
 
 
 def test_verify_grid_oracle_small(capsys):
