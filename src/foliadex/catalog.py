@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import jsontext
 from .bundle import BundleVariety, Positivity
 from .errors import DomainError, FoliadexError, ParseError, UnsupportedRequest
 from .families import (
@@ -335,13 +336,31 @@ def record_to_json(record: ExampleRecord) -> dict:
     return _record_to_json(record)
 
 
+def _metadata_from_json(obj) -> dict:
+    """Catalog metadata: an object mapping strings to str, int, bool or null.
+
+    Floats (NaN and Infinity among them) and nested containers are
+    refused, so a re-export stays valid JSON of bounded depth.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError("catalog metadata must be a JSON object")
+    for key, value in obj.items():
+        if value is not None and not isinstance(value, (str, int)):
+            name = f"metadata.{key}" if key.isidentifier() else f"metadata[{key!r}]"
+            raise ParseError(
+                f"{name} must be a string, integer, boolean or null, "
+                f"got {type(value).__name__}"
+            )
+    return obj
+
+
 def export_catalog(catalog: Catalog) -> str:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "metadata": catalog.metadata,
         "records": [_record_to_json(r) for r in catalog.records],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    return jsontext.render(obj) + "\n"
 
 
 def import_catalog(text: str) -> Catalog:
@@ -358,6 +377,7 @@ def import_catalog(text: str) -> Catalog:
         raise DomainError(
             f"unsupported schema version {version!r}, expected {SCHEMA_VERSION!r}"
         )
+    metadata = _metadata_from_json(obj.get("metadata", {}))
     record_objs = obj.get("records", [])
     if not isinstance(record_objs, list):
         raise ParseError("catalog records must be a JSON array")
@@ -373,7 +393,7 @@ def import_catalog(text: str) -> Catalog:
             if isinstance(exc, FoliadexError):
                 raise type(exc)(f"malformed record at position {i}: {exc}") from exc
             raise ParseError(f"malformed record at position {i}: {exc!r}") from exc
-    return Catalog(metadata=obj.get("metadata", {}), records=tuple(records))
+    return Catalog(metadata=metadata, records=tuple(records))
 
 
 # ---------------------------------------------------------------------------

