@@ -2,11 +2,15 @@
 
 Export writes records with a fixed key order and no timestamps, so the
 same catalog always serializes to the same bytes.  Import reconstructs
-the geometric objects through their validating constructors; stored
-invariants and check outcomes are parsed verbatim rather than recomputed,
-so a value edited by hand survives the round trip and is caught by the
-verification layer, while a structurally impossible object fails to
-reconstruct at all.
+the geometric objects through their validating constructors, so a
+structurally impossible object fails to reconstruct at all.  Two stored
+facts are derived again and compared on import: the canonical class,
+which each recipe derives from its ambient and parameters, and the leaf
+status a pullback or cone inherits from its base foliation.  A stored
+value that differs is a DomainError.  Stored invariants and check
+outcomes are parsed verbatim rather than recomputed, so an edited
+invariant survives the round trip and is caught by the verification
+layer.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, get_args
 
 from . import jsontext
 from .bundle import BundleVariety, Positivity
@@ -31,17 +35,7 @@ from .families import (
     wps3_record,
     wps4_record,
 )
-from .foliation import (
-    ConeInduced,
-    CoordinateProjection,
-    FibrationInduced,
-    FoliationDescriptor,
-    LeafStatus,
-    PnCatalogCase1,
-    PnCatalogCase2,
-    PullbackOverBundle,
-    TranscendentalRankOne,
-)
+from .foliation import FoliationDescriptor, LeafStatus, Recipe
 from .lattice import (
     Class2,
     parse_rational,
@@ -166,24 +160,24 @@ def _variety_from_json(obj: dict):
     raise DomainError(f"unknown variety family {family!r}")
 
 
+# kind -> (recipe class, its parameter names in export order)
+_RECIPES = {r.kind: (r, tuple(f.name for f in fields(r))) for r in get_args(Recipe)}
+
+
+def _key_path(prefix: str, key: str) -> str:
+    """prefix.key, or prefix['key'] for a key that is not an identifier."""
+    return f"{prefix}.{key}" if key.isidentifier() else f"{prefix}[{key!r}]"
+
+
 def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
     obj: dict = {}
     if include_ambient:
         obj["ambient"] = _variety_to_json(fol.ambient)
     recipe = fol.recipe
     obj["recipe"] = recipe.kind
-    if isinstance(recipe, (PullbackOverBundle, ConeInduced)):
-        params: dict = {"base": _fol_to_json(recipe.base, include_ambient=True)}
-    elif isinstance(recipe, CoordinateProjection):
-        params = {"j": recipe.j}
-    elif isinstance(recipe, PnCatalogCase1):
-        params = {"d": recipe.d}
-    elif isinstance(recipe, PnCatalogCase2):
-        params = {"d_f": recipe.d_f, "d_g": recipe.d_g}
-    elif isinstance(recipe, TranscendentalRankOne):
-        params = {"p": recipe.p}
-    else:
-        params = {}
+    params = {name: getattr(recipe, name) for name in _RECIPES[recipe.kind][1]}
+    if "base" in params:
+        params["base"] = _fol_to_json(params["base"], include_ambient=True)
     obj["recipe_params"] = params
     obj["rank"] = fol.rank
     obj["algebraic_rank"] = fol.algebraic_rank
@@ -199,46 +193,54 @@ def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
     return obj
 
 
+def _recipe_from_json(kind, params: dict) -> Recipe:
+    """A recipe from its kind and exactly its parameters; base recurses."""
+    if _str(kind, "recipe") not in _RECIPES:
+        raise DomainError(f"unknown recipe {kind!r}")
+    recipe, names = _RECIPES[kind]
+    if not isinstance(params, dict):
+        raise ParseError("recipe_params must be a JSON object")
+    for key in params:
+        if key not in names:
+            raise ParseError(
+                f"{_key_path('recipe_params', key)} is not a parameter of the {kind} recipe"
+            )
+    values = {}
+    for name in names:
+        path = f"recipe_params.{name}"
+        if name not in params:
+            raise ParseError(f"{path} is missing")
+        value = params[name]
+        values[name] = _fol_from_json(value) if name == "base" else _int(value, path)
+    return recipe(**values)
+
+
 def _fol_from_json(obj: dict, ambient=None) -> FoliationDescriptor:
+    """A descriptor whose stored canonical class must equal the derived one."""
     if ambient is None:
         ambient = _variety_from_json(obj["ambient"])
-    kind = obj["recipe"]
-    params = obj["recipe_params"]
-    if kind == "fibration":
-        recipe = FibrationInduced()
-    elif kind == "pullback":
-        recipe = PullbackOverBundle(base=_fol_from_json(params["base"]))
-    elif kind == "cone":
-        recipe = ConeInduced(base=_fol_from_json(params["base"]))
-    elif kind == "coordinate":
-        recipe = CoordinateProjection(j=_int(params["j"], "j"))
-    elif kind == "pn1":
-        recipe = PnCatalogCase1(d=_int(params["d"], "d"))
-    elif kind == "pn2":
-        recipe = PnCatalogCase2(
-            d_f=_int(params["d_f"], "d_f"), d_g=_int(params["d_g"], "d_g")
-        )
-    elif kind == "transcendental":
-        recipe = TranscendentalRankOne(p=_int(params["p"], "p"))
-    else:
-        raise DomainError(f"unknown recipe {kind!r}")
     canonical_obj = obj["canonical"]
     if "s" in canonical_obj:
-        canonical = RankOneClass(parse_rational(canonical_obj["s"]))
+        stored = RankOneClass(parse_rational(canonical_obj["s"]))
     else:
-        canonical = Class2(
+        stored = Class2(
             parse_rational(canonical_obj["beta"]),
             parse_rational(canonical_obj["gamma"]),
         )
-    return FoliationDescriptor(
+    fol = FoliationDescriptor(
         ambient=ambient,
         rank=_int(obj["rank"], "rank"),
         algebraic_rank=_int(obj["algebraic_rank"], "algebraic_rank"),
-        canonical=canonical,
-        recipe=recipe,
+        recipe=_recipe_from_json(obj["recipe"], obj["recipe_params"]),
         leaf_rc=LeafStatus(obj["leaf_rc"]),
         provenance=_str(obj["provenance"], "provenance"),
     )
+    if stored != fol.canonical:
+        raise DomainError(
+            f"stored canonical class {stored} differs from {fol.canonical}, "
+            f"derived from the {fol.recipe.kind} recipe"
+        )
+    return fol
 
 
 def _optional_rational_from_json(text: Optional[str]) -> Optional[Fraction]:
@@ -346,9 +348,8 @@ def _metadata_from_json(obj) -> dict:
         raise ParseError("catalog metadata must be a JSON object")
     for key, value in obj.items():
         if value is not None and not isinstance(value, (str, int)):
-            name = f"metadata.{key}" if key.isidentifier() else f"metadata[{key!r}]"
             raise ParseError(
-                f"{name} must be a string, integer, boolean or null, "
+                f"{_key_path('metadata', key)} must be a string, integer, boolean or null, "
                 f"got {type(value).__name__}"
             )
     return obj
@@ -385,11 +386,12 @@ def import_catalog(text: str) -> Catalog:
     for i, record_obj in enumerate(record_objs):
         try:
             records.append(_record_from_json(record_obj))
-        except (FoliadexError, KeyError, TypeError, IndexError, ValueError) as exc:
+        except (FoliadexError, LookupError, TypeError, ValueError, RecursionError) as exc:
             # A package error (a typed field, a validating constructor)
             # keeps its class and message; anything else (a missing key,
-            # an unknown enum value, an inconsistent invariant report)
-            # becomes a ParseError naming the exception.
+            # an unknown enum value, an inconsistent invariant report,
+            # recipe bases nested past the recursion limit) becomes a
+            # ParseError naming the exception.
             if isinstance(exc, FoliadexError):
                 raise type(exc)(f"malformed record at position {i}: {exc}") from exc
             raise ParseError(f"malformed record at position {i}: {exc!r}") from exc

@@ -34,7 +34,6 @@ from .lattice import render_optional
 from .rankone import (
     GeneralizedCone,
     PolarizedBase,
-    RankOneClass,
     SingularityClass,
     WeightedProjectiveSpace,
     projective_space,
@@ -259,7 +258,6 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
         ambient=projective_space(2),
         rank=1,
         algebraic_rank=1,
-        canonical=RankOneClass(Fraction(2)),
         recipe=PnCatalogCase2(d_f=4, d_g=1),
         leaf_rc=LeafStatus.FALSE,
         provenance=(
@@ -309,7 +307,6 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
         ambient=base,
         rank=1,
         algebraic_rank=1,
-        canonical=RankOneClass(Fraction(0)),
         recipe=FibrationInduced(),
         leaf_rc=LeafStatus.FALSE,
         provenance=(

@@ -3,10 +3,29 @@
 A descriptor records the data the invariant machinery consumes: the
 ambient variety, the rank, the algebraic rank (dimension of the maximal
 algebraic subvariety through a general point tangent to the foliation),
-the canonical class in the ambient's class notation, a recipe saying how
-the foliation arises, a rational-connectedness status for general leaf
-closures of the algebraic part, and a provenance note distinguishing
-constructions carried out here from families whose existence is asserted.
+a recipe saying how the foliation arises, a rational-connectedness
+status for general leaf closures of the algebraic part, and a provenance
+note distinguishing constructions carried out here from families whose
+existence is asserted.
+
+The canonical class K, in the ambient's class notation, is not an
+argument: each recipe derives it from the ambient and its parameters,
+and raises DomainError when it does not fit the ambient.  X is a
+bundle, r' and m are a cone's vertex rank and multiplier, a_i are the
+weights of P(1, a_1, ..., a_n), and s_base is the base foliation's K.
+
+    fibration on a bundle           -relative_anticanonical(X)
+    fibration on a polarized base   0, on a numerically-trivial-canonical base only
+    pullback                        -relative_anticanonical(X) + (0, s_base)
+    cone                            s_base/m - r'
+    coordinate j                    -(sum of a_i over 1 <= i <= n, i != j)
+    pn1 d                           d
+    pn2 (d_f, d_g)                  d_f + d_g - n - 1
+    transcendental p                p
+
+A pullback or cone descriptor inherits its leaf status from the base
+foliation, and a contradicting status is refused the same way, whether
+the descriptor is constructed or read from a catalog.
 
 Constructors cover: the fibration foliation of a projective bundle,
 pullbacks of a base foliation to a bundle, the two-case catalog of
@@ -19,8 +38,7 @@ generalized cone by a foliation on its base.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 from .bundle import BundleVariety, relative_anticanonical
@@ -30,6 +48,7 @@ from .rankone import (
     GeneralizedCone,
     PolarizedBase,
     RankOneClass,
+    SingularityClass,
     WeightedProjectiveSpace,
     projective_space,
 )
@@ -45,51 +64,127 @@ class LeafStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
+class _Recipe:
+    def linear_leaves(self, ambient: Ambient) -> bool:
+        """Are the algebraic leaves linear, the only shape allowed at eps = r^a?"""
+        return False
+
+
+def _on_projective_space(ambient: Ambient, kind: str) -> None:
+    if not (isinstance(ambient, WeightedProjectiveSpace) and ambient.is_smooth):
+        raise DomainError(f"the {kind} recipe lives on a projective space")
+
+
 @dataclass(frozen=True)
-class FibrationInduced:
+class FibrationInduced(_Recipe):
     """Foliation by fibers of the bundle projection."""
 
     kind: ClassVar[str] = "fibration"
 
+    def canonical(self, ambient: Ambient) -> Class2 | RankOneClass:
+        if isinstance(ambient, BundleVariety):
+            return -relative_anticanonical(ambient)
+        if (
+            isinstance(ambient, PolarizedBase)
+            and ambient.singularity_class is SingularityClass.CALABI_YAU_LC
+        ):
+            return RankOneClass(0)
+        raise DomainError(
+            "the fibration recipe lives on a bundle or on a base with "
+            "numerically trivial canonical class"
+        )
+
 
 @dataclass(frozen=True)
-class PullbackOverBundle:
+class PullbackOverBundle(_Recipe):
     """Preimage of a base foliation under the bundle projection."""
 
     base: "FoliationDescriptor"
 
     kind: ClassVar[str] = "pullback"
 
+    def canonical(self, ambient: Ambient) -> Class2:
+        if not isinstance(ambient, BundleVariety):
+            raise DomainError("the pullback recipe lives on a bundle")
+        base = self.base.ambient
+        if not isinstance(base, WeightedProjectiveSpace) or not base.is_smooth:
+            raise DomainError("base foliation must live on a projective space")
+        if base.dim != ambient.base_dim:
+            raise DomainError(
+                f"base dimension mismatch: bundle over P^{ambient.base_dim}, "
+                f"foliation on P^{base.dim}"
+            )
+        return -relative_anticanonical(ambient) + Class2(0, self.base.canonical.s)
+
 
 @dataclass(frozen=True)
-class ConeInduced:
+class ConeInduced(_Recipe):
     """Preimage of a base foliation under the cone's ruling projection."""
 
     base: "FoliationDescriptor"
 
     kind: ClassVar[str] = "cone"
 
+    def canonical(self, ambient: Ambient) -> RankOneClass:
+        if not isinstance(ambient, GeneralizedCone):
+            raise DomainError("the cone recipe lives on a generalized cone")
+        base_ambient = self.base.ambient
+        if isinstance(base_ambient, WeightedProjectiveSpace):
+            if not (base_ambient.is_smooth and ambient.base.is_projective_space):
+                raise DomainError("base foliation ambient does not match the cone base")
+            if base_ambient.dim != ambient.base.dim:
+                raise DomainError(
+                    f"cone base is {ambient.base.label}, foliation lives on "
+                    f"{base_ambient.label()}"
+                )
+        elif isinstance(base_ambient, PolarizedBase):
+            if base_ambient != ambient.base:
+                raise DomainError("base foliation must live on the cone's own base")
+        else:
+            raise DomainError("cone base foliations live on the base, not on a bundle")
+        return RankOneClass(self.base.canonical.s / ambient.m - ambient.vertex_rank)
+
 
 @dataclass(frozen=True)
-class CoordinateProjection:
+class CoordinateProjection(_Recipe):
     """Fibers of [x_0 ^ a_j : x_j] on a weighted projective space."""
 
     j: int
 
     kind: ClassVar[str] = "coordinate"
 
+    def canonical(self, ambient: Ambient) -> RankOneClass:
+        if not isinstance(ambient, WeightedProjectiveSpace):
+            raise DomainError("the coordinate recipe lives on a weighted projective space")
+        n = ambient.dim
+        if not (1 <= self.j <= n):
+            raise DomainError(f"coordinate index must satisfy 1 <= j <= {n}, got {self.j}")
+        return RankOneClass(-sum(ambient.weights[i] for i in range(1, n + 1) if i != self.j))
+
+    def linear_leaves(self, ambient: Ambient) -> bool:
+        # a pencil of hyperplanes on an honest projective space
+        return ambient.is_smooth
+
 
 @dataclass(frozen=True)
-class PnCatalogCase1:
+class PnCatalogCase1(_Recipe):
     """Linear-projection pullback of a transcendental rank-one foliation."""
 
     d: int
 
     kind: ClassVar[str] = "pn1"
 
+    def canonical(self, ambient: Ambient) -> RankOneClass:
+        _on_projective_space(ambient, self.kind)
+        return RankOneClass(self.d)
+
+    def linear_leaves(self, ambient: Ambient) -> bool:
+        # the fibers of a linear projection
+        return True
+
 
 @dataclass(frozen=True)
-class PnCatalogCase2:
+class PnCatalogCase2(_Recipe):
     """Fibers of a pencil [f : g] of hypersurfaces of degrees (d_f, d_g)."""
 
     d_f: int
@@ -97,14 +192,26 @@ class PnCatalogCase2:
 
     kind: ClassVar[str] = "pn2"
 
+    def canonical(self, ambient: Ambient) -> RankOneClass:
+        _on_projective_space(ambient, self.kind)
+        return RankOneClass(self.d_f + self.d_g - ambient.dim - 1)
+
+    def linear_leaves(self, ambient: Ambient) -> bool:
+        # a pencil of two hyperplanes
+        return self.d_f == 1 and self.d_g == 1
+
 
 @dataclass(frozen=True)
-class TranscendentalRankOne:
+class TranscendentalRankOne(_Recipe):
     """Rank-one foliation with no algebraic leaf through a general point."""
 
     p: int
 
     kind: ClassVar[str] = "transcendental"
+
+    def canonical(self, ambient: Ambient) -> RankOneClass:
+        _on_projective_space(ambient, self.kind)
+        return RankOneClass(self.p)
 
 
 Recipe = Union[
@@ -120,10 +227,12 @@ Recipe = Union[
 
 @dataclass(frozen=True)
 class FoliationDescriptor:
+    """A foliation on its ambient; the canonical class is derived from the recipe."""
+
     ambient: Ambient
     rank: int
     algebraic_rank: int
-    canonical: Class2 | RankOneClass
+    canonical: Class2 | RankOneClass = field(init=False)
     recipe: Recipe
     leaf_rc: LeafStatus
     provenance: str
@@ -136,20 +245,17 @@ class FoliationDescriptor:
             raise DomainError(
                 f"algebraic rank must lie in [0, rank], got {self.algebraic_rank}"
             )
-        if isinstance(self.ambient, BundleVariety):
-            if not isinstance(self.canonical, Class2):
-                raise DomainError("bundle ambient needs a rank-2 canonical class")
-        else:
-            if not isinstance(self.canonical, RankOneClass):
-                raise DomainError("rank-one ambient needs a rank-one canonical class")
-            s = self.canonical.s
-            if isinstance(self.ambient, WeightedProjectiveSpace) and s.denominator != 1:
-                raise DomainError(f"canonical degree on weighted projective space must be integral, got {s}")
-            if isinstance(self.ambient, GeneralizedCone) and (s * self.ambient.m).denominator != 1:
-                raise DomainError(f"canonical class {s}H is not integral in the cone's class group")
+        object.__setattr__(self, "canonical", self.recipe.canonical(self.ambient))
         if isinstance(self.recipe, (FibrationInduced, CoordinateProjection)):
             if self.algebraic_rank != self.rank:
                 raise DomainError("fibration-type recipes are algebraically integrable")
+        if isinstance(self.recipe, (PullbackOverBundle, ConeInduced)):
+            inherited = _inherited_leaf_status(self.recipe.base)
+            if self.leaf_rc is not inherited:
+                raise DomainError(
+                    f"leaf_rc {self.leaf_rc.value!r} contradicts {inherited.value!r}, "
+                    "inherited from the base foliation"
+                )
 
     @property
     def purely_transcendental(self) -> bool:
@@ -169,14 +275,13 @@ def _inherited_leaf_status(base: FoliationDescriptor) -> LeafStatus:
 def fibration_foliation(variety: BundleVariety) -> FoliationDescriptor:
     """The relative tangent foliation of the bundle projection.
 
-    K is minus the relative anticanonical class; the leaves are the
-    fibers, so rank and algebraic rank both equal the fiber dimension.
+    The leaves are the fibers, so rank and algebraic rank both equal the
+    fiber dimension.
     """
     return FoliationDescriptor(
         ambient=variety,
         rank=variety.fiber_rank,
         algebraic_rank=variety.fiber_rank,
-        canonical=-relative_anticanonical(variety),
         recipe=FibrationInduced(),
         leaf_rc=LeafStatus.TRUE,
         provenance="constructed: relative tangent sheaf of the bundle projection",
@@ -191,22 +296,10 @@ def pullback_over_bundle(
     Canonical classes add along the exact sequence relating the pullback
     to the relative tangent sheaf: K = K_{X/Z} + (deg K_base) F.
     """
-    base = base_foliation.ambient
-    if not isinstance(base, WeightedProjectiveSpace) or not base.is_smooth:
-        raise DomainError("base foliation must live on a projective space")
-    if base.dim != variety.base_dim:
-        raise DomainError(
-            f"base dimension mismatch: bundle over P^{variety.base_dim}, foliation on P^{base.dim}"
-        )
-    if base_foliation.rank >= variety.base_dim:
-        raise DomainError("base foliation rank must be smaller than the base dimension")
-    deg = base_foliation.canonical.s
-    canonical = -relative_anticanonical(variety) + Class2(0, deg)
     return FoliationDescriptor(
         ambient=variety,
         rank=variety.fiber_rank + base_foliation.rank,
         algebraic_rank=variety.fiber_rank + base_foliation.algebraic_rank,
-        canonical=canonical,
         recipe=PullbackOverBundle(base=base_foliation),
         leaf_rc=_inherited_leaf_status(base_foliation),
         provenance="constructed: projection preimage of the base foliation",
@@ -234,7 +327,6 @@ def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
             ambient=ambient,
             rank=r + 1,
             algebraic_rank=r,
-            canonical=RankOneClass(Fraction(d)),
             recipe=PnCatalogCase1(d=d),
             leaf_rc=LeafStatus.TRUE,
             provenance=(
@@ -250,7 +342,6 @@ def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
         ambient=ambient,
         rank=n - 1,
         algebraic_rank=n - 1,
-        canonical=RankOneClass(Fraction(d)),
         recipe=PnCatalogCase2(d_f=d_f, d_g=d_g),
         leaf_rc=leaf_rc,
         provenance="constructed: pencil of hypersurfaces of degrees "
@@ -272,7 +363,6 @@ def transcendental_rank1(k: int, p: int) -> FoliationDescriptor:
         ambient=projective_space(k),
         rank=1,
         algebraic_rank=0,
-        canonical=RankOneClass(Fraction(p)),
         recipe=TranscendentalRankOne(p=p),
         leaf_rc=LeafStatus.UNKNOWN,
         provenance=(
@@ -286,24 +376,21 @@ def wps_coordinate_foliation(
 ) -> FoliationDescriptor:
     """Fibers of the pencil spanned by x_0^{a_j} and x_j.
 
-    The canonical class is -(sum of the other nonzero-index weights) * H.
     Leaf closures are weighted hypersurfaces {x_j = c * x_0^{a_j}}; their
     rational connectedness is left unknown rather than guessed, since the
     invariant formulas never depend on it.
     """
     n = variety.dim
     if not (1 <= j <= n):
+        # checked before the provenance reads a_j
         raise DomainError(f"coordinate index must satisfy 1 <= j <= {n}, got {j}")
-    weights = variety.weights
-    degree = sum(weights[i] for i in range(1, n + 1) if i != j)
     return FoliationDescriptor(
         ambient=variety,
         rank=n - 1,
         algebraic_rank=n - 1,
-        canonical=RankOneClass(Fraction(-degree)),
         recipe=CoordinateProjection(j=j),
         leaf_rc=LeafStatus.UNKNOWN,
-        provenance=f"constructed: fibers of the pencil spanned by x_0^{weights[j]} and x_{j}",
+        provenance=f"constructed: fibers of the pencil spanned by x_0^{variety.weights[j]} and x_{j}",
     )
 
 
@@ -317,26 +404,10 @@ def cone_foliation(
     subspace contributes the vertex rank to the anticanonical degree and
     the base contributes d/m through the degree-m polarization.
     """
-    base_ambient = base_foliation.ambient
-    if isinstance(base_ambient, WeightedProjectiveSpace):
-        if not (base_ambient.is_smooth and cone.base.is_projective_space):
-            raise DomainError("base foliation ambient does not match the cone base")
-        if base_ambient.dim != cone.base.dim:
-            raise DomainError(
-                f"cone base is {cone.base.label}, foliation lives on {base_ambient.label()}"
-            )
-    elif isinstance(base_ambient, PolarizedBase):
-        if base_ambient != cone.base:
-            raise DomainError("base foliation must live on the cone's own base")
-    else:
-        raise DomainError("cone base foliations live on the base, not on a bundle")
-    d = base_foliation.canonical.s
-    canonical = RankOneClass(d / Fraction(cone.m) - cone.vertex_rank)
     return FoliationDescriptor(
         ambient=cone,
         rank=cone.vertex_rank + base_foliation.rank,
         algebraic_rank=cone.vertex_rank + base_foliation.algebraic_rank,
-        canonical=canonical,
         recipe=ConeInduced(base=base_foliation),
         leaf_rc=_inherited_leaf_status(base_foliation),
         provenance="constructed: ruling-projection preimage of the base foliation",

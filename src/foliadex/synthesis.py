@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .bundle import (
     BundleVariety,
@@ -25,6 +25,7 @@ from .bundle import (
 )
 from .errors import DomainError, UnsupportedRequest
 from .foliation import (
+    Ambient,
     FoliationDescriptor,
     LeafStatus,
     cone_foliation,
@@ -104,9 +105,6 @@ class CaseParameters:
     branch: str
 
 
-Variety = Union[BundleVariety, WeightedProjectiveSpace, GeneralizedCone]
-
-
 @dataclass(frozen=True)
 class ExampleRecord:
     id: str
@@ -117,7 +115,7 @@ class ExampleRecord:
     checks: tuple[CheckOutcome, ...]
 
     @property
-    def variety(self) -> Variety:
+    def variety(self) -> Ambient:
         """The ambient of the record's foliation."""
         return self.foliation.ambient
 

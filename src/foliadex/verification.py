@@ -16,17 +16,10 @@ from fractions import Fraction
 
 from .bundle import BundleVariety, generalized_index
 from .errors import UnsupportedRequest
-from .foliation import (
-    CoordinateProjection,
-    FoliationDescriptor,
-    LeafStatus,
-    PnCatalogCase1,
-    PnCatalogCase2,
-)
+from .foliation import LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
 from .lattice import Class2, reduced_targets, render_rational
 from .oracle import audited_index, kernel_backend, oracle_generalized_index
-from .rankone import WeightedProjectiveSpace
 from .report import CheckOutcome, CheckReport, CheckStatus, SweepReport
 from .synthesis import (
     ExampleRecord,
@@ -49,24 +42,6 @@ __all__ = [
     "oracle_generalized_index",
     "kernel_backend",
 ]
-
-
-def _is_linear_pullback_shape(fol: FoliationDescriptor) -> bool:
-    """Shapes allowed at the Seshadri maximum eps = r^a.
-
-    Linear-projection pullbacks, pencils of two hyperplanes, and the
-    hyperplane pencils cut by a coordinate on an honest projective space
-    all have linear algebraic leaves; nothing else qualifies.
-    """
-    recipe = fol.recipe
-    if isinstance(recipe, PnCatalogCase1):
-        return True
-    if isinstance(recipe, PnCatalogCase2):
-        return recipe.d_f == 1 and recipe.d_g == 1
-    if isinstance(recipe, CoordinateProjection):
-        ambient = fol.ambient
-        return isinstance(ambient, WeightedProjectiveSpace) and ambient.is_smooth
-    return False
 
 
 def check_record(record: ExampleRecord) -> CheckReport:
@@ -149,7 +124,7 @@ def check_record(record: ExampleRecord) -> CheckReport:
         )
     else:
         at_max = eps == ra
-        ok = (not at_max) or _is_linear_pullback_shape(fol)
+        ok = (not at_max) or fol.recipe.linear_leaves(fol.ambient)
         detail = (
             f"eps = {render_rational(eps)}, r^a = {ra}, recipe = {fol.recipe.kind}"
         )

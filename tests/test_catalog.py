@@ -2,15 +2,20 @@
 
 import hashlib
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from foliadex import (
     Catalog,
+    Class2,
     DomainError,
     ParseError,
+    compute_invariants,
     export_catalog,
     import_catalog,
+    record_to_json,
     verify_record,
 )
 from foliadex.cli import main
@@ -129,6 +134,24 @@ def test_structural_tamper_rejected_at_import(std_catalog):
     victim = next(r for r in obj["records"] if r["variety"]["family"] == "wps")
     victim["foliation"]["rank"] = 99
     with pytest.raises(DomainError):
+        import_catalog(json.dumps(obj))
+
+
+def test_consistent_canonical_tamper_rejected_at_import(std_catalog):
+    # Edit K and store the invariants the edited K gives, so that only a
+    # derivation of K from the recipe can tell.
+    record_id = "generalized-index:case1:n=3:r=2:c=9/8"
+    record = next(r for r in std_catalog.records if r.id == record_id)
+    assert record.foliation.canonical == Class2(-3, -48)
+    edited = SimpleNamespace(ambient=record.variety, canonical=Class2(-3, -40))
+    obj = json.loads(export_catalog(std_catalog))
+    victim = next(r for r in obj["records"] if r["id"] == record_id)
+    victim["foliation"]["canonical"]["gamma"] = "-40"
+    victim["invariants"] = record_to_json(
+        replace(record, invariants=compute_invariants(edited))
+    )["invariants"]
+    assert victim["invariants"]["gen_index"] == "1"
+    with pytest.raises(DomainError, match="stored canonical class"):
         import_catalog(json.dumps(obj))
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,38 @@ def _bundle_with_m_one(record):
     return variety["family"] == "bundle" and variety["m"] == 1
 
 
+def _coordinate(record):
+    return record["foliation"]["recipe"] == "coordinate"
+
+
+def _nine_eighths(record):
+    return record["id"] == "generalized-index:case1:n=3:r=2:c=9/8"
+
+
+def _transcendental_base_over_plane(record):
+    # a transcendental base keeps its K = p*H when moved to another P^k,
+    # so only the ambient check can refuse the move
+    fol = record["foliation"]
+    if fol["recipe"] not in ("cone", "pullback"):
+        return False
+    plane = record["variety"].get("base_dim") == 2 or (
+        _cone(record) and record["variety"]["base"]["label"] == "P^2"
+    )
+    return plane and fol["recipe_params"]["base"]["recipe"] == "transcendental"
+
+
+def _quiet_leaf_status(record):
+    # eps <= r^a - 1, so rc-consistency passes whatever leaf_rc says
+    eps = record["invariants"]["seshadri_antican"]
+    fol = record["foliation"]
+    return (
+        _cone(record)
+        and fol["leaf_rc"] == "true"
+        and eps is not None
+        and Fraction(eps) <= fol["algebraic_rank"] - 1
+    )
+
+
 def _nested(depth):
     value = "leaf"
     for _ in range(depth):
@@ -262,12 +295,28 @@ def _nested(depth):
         ("import", ("metadata", "i"), float("inf"), None),
         ("import", ("metadata", "i"), _nested(900), None),
         ("verify", ("metadata", "deep key"), {"a": 1}, None),
+        ("verify", ("foliation", "canonical", "gamma"), "-40", _nine_eighths),
+        ("verify", ("foliation", "recipe_params", "j"), 0, _coordinate),
+        (
+            "verify", ("foliation", "recipe_params", "base", "ambient", "weights"),
+            [1] * 6, lambda r: _cone(r) and _transcendental_base_over_plane(r),
+        ),
+        (
+            "verify", ("foliation", "recipe_params", "base", "ambient", "weights"),
+            [1] * 9, lambda r: not _cone(r) and _transcendental_base_over_plane(r),
+        ),
+        ("import", ("foliation", "recipe_params", "x"), 5, _coordinate),
+        ("import", ("foliation", "recipe_params", "j"), 3, _nine_eighths),
+        ("verify", ("foliation", "leaf_rc"), "false", _quiet_leaf_status),
+        ("verify", ("variety", "weights"), [1, 1, 1, 2], lambda r: r["branch"] == "pn"),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
         "str-bool", "int-label", "int-flag", "int-id", "rank-99", "utf16-verify",
         "utf16-import", "metadata-float", "metadata-infinity", "metadata-nested",
-        "metadata-object",
+        "metadata-object", "case1-gamma", "coordinate-j-0", "cone-base-p5",
+        "pullback-base-p8", "unknown-param", "fibration-param", "quiet-leaf-rc",
+        "pn-on-weighted",
     ],
 )
 def test_bad_input_fails_in_one_line(
@@ -287,6 +336,7 @@ def test_bad_input_fails_in_one_line(
             target = obj if path[0] == "metadata" else record
             for key in path[:-1]:
                 target = target[key]
+            added = path[-1] not in target
             target[path[-1]] = value
             catalog.write_text(json.dumps(obj))
         if command == "verify":
@@ -304,6 +354,8 @@ def test_bad_input_fails_in_one_line(
         assert f"metadata.{path[-1]} " in err or f"metadata[{path[-1]!r}] " in err
     elif path is not None:
         assert "position 0" in err  # the mutated record is the catalog's only one
+        if added:  # a key the schema does not know is named
+            assert f"{path[-2]}.{path[-1]} " in err
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 3)])

@@ -1,21 +1,29 @@
 """Foliation descriptors: canonical classes, ranks, and the catalog recipes."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import foliadex
 from foliadex import (
     BundleVariety,
     Class2,
+    CoordinateProjection,
     DomainError,
+    FibrationInduced,
     FoliationDescriptor,
     GeneralizedCone,
     LeafStatus,
     PnCatalogCase1,
     PnCatalogCase2,
+    PolarizedBase,
     RankOneClass,
+    SingularityClass,
     TranscendentalRankOne,
     WeightedProjectiveSpace,
     cone_foliation,
@@ -28,6 +36,7 @@ from foliadex import (
     transcendental_rank1,
     wps_coordinate_foliation,
 )
+from foliadex.foliation import Recipe
 
 
 def test_fibration_canonical_and_rank():
@@ -44,6 +53,21 @@ def test_fibration_canonical_and_rank():
     tall = fibration_foliation(BundleVariety(3, 1, (0, 0)))
     assert tall.canonical == Class2(-3, 1)
     assert tall.algebraic_rank == 2
+
+    # on an abstract base, K = 0 holds only where K_base is numerically trivial
+    def fibers_of(singularities):
+        return FoliationDescriptor(
+            ambient=PolarizedBase(2, False, singularities, "test fixture"),
+            rank=1,
+            algebraic_rank=1,
+            recipe=FibrationInduced(),
+            leaf_rc=LeafStatus.FALSE,
+            provenance="test fixture",
+        )
+
+    assert fibers_of(SingularityClass.CALABI_YAU_LC).canonical == RankOneClass(0)
+    with pytest.raises(DomainError, match="fibration recipe"):
+        fibers_of(SingularityClass.KLT_FANO)
 
 
 def test_pullback_adds_base_canonical():
@@ -67,7 +91,6 @@ def test_pullback_of_transcendental_base():
         ambient=projective_space(2),
         rank=1,
         algebraic_rank=0,
-        canonical=RankOneClass(Fraction(0)),
         recipe=TranscendentalRankOne(p=0),
         leaf_rc=LeafStatus.UNKNOWN,
         provenance="test fixture: flat transcendental base",
@@ -92,6 +115,10 @@ def test_pn_catalog_cases():
     assert pencil.recipe.d_f + pencil.recipe.d_g == 2
     assert pencil.recipe.d_f == 1 and pencil.recipe.d_g == 1
     assert pencil.leaf_rc is LeafStatus.TRUE
+    assert linear.recipe.linear_leaves(linear.ambient)
+    assert pencil.recipe.linear_leaves(pencil.ambient)
+    conic_and_line = pn_foliation(2, 1, 0)  # a pencil of degrees (2, 1)
+    assert not conic_and_line.recipe.linear_leaves(conic_and_line.ambient)
 
     with pytest.raises(DomainError):
         pn_foliation(3, 1, -2)
@@ -127,6 +154,19 @@ def test_coordinate_pencil_degrees():
 
     with pytest.raises(DomainError):
         wps_coordinate_foliation(WeightedProjectiveSpace((1, 2, 3)), 0)
+    with pytest.raises(DomainError, match="coordinate index"):
+        FoliationDescriptor(
+            ambient=WeightedProjectiveSpace((1, 2, 3)),
+            rank=1,
+            algebraic_rank=1,
+            recipe=CoordinateProjection(j=3),
+            leaf_rc=LeafStatus.UNKNOWN,
+            provenance="test fixture",
+        )
+
+    honest = wps_coordinate_foliation(projective_space(3), 1)
+    assert honest.recipe.linear_leaves(honest.ambient)
+    assert not fol.recipe.linear_leaves(fol.ambient)
 
 
 def test_fibration_recipe_forces_integrability():
@@ -136,7 +176,6 @@ def test_fibration_recipe_forces_integrability():
             ambient=x,
             rank=2,
             algebraic_rank=1,
-            canonical=-relative_anticanonical(x),
             recipe=fibration_foliation(x).recipe,
             leaf_rc=LeafStatus.TRUE,
             provenance="test fixture",
@@ -234,3 +273,32 @@ def test_cone_base_must_match():
     assert lifted.canonical == RankOneClass(Fraction(1, 2) - 2)
     assert lifted.rank == 3
     assert lifted.algebraic_rank == 2
+
+
+RECIPE_NAMES = {recipe.__name__ for recipe in get_args(Recipe)}
+
+
+def _recipe_isinstance_calls(tree):
+    """Line numbers of isinstance calls that test for a recipe class."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            continue
+        classes = node.args[1] if len(node.args) == 2 else None
+        for cls in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            name = cls.attr if isinstance(cls, ast.Attribute) else getattr(cls, "id", None)
+            if name in RECIPE_NAMES:
+                yield node.lineno
+
+
+def test_recipes_are_dispatched_only_in_foliation():
+    # Each recipe's facts live on the recipe in foliation.py, so no other
+    # module may switch on the recipe's class.
+    sources = sorted(Path(foliadex.__file__).parent.glob("*.py"))
+    assert len(RECIPE_NAMES) == 7 and sources
+    found = [
+        f"{path.name}:{line}"
+        for path in sources
+        if path.name != "foliation.py"
+        for line in _recipe_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
