@@ -3,38 +3,28 @@
 Export writes records with a fixed key order and no timestamps, so the
 same catalog always serializes to the same bytes.  Import reconstructs
 the geometric objects through their validating constructors, so a
-structurally impossible object fails to reconstruct at all.  Two stored
-facts are derived again and compared on import: the canonical class,
-which each recipe derives from its ambient and parameters, and the leaf
-status a pullback or cone inherits from its base foliation.  A stored
-value that differs is a DomainError.  Stored invariants and check
-outcomes are parsed verbatim rather than recomputed, so an edited
-invariant survives the round trip and is caught by the verification
-layer.
+structurally impossible object fails to reconstruct at all.  Some
+stored facts are derived again and compared on import: the canonical
+class, which each recipe derives from its ambient and parameters, and
+the ranks and leaf status a pullback or cone inherits from its base
+foliation.  A stored value that differs is a DomainError.  Every object
+of a record must have exactly the keys its export writes, or the import
+is a ParseError naming the key.  Stored invariants and check outcomes
+are parsed verbatim rather than recomputed, so an edited invariant
+survives the round trip and is caught by the verification layer.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, get_args
 
 from . import jsontext
 from .bundle import BundleVariety, Positivity
-from .errors import DomainError, FoliadexError, ParseError, UnsupportedRequest
-from .families import (
-    cone_table_record,
-    mixed_record,
-    rc_flat_record,
-    rc_genus_record,
-    wps1_record,
-    wps2_record,
-    wps3_record,
-    wps4_record,
-)
+from .errors import DomainError, FoliadexError, ParseError
 from .foliation import FoliationDescriptor, LeafStatus, Recipe
 from .lattice import (
     Class2,
@@ -57,6 +47,7 @@ from .synthesis import (
     SynthKind,
     synthesize,
 )
+from .tables import table_rows
 
 SCHEMA_VERSION = "1"
 
@@ -78,95 +69,106 @@ class Catalog:
 # Serialization.
 
 
-def _base_fields(base: PolarizedBase) -> dict:
-    return {
-        "dim": base.dim,
-        "is_projective_space": base.is_projective_space,
-        "singularity_class": base.singularity_class.value,
-        "label": base.label,
-    }
+_BASE_FIELDS = ("dim", "is_projective_space", "singularity_class", "label")
+
+# variety family -> (ambient class, its fields after "family", in export order)
+_VARIETIES = {
+    "bundle": (BundleVariety, ("base_dim", "m", "b")),
+    "wps": (WeightedProjectiveSpace, ("weights",)),
+    "cone": (GeneralizedCone, ("base", "m", "vertex_rank")),
+    "polarized-base": (PolarizedBase, _BASE_FIELDS),
+}
+_FAMILIES = {cls: family for family, (cls, _) in _VARIETIES.items()}
+
+
+def _field_to_json(value):
+    """A variety field as JSON: a tuple as an array, a base as an object."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, SingularityClass):
+        return value.value
+    if isinstance(value, PolarizedBase):
+        return {name: _field_to_json(getattr(value, name)) for name in _BASE_FIELDS}
+    return value
 
 
 def _variety_to_json(variety) -> dict:
-    if isinstance(variety, BundleVariety):
-        return {
-            "family": "bundle",
-            "base_dim": variety.base_dim,
-            "m": variety.m,
-            "b": list(variety.b),
-        }
-    if isinstance(variety, WeightedProjectiveSpace):
-        return {"family": "wps", "weights": list(variety.weights)}
-    if isinstance(variety, GeneralizedCone):
-        return {
-            "family": "cone",
-            "base": _base_fields(variety.base),
-            "m": variety.m,
-            "vertex_rank": variety.vertex_rank,
-        }
-    if isinstance(variety, PolarizedBase):
-        return {"family": "polarized-base", **_base_fields(variety)}
-    raise TypeError(f"cannot serialize ambient {variety!r}")
+    family = _FAMILIES[type(variety)]
+    fields_json = {name: _field_to_json(getattr(variety, name)) for name in _VARIETIES[family][1]}
+    return {"family": family, **fields_json}
 
 
-def _int(value, name: str) -> int:
-    """An integer field read from JSON; true and false are not integers."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{name} must be an integer, got {value!r}")
+_NOUNS = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _typed(value, kind: type, path: str, key: str):
+    """The value of path.key, of exactly type kind: true and false are not
+    integers, and 0 and 1 are not booleans."""
+    if type(value) is not kind:
+        raise ParseError(f"{path}.{key} must be {_NOUNS[kind]}, got {value!r}")
     return value
-
-
-def _bool(value, name: str) -> bool:
-    """A boolean field read from JSON; 0 and 1 are not booleans."""
-    if not isinstance(value, bool):
-        raise ParseError(f"{name} must be a boolean, got {value!r}")
-    return value
-
-
-def _str(value, name: str) -> str:
-    """A string field read from JSON."""
-    if not isinstance(value, str):
-        raise ParseError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _base_from_json(obj: dict) -> PolarizedBase:
-    return PolarizedBase(
-        dim=_int(obj["dim"], "dim"),
-        is_projective_space=_bool(obj["is_projective_space"], "is_projective_space"),
-        singularity_class=SingularityClass(obj["singularity_class"]),
-        label=_str(obj["label"], "label"),
-    )
-
-
-def _variety_from_json(obj: dict):
-    family = obj["family"]
-    if family == "bundle":
-        return BundleVariety(
-            base_dim=_int(obj["base_dim"], "base_dim"),
-            m=_int(obj["m"], "m"),
-            b=tuple(_int(bi, "b") for bi in obj["b"]),
-        )
-    if family == "wps":
-        return WeightedProjectiveSpace(tuple(_int(a, "weights") for a in obj["weights"]))
-    if family == "cone":
-        return GeneralizedCone(
-            base=_base_from_json(obj["base"]),
-            m=_int(obj["m"], "m"),
-            vertex_rank=_int(obj["vertex_rank"], "vertex_rank"),
-        )
-    if family == "polarized-base":
-        return _base_from_json(obj)
-    raise DomainError(f"unknown variety family {family!r}")
-
-
-# kind -> (recipe class, its parameter names in export order)
-_RECIPES = {r.kind: (r, tuple(f.name for f in fields(r))) for r in get_args(Recipe)}
 
 
 def _key_path(prefix: str, key: str) -> str:
     """prefix.key, or prefix['key'] for a key that is not an identifier."""
     return f"{prefix}.{key}" if key.isidentifier() else f"{prefix}[{key!r}]"
+
+
+def _fields(obj, path: str, names: tuple[str, ...]) -> list:
+    """The values of a JSON object that has exactly the keys names, in order.
+
+    A key the schema does not know would be dropped by a re-export, so
+    it is refused like a missing one; path names obj in the ParseError.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must be a JSON object")
+    if len(obj) == len(names):
+        try:
+            return [obj[name] for name in names]
+        except KeyError:
+            pass  # a key is missing, so another one is unknown
+    for key in obj:
+        if key not in names:
+            raise ParseError(f"{_key_path(path, key)} is unknown; expected " + ", ".join(names))
+    missing = next(name for name in names if name not in obj)
+    raise ParseError(f"{path}.{missing} is missing")
+
+
+# the variety fields that are not integers
+_FIELD_TYPES = {"is_projective_space": bool, "label": str}
+
+
+def _field_from_json(name: str, value, path: str):
+    """A variety field read from JSON, the inverse of _field_to_json."""
+    if name in ("b", "weights"):
+        return tuple(_typed(entry, int, path, name) for entry in value)
+    if name == "base":
+        return _variety_from_json(value, f"{path}.base", "polarized-base")
+    if name == "singularity_class":
+        return SingularityClass(value)
+    return _typed(value, _FIELD_TYPES.get(name, int), path, name)
+
+
+def _variety_from_json(obj, path: str, family: Optional[str] = None):
+    """An ambient from its JSON object; a cone's base is stored without
+    its family, which is given."""
+    stored = ("family",) if family is None else ()
+    if family is None:
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path} must be a JSON object")
+        family = _typed(obj.get("family"), str, path, "family")
+        if family not in _VARIETIES:
+            raise DomainError(f"unknown variety family {family!r}")
+    cls, names = _VARIETIES[family]
+    values = _fields(obj, path, stored + names)[len(stored):]
+    return cls(**{name: _field_from_json(name, value, path) for name, value in zip(names, values)})
+
+
+# class type -> its coefficient names, in export order
+_CANONICAL = {RankOneClass: ("s",), Class2: ("beta", "gamma")}
+
+# kind -> (recipe class, its parameter names in export order)
+_RECIPES = {r.kind: (r, tuple(f.name for f in fields(r))) for r in get_args(Recipe)}
 
 
 def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
@@ -181,59 +183,56 @@ def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
     obj["recipe_params"] = params
     obj["rank"] = fol.rank
     obj["algebraic_rank"] = fol.algebraic_rank
-    if isinstance(fol.canonical, Class2):
-        obj["canonical"] = {
-            "beta": render_rational(fol.canonical.beta),
-            "gamma": render_rational(fol.canonical.gamma),
-        }
-    else:
-        obj["canonical"] = {"s": render_rational(fol.canonical.s)}
+    canonical = fol.canonical
+    obj["canonical"] = {
+        name: render_rational(getattr(canonical, name)) for name in _CANONICAL[type(canonical)]
+    }
     obj["leaf_rc"] = fol.leaf_rc.value
     obj["provenance"] = fol.provenance
     return obj
 
 
-def _recipe_from_json(kind, params: dict) -> Recipe:
+_FOLIATION_FIELDS = (
+    "recipe", "recipe_params", "rank", "algebraic_rank", "canonical", "leaf_rc", "provenance",
+)
+
+
+def _recipe_from_json(kind, params, path: str) -> Recipe:
     """A recipe from its kind and exactly its parameters; base recurses."""
-    if _str(kind, "recipe") not in _RECIPES:
+    if _typed(kind, str, path, "recipe") not in _RECIPES:
         raise DomainError(f"unknown recipe {kind!r}")
     recipe, names = _RECIPES[kind]
-    if not isinstance(params, dict):
-        raise ParseError("recipe_params must be a JSON object")
-    for key in params:
-        if key not in names:
-            raise ParseError(
-                f"{_key_path('recipe_params', key)} is not a parameter of the {kind} recipe"
-            )
-    values = {}
-    for name in names:
-        path = f"recipe_params.{name}"
-        if name not in params:
-            raise ParseError(f"{path} is missing")
-        value = params[name]
-        values[name] = _fol_from_json(value) if name == "base" else _int(value, path)
-    return recipe(**values)
+    path = f"{path}.recipe_params"
+    values = _fields(params, path, names)
+    return recipe(**{
+        name: _fol_from_json(value, f"{path}.base")
+        if name == "base" else _typed(value, int, path, name)
+        for name, value in zip(names, values)
+    })
 
 
-def _fol_from_json(obj: dict, ambient=None) -> FoliationDescriptor:
-    """A descriptor whose stored canonical class must equal the derived one."""
+def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
+    """A descriptor whose stored canonical class must equal the derived one.
+
+    A recipe's base foliation stores its own ambient; a record's
+    foliation is given the record's variety.
+    """
     if ambient is None:
-        ambient = _variety_from_json(obj["ambient"])
-    canonical_obj = obj["canonical"]
-    if "s" in canonical_obj:
-        stored = RankOneClass(parse_rational(canonical_obj["s"]))
+        ambient_obj, *values = _fields(obj, path, ("ambient", *_FOLIATION_FIELDS))
+        ambient = _variety_from_json(ambient_obj, f"{path}.ambient")
     else:
-        stored = Class2(
-            parse_rational(canonical_obj["beta"]),
-            parse_rational(canonical_obj["gamma"]),
-        )
+        values = _fields(obj, path, _FOLIATION_FIELDS)
+    kind, params, rank, algebraic_rank, canonical, leaf_rc, provenance = values
+    cls = RankOneClass if isinstance(canonical, dict) and "s" in canonical else Class2
+    parts = _fields(canonical, f"{path}.canonical", _CANONICAL[cls])
+    stored = cls(*(parse_rational(part) for part in parts))
     fol = FoliationDescriptor(
         ambient=ambient,
-        rank=_int(obj["rank"], "rank"),
-        algebraic_rank=_int(obj["algebraic_rank"], "algebraic_rank"),
-        recipe=_recipe_from_json(obj["recipe"], obj["recipe_params"]),
-        leaf_rc=LeafStatus(obj["leaf_rc"]),
-        provenance=_str(obj["provenance"], "provenance"),
+        rank=_typed(rank, int, path, "rank"),
+        algebraic_rank=_typed(algebraic_rank, int, path, "algebraic_rank"),
+        recipe=_recipe_from_json(kind, params, path),
+        leaf_rc=LeafStatus(leaf_rc),
+        provenance=_typed(provenance, str, path, "provenance"),
     )
     if stored != fol.canonical:
         raise DomainError(
@@ -247,31 +246,30 @@ def _optional_rational_from_json(text: Optional[str]) -> Optional[Fraction]:
     return None if text is None else parse_rational(text)
 
 
+_FLAGS = tuple(f.name for f in fields(Positivity))
+
+
 def _invariants_to_json(inv: InvariantReport) -> dict:
     return {
         "gen_index": render_optional(inv.gen_index, None),
         "fano_index": render_optional(inv.fano_index, None),
         "seshadri_antican": render_optional(inv.seshadri_antican, None),
-        "positivity": {
-            "pseff": inv.positivity.pseff,
-            "big": inv.positivity.big,
-            "nef": inv.positivity.nef,
-            "ample": inv.positivity.ample,
-        },
+        "positivity": {name: getattr(inv.positivity, name) for name in _FLAGS},
     }
 
 
-def _invariants_from_json(obj: dict) -> InvariantReport:
-    flags = obj["positivity"]
+def _invariants_from_json(obj) -> InvariantReport:
+    gen_index, fano_index, seshadri_antican, flags = _fields(
+        obj, "invariants", ("gen_index", "fano_index", "seshadri_antican", "positivity")
+    )
+    path = "invariants.positivity"
+    flags = _fields(flags, path, _FLAGS)
     return InvariantReport(
-        gen_index=_optional_rational_from_json(obj["gen_index"]),
-        fano_index=_optional_rational_from_json(obj["fano_index"]),
-        seshadri_antican=_optional_rational_from_json(obj["seshadri_antican"]),
+        gen_index=_optional_rational_from_json(gen_index),
+        fano_index=_optional_rational_from_json(fano_index),
+        seshadri_antican=_optional_rational_from_json(seshadri_antican),
         positivity=Positivity(
-            pseff=_bool(flags["pseff"], "pseff"),
-            big=_bool(flags["big"], "big"),
-            nef=_bool(flags["nef"], "nef"),
-            ample=_bool(flags["ample"], "ample"),
+            **{name: _typed(flag, bool, path, name) for name, flag in zip(_FLAGS, flags)}
         ),
     )
 
@@ -287,18 +285,20 @@ def _request_to_json(request: Optional[SynthesisRequest]) -> Optional[dict]:
     }
 
 
-def _request_from_json(obj: Optional[dict]) -> Optional[SynthesisRequest]:
+def _request_from_json(obj) -> Optional[SynthesisRequest]:
     if obj is None:
         return None
+    kind, n, r, c = _fields(obj, "request", ("kind", "n", "r", "c"))
     return SynthesisRequest(
-        kind=SynthKind(obj["kind"]),
-        n=_int(obj["n"], "n"),
-        r=_int(obj["r"], "r"),
-        c=parse_rational(obj["c"]),
+        kind=SynthKind(kind),
+        n=_typed(n, int, "request", "n"),
+        r=_typed(r, int, "request", "r"),
+        c=parse_rational(c),
     )
 
 
-def _record_to_json(record: ExampleRecord) -> dict:
+def record_to_json(record: ExampleRecord) -> dict:
+    """JSON object for one record, exactly as it appears in an export."""
     return {
         "id": record.id,
         "request": _request_to_json(record.request),
@@ -313,29 +313,30 @@ def _record_to_json(record: ExampleRecord) -> dict:
     }
 
 
-def _record_from_json(obj: dict) -> ExampleRecord:
-    return ExampleRecord(
-        id=_str(obj["id"], "id"),
-        request=_request_from_json(obj["request"]),
-        branch=_str(obj["branch"], "branch"),
-        foliation=_fol_from_json(
-            obj["foliation"], ambient=_variety_from_json(obj["variety"])
-        ),
-        invariants=_invariants_from_json(obj["invariants"]),
-        checks=tuple(
-            CheckOutcome(
-                name=_str(c["name"], "check name"),
-                status=CheckStatus(c["status"]),
-                detail=_str(c["detail"], "check detail"),
-            )
-            for c in obj["checks"]
-        ),
+def _check_from_json(obj, path: str) -> CheckOutcome:
+    name, status, detail = _fields(obj, path, ("name", "status", "detail"))
+    return CheckOutcome(
+        name=_typed(name, str, path, "name"),
+        status=CheckStatus(status),
+        detail=_typed(detail, str, path, "detail"),
     )
 
 
-def record_to_json(record: ExampleRecord) -> dict:
-    """JSON object for one record, exactly as it appears in an export."""
-    return _record_to_json(record)
+def _record_from_json(obj) -> ExampleRecord:
+    names = ("id", "request", "branch", "variety", "foliation", "invariants", "checks")
+    record_id, request, branch, variety, foliation, invariants, checks = _fields(
+        obj, "record", names
+    )
+    return ExampleRecord(
+        id=_typed(record_id, str, "record", "id"),
+        request=_request_from_json(request),
+        branch=_typed(branch, str, "record", "branch"),
+        foliation=_fol_from_json(
+            foliation, "foliation", ambient=_variety_from_json(variety, "variety")
+        ),
+        invariants=_invariants_from_json(invariants),
+        checks=tuple(_check_from_json(c, f"checks[{i}]") for i, c in enumerate(checks)),
+    )
 
 
 def _metadata_from_json(obj) -> dict:
@@ -359,7 +360,7 @@ def export_catalog(catalog: Catalog) -> str:
     obj = {
         "schema_version": SCHEMA_VERSION,
         "metadata": catalog.metadata,
-        "records": [_record_to_json(r) for r in catalog.records],
+        "records": [record_to_json(r) for r in catalog.records],
     }
     return jsontext.render(obj) + "\n"
 
@@ -402,91 +403,76 @@ def import_catalog(text: str) -> Catalog:
 # The standard catalog.
 
 
-def _try_synth(records: list[ExampleRecord], kind: SynthKind, n: int, r: int, c) -> None:
-    try:
-        records.append(synthesize(SynthesisRequest(kind, n, r, Fraction(c))))
-    except UnsupportedRequest:
-        pass
+def _cone_range(kind: SynthKind, n: int):
+    """The non-integer targets c <= min(r, n-2), where cones realize a Fano
+    index or Seshadri value, over every rank r on dimension n."""
+    for r in range(1, n):
+        for c in reduced_targets(Fraction(min(r, n - 2)), q_max=8):
+            if c.denominator > 1:
+                yield kind, n, r, c
 
 
-def standard_catalog() -> Catalog:
-    records: list[ExampleRecord] = []
+def _standard_requests():
+    """The synth requests of the standard catalog, in export order."""
+    gen, fano, sesh = SynthKind.GENERALIZED_INDEX, SynthKind.FANO_INDEX, SynthKind.SESHADRI
 
     # Generalized-index targets over representative (rank, dimension) pairs.
     for r, n in ((1, 3), (2, 3), (2, 4), (3, 4), (3, 5)):
         for c in reduced_targets(Fraction(r), q_max=8):
-            _try_synth(records, SynthKind.GENERALIZED_INDEX, n, r, c)
-    _try_synth(records, SynthKind.GENERALIZED_INDEX, 2, 1, 1)
+            yield gen, n, r, c
+    yield gen, 2, 1, 1
     for a in range(2, 11):
-        _try_synth(records, SynthKind.GENERALIZED_INDEX, 2, 1, Fraction(a - 1, a))
+        yield gen, 2, 1, Fraction(a - 1, a)
 
     # Fano-index targets: the cone range, then the accumulation targets
     # n-2 + 1/a for rank n-1, then the surface family.
     for n in range(3, 7):
-        for r in range(1, n):
-            bound = Fraction(min(r, n - 2))
-            for c in reduced_targets(bound, q_max=8):
-                if c.denominator > 1:
-                    _try_synth(records, SynthKind.FANO_INDEX, n, r, c)
+        yield from _cone_range(fano, n)
         for a in range(2, 9):
-            _try_synth(
-                records, SynthKind.FANO_INDEX, n, n - 1, n - 2 + Fraction(1, a)
-            )
+            yield fano, n, n - 1, n - 2 + Fraction(1, a)
     for a in range(2, 9):
-        _try_synth(records, SynthKind.FANO_INDEX, 2, 1, Fraction(1, a))
+        yield fano, 2, 1, Fraction(1, a)
 
     # Seshadri targets: same cone range, the band (n-2, n-1) for rank n-1,
     # and the surface family.
     for n in range(3, 7):
-        for r in range(1, n):
-            bound = Fraction(min(r, n - 2))
-            for c in reduced_targets(bound, q_max=8):
-                if c.denominator > 1:
-                    _try_synth(records, SynthKind.SESHADRI, n, r, c)
+        yield from _cone_range(sesh, n)
         for c in reduced_targets(Fraction(n - 1), q_max=8):
             if n - 2 < c < n - 1:
-                _try_synth(records, SynthKind.SESHADRI, n, n - 1, c)
+                yield sesh, n, n - 1, c
     for c in reduced_targets(Fraction(1), q_max=8):
         if c < 1:
-            _try_synth(records, SynthKind.SESHADRI, 2, 1, c)
+            yield sesh, 2, 1, c
 
-    # Weighted family sweeps.
-    for n in range(3, 7):
-        for m in range(1, 8):
-            records.append(wps1_record(n, m))
-    coprime_pairs = [
-        (a, b)
-        for a in range(1, 8)
-        for b in range(a, 8)
-        if math.gcd(a, b) == 1
-    ]
-    for n in range(3, 7):
-        for mprime, m in coprime_pairs:
-            records.append(wps2_record(n, mprime, m))
-    for a1, a2 in coprime_pairs:
-        records.append(wps3_record(a1, a2))
-        records.append(wps4_record(a1, a2))
 
-    # Cone rows over the plane.
-    for rprime, m in itertools.product(range(1, 4), range(1, 4)):
-        for d in range(0, m * rprime):
-            records.append(cone_table_record(2, rprime, m, d))
-
-    # Index-gap and boundary families.
-    for r in (2, 3, 4):
-        records.append(mixed_record(r))
+def _standard_tables():
+    """The (family, parameter ranges) of the standard table rows, in export
+    order; each family's builder drops the tuples that do not exist."""
+    yield "wps1", {"n": range(3, 7), "m": range(1, 8)}
+    yield "wps2", {"n": range(3, 7), "mprime": range(1, 8), "m": range(1, 8)}
+    for a1, a2 in itertools.product(range(1, 8), repeat=2):
+        # the two surface pencils alternate, one weight pair at a time
+        yield "wps3", {"a1": (a1,), "a2": (a2,)}
+        yield "wps4", {"a1": (a1,), "a2": (a2,)}
+    # cones over the plane; a row needs d < m*rprime <= 9
+    yield "cone", {"base_dim": (2,), "rprime": range(1, 4), "m": range(1, 4), "d": range(9)}
+    yield "mixed", {"r": (2, 3, 4)}
     for r, m in ((2, 3), (3, 2), (4, 2)):
-        records.append(rc_genus_record(r, m))
+        yield "rc-genus", {"r": (r,), "m": (m,)}
     for n, r, m in ((4, 2, 2), (5, 3, 2), (6, 4, 3)):
-        records.append(rc_flat_record(n, r, m))
+        yield "rc-flat", {"n": (n,), "r": (r,), "m": (m,)}
 
-    unique: dict[str, ExampleRecord] = {}
-    for record in records:
-        unique.setdefault(record.id, record)
-    final = tuple(unique.values())
+
+def standard_catalog() -> Catalog:
+    records = [
+        synthesize(SynthesisRequest(kind, n, r, Fraction(c)))
+        for kind, n, r, c in _standard_requests()
+    ]
+    for family, ranges in _standard_tables():
+        records.extend(row.record for row in table_rows(family, ranges))
     metadata = {
         "generator": "foliadex",
         "description": "standard example catalog",
-        "record_count": len(final),
+        "record_count": len(records),
     }
-    return Catalog(metadata=metadata, records=final)
+    return Catalog(metadata=metadata, records=tuple(records))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .bundle import BundleVariety
 from .errors import DomainError
@@ -29,7 +29,6 @@ from .foliation import (
     pullback_over_bundle,
     wps_coordinate_foliation,
 )
-from .invariants import compute_invariants
 from .lattice import render_optional
 from .rankone import (
     GeneralizedCone,
@@ -42,6 +41,7 @@ from .rankone import (
 from .report import CheckOutcome, InvariantReport
 from .synthesis import (
     ExampleRecord,
+    assemble_record,
     boundary_sharpness_check,
     cone_resolution_check,
     mixed_gap_check,
@@ -73,27 +73,19 @@ def _family_record(
     branch: str,
     fol: FoliationDescriptor,
     expected: tuple[Optional[Fraction], Optional[Fraction], Optional[Fraction]],
-    extra: tuple[CheckOutcome, ...] = (),
-    inv: Optional[InvariantReport] = None,
+    extra: Callable[[InvariantReport], tuple[CheckOutcome, ...]] = lambda inv: (),
 ) -> ExampleRecord:
-    """A table row: the family-formula and ample checks, then extra.
-
-    inv is compute_invariants(fol), passed in by builders whose extra
-    checks needed it already.
-    """
-    if inv is None:
-        inv = compute_invariants(fol)
-    checks = (
-        family_formula_check(inv, expected),
-        positivity_check(inv, "ample"),
-    ) + extra
-    return ExampleRecord(
-        id=record_id,
-        request=None,
-        branch=branch,
-        foliation=fol,
-        invariants=inv,
-        checks=checks,
+    """A table row: the family-formula and ample checks, then extra(inv)."""
+    return assemble_record(
+        record_id,
+        None,
+        branch,
+        fol,
+        lambda inv: (
+            family_formula_check(inv, expected),
+            positivity_check(inv, "ample"),
+            *extra(inv),
+        ),
     )
 
 
@@ -204,13 +196,12 @@ def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleReco
     )
     fol = cone_foliation(cone, pn_foliation(base_dim, 1, d))
     value = rprime - Fraction(d, m)
-    extra = (cone_resolution_check(cone, fol),)
     return _family_record(
         f"table:cone:k={base_dim}:rprime={rprime}:m={m}:d={d}",
         "cone",
         fol,
         (value, value, value),
-        extra=extra,
+        lambda inv: (cone_resolution_check(cone, fol),),
     )
 
 
@@ -225,19 +216,16 @@ def mixed_record(r: int) -> ExampleRecord:
         raise DomainError(f"need r >= 2 for an index gap, got {r}")
     variety = BundleVariety(base_dim=r + 2, m=1, b=(r - 2,) * r)
     fol = pullback_over_bundle(variety, pn_foliation(r + 2, r, -r))
-    inv = compute_invariants(fol)
-    extra = (
-        witness_check(variety, fol),
-        oracle_agreement_check(variety, fol, inv),
-        mixed_gap_check(inv, r),
-    )
     return _family_record(
         f"table:mixed:r={r}",
         "mixed",
         fol,
         (Fraction(r), Fraction(1), None),
-        extra=extra,
-        inv=inv,
+        lambda inv: (
+            witness_check(variety, fol),
+            oracle_agreement_check(variety, fol, inv),
+            mixed_gap_check(inv, r),
+        ),
     )
 
 
@@ -268,19 +256,16 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
     )
     cone = GeneralizedCone(base=projective_space_base(2), m=m, vertex_rank=r - 1)
     fol = cone_foliation(cone, base_fol)
-    inv = compute_invariants(fol)
     value = (r - 1) - Fraction(2, m)
-    extra = (
-        cone_resolution_check(cone, fol),
-        boundary_sharpness_check(inv, fol, at_equality=False),
-    )
     return _family_record(
         f"table:rc-genus:r={r}:m={m}",
         "rc-genus",
         fol,
         (value, value, value),
-        extra=extra,
-        inv=inv,
+        lambda inv: (
+            cone_resolution_check(cone, fol),
+            boundary_sharpness_check(inv, fol, at_equality=False),
+        ),
     )
 
 
@@ -316,17 +301,14 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
     )
     cone = GeneralizedCone(base=base, m=m, vertex_rank=r - 1)
     fol = cone_foliation(cone, base_fol)
-    inv = compute_invariants(fol)
     value = Fraction(r - 1)
-    extra = (
-        cone_resolution_check(cone, fol),
-        boundary_sharpness_check(inv, fol, at_equality=True),
-    )
     return _family_record(
         f"table:rc-flat:n={n}:r={r}:m={m}",
         "rc-flat",
         fol,
         (value, value, value),
-        extra=extra,
-        inv=inv,
+        lambda inv: (
+            cone_resolution_check(cone, fol),
+            boundary_sharpness_check(inv, fol, at_equality=True),
+        ),
     )

@@ -20,12 +20,14 @@ weights of P(1, a_1, ..., a_n), and s_base is the base foliation's K.
     cone                            s_base/m - r'
     coordinate j                    -(sum of a_i over 1 <= i <= n, i != j)
     pn1 d                           d
-    pn2 (d_f, d_g)                  d_f + d_g - n - 1
+    pn2 (d_f, d_g)                  d_f + d_g - n - 1, with d_f, d_g >= 1
     transcendental p                p
 
 A pullback or cone descriptor inherits its leaf status from the base
-foliation, and a contradicting status is refused the same way, whether
-the descriptor is constructed or read from a catalog.
+foliation, and its rank and algebraic rank are the base's plus the
+fiber rank of the bundle or the vertex rank of the cone.  A
+contradicting status or rank is refused the same way, whether the
+descriptor is constructed or read from a catalog.
 
 Constructors cover: the fibration foliation of a projective bundle,
 pullbacks of a base foliation to a bundle, the two-case catalog of
@@ -194,6 +196,8 @@ class PnCatalogCase2(_Recipe):
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
+        if self.d_f < 1 or self.d_g < 1:
+            raise DomainError(f"pencil degrees must be positive, got ({self.d_f}, {self.d_g})")
         return RankOneClass(self.d_f + self.d_g - ambient.dim - 1)
 
     def linear_leaves(self, ambient: Ambient) -> bool:
@@ -250,11 +254,12 @@ class FoliationDescriptor:
             if self.algebraic_rank != self.rank:
                 raise DomainError("fibration-type recipes are algebraically integrable")
         if isinstance(self.recipe, (PullbackOverBundle, ConeInduced)):
-            inherited = _inherited_leaf_status(self.recipe.base)
-            if self.leaf_rc is not inherited:
+            stored = (self.rank, self.algebraic_rank, self.leaf_rc.value)
+            rank, algebraic_rank, leaf_rc = _inherited(self.ambient, self.recipe.base)
+            if stored != (rank, algebraic_rank, leaf_rc.value):
                 raise DomainError(
-                    f"leaf_rc {self.leaf_rc.value!r} contradicts {inherited.value!r}, "
-                    "inherited from the base foliation"
+                    f"(rank, algebraic_rank, leaf_rc) = {stored} contradicts "
+                    f"{(rank, algebraic_rank, leaf_rc.value)}, inherited from the base foliation"
                 )
 
     @property
@@ -262,14 +267,17 @@ class FoliationDescriptor:
         return self.algebraic_rank == 0
 
 
-def _inherited_leaf_status(base: FoliationDescriptor) -> LeafStatus:
+def _inherited(ambient: Ambient, base: FoliationDescriptor) -> tuple[int, int, LeafStatus]:
+    """Rank, algebraic rank and leaf status of a pullback or cone of base."""
+    # The bundle fibers, or the cone's ruling subspaces, are algebraic and
+    # add their dimension to both ranks of the base foliation.
+    extra = ambient.fiber_rank if isinstance(ambient, BundleVariety) else ambient.vertex_rank
     # When the base foliation is purely transcendental, the algebraic part
     # upstairs is the fiber/ruling foliation, whose leaf closures are
     # projective spaces.  Otherwise leaf closures fiber over the base leaf
     # closures with rationally connected fibers, so the status transfers.
-    if base.purely_transcendental:
-        return LeafStatus.TRUE
-    return base.leaf_rc
+    leaf_rc = LeafStatus.TRUE if base.purely_transcendental else base.leaf_rc
+    return base.rank + extra, base.algebraic_rank + extra, leaf_rc
 
 
 def fibration_foliation(variety: BundleVariety) -> FoliationDescriptor:
@@ -296,12 +304,13 @@ def pullback_over_bundle(
     Canonical classes add along the exact sequence relating the pullback
     to the relative tangent sheaf: K = K_{X/Z} + (deg K_base) F.
     """
+    rank, algebraic_rank, leaf_rc = _inherited(variety, base_foliation)
     return FoliationDescriptor(
         ambient=variety,
-        rank=variety.fiber_rank + base_foliation.rank,
-        algebraic_rank=variety.fiber_rank + base_foliation.algebraic_rank,
+        rank=rank,
+        algebraic_rank=algebraic_rank,
         recipe=PullbackOverBundle(base=base_foliation),
-        leaf_rc=_inherited_leaf_status(base_foliation),
+        leaf_rc=leaf_rc,
         provenance="constructed: projection preimage of the base foliation",
     )
 
@@ -404,11 +413,12 @@ def cone_foliation(
     subspace contributes the vertex rank to the anticanonical degree and
     the base contributes d/m through the degree-m polarization.
     """
+    rank, algebraic_rank, leaf_rc = _inherited(cone, base_foliation)
     return FoliationDescriptor(
         ambient=cone,
-        rank=cone.vertex_rank + base_foliation.rank,
-        algebraic_rank=cone.vertex_rank + base_foliation.algebraic_rank,
+        rank=rank,
+        algebraic_rank=algebraic_rank,
         recipe=ConeInduced(base=base_foliation),
-        leaf_rc=_inherited_leaf_status(base_foliation),
+        leaf_rc=leaf_rc,
         provenance="constructed: ruling-projection preimage of the base foliation",
     )

@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bundle import (
     BundleVariety,
@@ -321,65 +321,62 @@ def case1_parameters(r: int, p: int, q: int) -> CaseParameters:
 # Record assembly.
 
 
-def _record_id(request: SynthesisRequest, branch: str) -> str:
-    return (
-        f"{request.kind.value}:{branch}:n={request.n}:r={request.r}"
-        f":c={render_rational(request.c)}"
-    )
-
-
-def _gen_bundle_record(
-    request: SynthesisRequest,
+def assemble_record(
+    record_id: str,
+    request: Optional[SynthesisRequest],
     branch: str,
     fol: FoliationDescriptor,
-    case_params: Optional[CaseParameters] = None,
+    checks: Callable[[InvariantReport], Iterable[CheckOutcome]],
 ) -> ExampleRecord:
-    variety = fol.ambient
+    """The one place a foliation becomes a record, synth or table row.
+
+    The invariants are computed once; checks maps them to the record's
+    construction-check outcomes, in the order they are stored.
+    """
     inv = compute_invariants(fol)
-    checks = [
-        target_check(inv, "gen_index", request.c),
-        positivity_check(inv, "big-not-ample"),
-        witness_check(variety, fol),
-        oracle_agreement_check(variety, fol, inv),
-        seshadri_scaled_check(variety, inv),
-    ]
-    if case_params is not None:
-        checks.append(case1_constraints_check(case_params, request.r))
     return ExampleRecord(
-        id=_record_id(request, branch),
+        id=record_id,
         request=request,
         branch=branch,
         foliation=fol,
         invariants=inv,
-        checks=tuple(checks),
+        checks=tuple(checks(inv)),
     )
 
 
-def _ample_record(
+def _synth_record(
     request: SynthesisRequest,
     branch: str,
     fol: FoliationDescriptor,
     extra: tuple[CheckOutcome, ...] = (),
 ) -> ExampleRecord:
-    inv = compute_invariants(fol)
-    checks = (
-        target_check(inv, TARGET_FIELD[request.kind], request.c),
-        positivity_check(inv, "ample"),
-    ) + extra
-    return ExampleRecord(
-        id=_record_id(request, branch),
-        request=request,
-        branch=branch,
-        foliation=fol,
-        invariants=inv,
-        checks=checks,
+    """A synth record: the exact-target check, the positivity its branch
+    promises (big but not ample on a bundle, with the index audits; ample
+    elsewhere), then extra."""
+    variety = fol.ambient
+
+    def checks(inv: InvariantReport) -> Iterator[CheckOutcome]:
+        yield target_check(inv, TARGET_FIELD[request.kind], request.c)
+        if isinstance(variety, BundleVariety):
+            yield positivity_check(inv, "big-not-ample")
+            yield witness_check(variety, fol)
+            yield oracle_agreement_check(variety, fol, inv)
+            yield seshadri_scaled_check(variety, inv)
+        else:
+            yield positivity_check(inv, "ample")
+        yield from extra
+
+    record_id = (
+        f"{request.kind.value}:{branch}:n={request.n}:r={request.r}"
+        f":c={render_rational(request.c)}"
     )
+    return assemble_record(record_id, request, branch, fol, checks)
 
 
 def _pn_record(request: SynthesisRequest) -> ExampleRecord:
     c = int(request.c)
     fol = pn_foliation(request.n, request.r, -c)
-    return _ample_record(request, "pn", fol)
+    return _synth_record(request, "pn", fol)
 
 
 def _cone_record(request: SynthesisRequest) -> ExampleRecord:
@@ -396,7 +393,7 @@ def _cone_record(request: SynthesisRequest) -> ExampleRecord:
         base_fol = transcendental_rank1(n - rprime, p)
     fol = cone_foliation(cone, base_fol)
     extra = (cone_resolution_check(cone, fol),)
-    return _ample_record(request, "cone", fol, extra=extra)
+    return _synth_record(request, "cone", fol, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -427,16 +424,13 @@ def _synth_generalized_index(request: SynthesisRequest) -> ExampleRecord:
         if c.numerator == c.denominator - 1:
             a = c.denominator
             variety = BundleVariety(base_dim=1, m=a - 1, b=(0,))
-            return _gen_bundle_record(
-                request, "hirzebruch", fibration_foliation(variety)
-            )
+            return _synth_record(request, "hirzebruch", fibration_foliation(variety))
         raise _surface_open_question(c)
     if c > 1:
         params = case1_parameters(r, c.numerator, c.denominator)
         variety = BundleVariety(base_dim=n - r, m=params.q, b=params.b_list)
-        return _gen_bundle_record(
-            request, "case1", fibration_foliation(variety), case_params=params
-        )
+        extra = (case1_constraints_check(params, r),)
+        return _synth_record(request, "case1", fibration_foliation(variety), extra)
     p, q = c.numerator, c.denominator
     variety = BundleVariety(base_dim=n - 1, m=q, b=(q - 1,))
     d = 2 * (q - p) - 1
@@ -445,7 +439,7 @@ def _synth_generalized_index(request: SynthesisRequest) -> ExampleRecord:
     else:
         base_fol = transcendental_rank1(n - 1, d)
     fol = pullback_over_bundle(variety, base_fol)
-    return _gen_bundle_record(request, "case2", fol)
+    return _synth_record(request, "case2", fol)
 
 
 def _synth_fano_index(request: SynthesisRequest) -> ExampleRecord:
@@ -464,7 +458,7 @@ def _synth_fano_index(request: SynthesisRequest) -> ExampleRecord:
             variety = WeightedProjectiveSpace((1, a, a + 1))
             branch = "wps3"
         fol = wps_coordinate_foliation(variety, 1)
-        return _ample_record(request, branch, fol)
+        return _synth_record(request, branch, fol)
     raise _rank_open_question(n, c)
 
 
@@ -477,13 +471,13 @@ def _synth_seshadri(request: SynthesisRequest) -> ExampleRecord:
     if n == 2:
         variety = WeightedProjectiveSpace((1, c.numerator, c.denominator))
         fol = wps_coordinate_foliation(variety, 2)
-        return _ample_record(request, "wps4", fol)
+        return _synth_record(request, "wps4", fol)
     if r == n - 1 and n - 2 < c < n - 1:
         ratio = (c - 1) / (n - 2)
         mprime, m = ratio.numerator, ratio.denominator
         variety = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
         fol = wps_coordinate_foliation(variety, 1)
-        return _ample_record(request, "wps2", fol)
+        return _synth_record(request, "wps2", fol)
     raise UnsupportedRequest(
         f"no construction for a Seshadri target {render_rational(c)} with "
         f"n={n}, r={r}"

@@ -4,7 +4,8 @@ A record is audited on four layers: its stored invariants are recomputed
 from the geometry, the general inequalities between the invariants are
 checked, the closed-form generalized index is compared against the
 enumeration oracle where a rank-two model exists, and the stored
-construction checks are replayed for failures.  Sweeps aggregate these
+construction checks are read for failures, with a synth record's
+exact-target check re-run from its request.  Sweeps aggregate these
 audits over parameter grids into a SweepReport.
 """
 
@@ -22,12 +23,14 @@ from .lattice import Class2, reduced_targets, render_rational
 from .oracle import audited_index, kernel_backend, oracle_generalized_index
 from .report import CheckOutcome, CheckReport, CheckStatus, SweepReport
 from .synthesis import (
+    TARGET_FIELD,
     ExampleRecord,
     SynthesisRequest,
     SynthKind,
     passfail,
     skip,
     synthesize,
+    target_check,
 )
 
 __all__ = [
@@ -162,16 +165,19 @@ def _oracle_outcome(record: ExampleRecord) -> CheckOutcome:
 
 
 def _stored_checks_outcome(record: ExampleRecord) -> CheckOutcome:
+    """Fails on a stored check that failed, and on a synth record whose
+    invariants miss its request's target, by re-running that check."""
     failed = [c.name for c in record.checks if c.status is CheckStatus.FAIL]
-    if failed:
-        return passfail(
-            "stored-construction-checks", False, "failed: " + ", ".join(failed)
-        )
-    return passfail(
-        "stored-construction-checks",
-        True,
-        f"{len(record.checks)} stored checks, none failed",
+    request = record.request
+    if request is not None:
+        rerun = target_check(record.invariants, TARGET_FIELD[request.kind], request.c)
+        if rerun.status is CheckStatus.FAIL:
+            failed.append(f"{rerun.name} on re-run ({rerun.detail})")
+    detail = (
+        "failed: " + ", ".join(failed) if failed
+        else f"{len(record.checks)} stored checks, none failed"
     )
+    return passfail("stored-construction-checks", not failed, detail)
 
 
 def verify_record(record: ExampleRecord) -> CheckReport:

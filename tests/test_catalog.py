@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -152,6 +153,22 @@ def test_consistent_canonical_tamper_rejected_at_import(std_catalog):
     )["invariants"]
     assert victim["invariants"]["gen_index"] == "1"
     with pytest.raises(DomainError, match="stored canonical class"):
+        import_catalog(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "path, named",
+    [(("x",), "record.x"), (("checks", 0, "x"), "checks[0].x")],
+    ids=["record-key", "check-key"],
+)
+def test_unknown_record_key_rejected(std_catalog, path, named):
+    # a re-export would drop the key, so import refuses it by its path
+    obj = json.loads(export_catalog(Catalog(metadata={}, records=std_catalog.records[:1])))
+    target = obj["records"][0]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 5
+    with pytest.raises(ParseError, match=rf"^malformed record at position 0: {re.escape(named)} "):
         import_catalog(json.dumps(obj))
 
 

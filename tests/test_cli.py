@@ -212,6 +212,22 @@ def test_tampered_catalog_fails_verify(capsys, tmp_path, std_catalog):
     assert "stored-invariants-match-recomputation" in out
 
 
+def test_request_off_its_target_fails_verify(capsys, tmp_path, std_catalog):
+    # the stored invariants and checks are those of 9/8; only the request moves
+    record = next(
+        r for r in std_catalog.records if r.id == "generalized-index:case1:n=3:r=2:c=9/8"
+    )
+    obj = json.loads(export_catalog(Catalog(metadata={}, records=(record,))))
+    obj["records"][0]["request"]["c"] = "5/4"
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(obj))
+
+    code, out, _ = run(capsys, "verify", "--catalog", str(path))
+    assert code == 1
+    assert "stored-construction-checks" in out
+    assert "target-invariant-exact on re-run" in out
+
+
 def _big_not_ample(record):
     inv = record["invariants"]
     return inv["gen_index"] is not None and not inv["positivity"]["ample"]
@@ -237,6 +253,16 @@ def _coordinate(record):
 
 def _nine_eighths(record):
     return record["id"] == "generalized-index:case1:n=3:r=2:c=9/8"
+
+
+def _one_eighth_cone(record):
+    # rank 3 and algebraic rank 2: the vertex rank 1 plus a pn1 base of (2, 1)
+    return record["id"] == "fano-index:cone:n=4:r=2:c=1/8"
+
+
+def _pencil_of_degrees_two_and_one(record):
+    # K = d_f + d_g - 4 = -1, so (3, 0) keeps the stored K
+    return record["id"] == "generalized-index:pn:n=3:r=2:c=1"
 
 
 def _transcendental_base_over_plane(record):
@@ -309,6 +335,16 @@ def _nested(depth):
         ("import", ("foliation", "recipe_params", "j"), 3, _nine_eighths),
         ("verify", ("foliation", "leaf_rc"), "false", _quiet_leaf_status),
         ("verify", ("variety", "weights"), [1, 1, 1, 2], lambda r: r["branch"] == "pn"),
+        ("verify", ("foliation", "algebraic_rank"), 1, _one_eighth_cone),
+        ("verify", ("foliation", "rank"), 2, _one_eighth_cone),
+        (
+            "verify", ("foliation", "recipe_params"), {"d_f": 3, "d_g": 0},
+            _pencil_of_degrees_two_and_one,
+        ),
+        ("import", ("invariants", "x"), 5, None),
+        ("import", ("invariants", "positivity", "x"), 5, None),
+        ("import", ("variety", "x"), 5, None),
+        ("import", ("request", "x"), 5, None),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -316,7 +352,8 @@ def _nested(depth):
         "utf16-import", "metadata-float", "metadata-infinity", "metadata-nested",
         "metadata-object", "case1-gamma", "coordinate-j-0", "cone-base-p5",
         "pullback-base-p8", "unknown-param", "fibration-param", "quiet-leaf-rc",
-        "pn-on-weighted",
+        "pn-on-weighted", "cone-algebraic-rank", "cone-rank", "pencil-degree-zero",
+        "invariants-key", "positivity-key", "variety-key", "request-key",
     ],
 )
 def test_bad_input_fails_in_one_line(

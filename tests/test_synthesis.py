@@ -1,12 +1,15 @@
 """Synthesis: target invariant in, certified example record out."""
 
+import ast
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import foliadex
 from foliadex import (
     BundleVariety,
     DomainError,
@@ -193,3 +196,37 @@ def test_records_are_deterministic():
     b = record_to_json(synth_generalized_index(5, 3, "7/3"))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a == b
+
+
+def _callers(name):
+    """(module, innermost enclosing function) of each call to name in the package.
+
+    A call at module level is placed in "<module>"; a lambda belongs to the
+    function it is written in.
+    """
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(foliadex.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "<module>")
+    return found
+
+
+def test_records_are_built_only_by_the_assembler_and_the_decoder():
+    # A record is built from a foliation in one place, which computes its
+    # invariants once; the catalog decoder rebuilds stored records as read.
+    assert _callers("ExampleRecord") == {
+        ("synthesis.py", "assemble_record"),
+        ("catalog.py", "_record_from_json"),
+    }
+    builders = {c for c in _callers("compute_invariants") if c[0] in ("synthesis.py", "families.py")}
+    assert builders == {("synthesis.py", "assemble_record")}
