@@ -28,37 +28,41 @@ p_a >= 0, which certifies the value it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import DomainError
 from .lattice import Class2, Cone2, content
+from .value import Frozen
 
 #: Fiber ray F: the pullback of a base hyperplane.
 FIBER_RAY = Class2(0, 1)
 
 
-@dataclass(frozen=True)
-class BundleVariety:
+class BundleVariety(Frozen):
     """P(O(m) + O(-b_1) + ... + O(-b_r')) over P^k."""
 
+    __slots__ = ("base_dim", "m", "b")
     base_dim: int
     m: int
     b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        if not isinstance(self.base_dim, int) or self.base_dim < 1:
-            raise DomainError(f"base dimension must be a positive integer, got {self.base_dim}")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise DomainError(f"twist m must be a positive integer, got {self.m}")
-        if not self.b:
+    def __init__(self, base_dim: int, m: int, b: Iterable[int]) -> None:
+        b = tuple(b)
+        if not isinstance(base_dim, int) or base_dim < 1:
+            raise DomainError(f"base dimension must be a positive integer, got {base_dim}")
+        if not isinstance(m, int) or m < 1:
+            raise DomainError(f"twist m must be a positive integer, got {m}")
+        if not b:
             raise DomainError("need at least one negative summand O(-b_i)")
-        for bi in self.b:
+        for bi in b:
             if not isinstance(bi, int) or bi < 0:
                 raise DomainError(f"summand degrees must be integers >= 0, got {bi}")
-        if any(self.b[i] < self.b[i + 1] for i in range(len(self.b) - 1)):
-            raise DomainError(f"summand degrees must be sorted descending, got {self.b}")
+        if any(b[i] < b[i + 1] for i in range(len(b) - 1)):
+            raise DomainError(f"summand degrees must be sorted descending, got {b}")
+        object.__setattr__(self, "base_dim", base_dim)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "b", b)
 
     @property
     def fiber_rank(self) -> int:
@@ -91,21 +95,25 @@ class BundleVariety:
         return f"P({inside}) over P^{self.base_dim}"
 
 
-@dataclass(frozen=True)
-class Positivity:
+class Positivity(Frozen):
     """Exact positivity flags of a single divisor class."""
 
+    __slots__ = ("pseff", "big", "nef", "ample")
     pseff: bool
     big: bool
     nef: bool
     ample: bool
 
-    def __post_init__(self) -> None:
+    def __init__(self, pseff: bool, big: bool, nef: bool, ample: bool) -> None:
         # ample => nef => pseff and ample => big => pseff, by definition.
-        if self.ample and not (self.nef and self.big):
+        if ample and not (nef and big):
             raise DomainError("inconsistent flags: ample needs nef and big")
-        if (self.big or self.nef) and not self.pseff:
+        if (big or nef) and not pseff:
             raise DomainError("inconsistent flags: big/nef need pseff")
+        object.__setattr__(self, "pseff", pseff)
+        object.__setattr__(self, "big", big)
+        object.__setattr__(self, "nef", nef)
+        object.__setattr__(self, "ample", ample)
 
 
 def nef_cone(variety: BundleVariety) -> Cone2:
@@ -141,8 +149,7 @@ def relative_anticanonical(variety: BundleVariety) -> Class2:
     return Class2(variety.fiber_rank + 1, variety.b_total - variety.m)
 
 
-@dataclass(frozen=True)
-class IndexWitness:
+class IndexWitness(Frozen):
     """Certificate D = t*H + p_e*E + p_a*F with H integral ample.
 
     E = L - m F and F are the extremal pseudoeffective rays, so p_e >= 0
@@ -150,10 +157,17 @@ class IndexWitness:
     is separately checkable against the enumeration oracle.
     """
 
+    __slots__ = ("t", "h", "p_e", "p_a")
     t: Fraction
     h: Class2
     p_e: Fraction
     p_a: Fraction
+
+    def __init__(self, t: Fraction, h: Class2, p_e: Fraction, p_a: Fraction) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "p_e", p_e)
+        object.__setattr__(self, "p_a", p_a)
 
     def reconstruct(self, variety: BundleVariety) -> Class2:
         return (

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, get_args
 
@@ -48,21 +47,26 @@ from .synthesis import (
     synthesize,
 )
 from .tables import table_rows
+from .value import Frozen
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class Catalog:
-    metadata: dict = field(default_factory=dict)
-    records: tuple[ExampleRecord, ...] = ()
+class Catalog(Frozen):
+    __slots__ = ("metadata", "records")
+    metadata: dict
+    records: tuple[ExampleRecord, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, metadata: dict | None = None, records: tuple[ExampleRecord, ...] = ()
+    ) -> None:
         seen = set()
-        for record in self.records:
+        for record in records:
             if record.id in seen:
                 raise DomainError(f"duplicate record id {record.id!r}")
             seen.add(record.id)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        object.__setattr__(self, "records", records)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,7 @@ def _variety_from_json(obj, path: str, family: Optional[str] = None):
 _CANONICAL = {RankOneClass: ("s",), Class2: ("beta", "gamma")}
 
 # kind -> (recipe class, its parameter names in export order)
-_RECIPES = {r.kind: (r, tuple(f.name for f in fields(r))) for r in get_args(Recipe)}
+_RECIPES = {r.kind: (r, r.__slots__) for r in get_args(Recipe)}
 
 
 def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
@@ -246,7 +250,7 @@ def _optional_rational_from_json(text: Optional[str]) -> Optional[Fraction]:
     return None if text is None else parse_rational(text)
 
 
-_FLAGS = tuple(f.name for f in fields(Positivity))
+_FLAGS = Positivity.__slots__
 
 
 def _invariants_to_json(inv: InvariantReport) -> dict:
@@ -356,6 +360,11 @@ def _metadata_from_json(obj) -> dict:
     return obj
 
 
+# the keys of the catalog object, in export order; import needs
+# schema_version and takes metadata and records as empty when absent
+_CATALOG_KEYS = ("schema_version", "metadata", "records")
+
+
 def export_catalog(catalog: Catalog) -> str:
     obj = {
         "schema_version": SCHEMA_VERSION,
@@ -379,6 +388,12 @@ def import_catalog(text: str) -> Catalog:
         raise DomainError(
             f"unsupported schema version {version!r}, expected {SCHEMA_VERSION!r}"
         )
+    for key in obj:
+        # a re-export would drop it
+        if key not in _CATALOG_KEYS:
+            raise ParseError(
+                f"{_key_path('catalog', key)} is unknown; expected " + ", ".join(_CATALOG_KEYS)
+            )
     metadata = _metadata_from_json(obj.get("metadata", {}))
     record_objs = obj.get("records", [])
     if not isinstance(record_objs, list):

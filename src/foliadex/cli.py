@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import os
 import sys
@@ -164,7 +163,7 @@ def cmd_verify(args) -> int:
             grid = StandardGrid()
         elif args.grid == "oracle":
             grid = OracleGrid(
-                **{f.name: getattr(args, f.name) for f in dataclasses.fields(OracleGrid)}
+                **{name: getattr(args, name) for name in OracleGrid.__slots__}
             )
         elif args.grid == "synth":
             if args.kind is None:
@@ -336,8 +335,9 @@ def build_parser() -> _Parser:
         default="standard",
     )
     verify.add_argument("--catalog", default=None, help="verify an exported catalog file")
-    for field in dataclasses.fields(OracleGrid):
-        verify.add_argument(_flag(field.name), type=int, default=field.default)
+    defaults = OracleGrid()
+    for name in OracleGrid.__slots__:
+        verify.add_argument(_flag(name), type=int, default=getattr(defaults, name))
     verify.add_argument("--kind", default=None, help="synthesis kind for --grid synth")
     verify.add_argument("--n-max", type=int, default=4)
     verify.add_argument("--q-max", type=int, default=6)

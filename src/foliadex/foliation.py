@@ -40,7 +40,6 @@ generalized cone by a foliation on its base.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 from .bundle import BundleVariety, relative_anticanonical
@@ -54,6 +53,7 @@ from .rankone import (
     WeightedProjectiveSpace,
     projective_space,
 )
+from .value import Frozen
 
 Ambient = Union[BundleVariety, WeightedProjectiveSpace, GeneralizedCone, PolarizedBase]
 
@@ -66,7 +66,9 @@ class LeafStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class _Recipe:
+class _Recipe(Frozen):
+    __slots__ = ()
+
     def linear_leaves(self, ambient: Ambient) -> bool:
         """Are the algebraic leaves linear, the only shape allowed at eps = r^a?"""
         return False
@@ -77,10 +79,10 @@ def _on_projective_space(ambient: Ambient, kind: str) -> None:
         raise DomainError(f"the {kind} recipe lives on a projective space")
 
 
-@dataclass(frozen=True)
 class FibrationInduced(_Recipe):
     """Foliation by fibers of the bundle projection."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "fibration"
 
     def canonical(self, ambient: Ambient) -> Class2 | RankOneClass:
@@ -97,13 +99,15 @@ class FibrationInduced(_Recipe):
         )
 
 
-@dataclass(frozen=True)
 class PullbackOverBundle(_Recipe):
     """Preimage of a base foliation under the bundle projection."""
 
-    base: "FoliationDescriptor"
-
+    __slots__ = ("base",)
+    base: FoliationDescriptor
     kind: ClassVar[str] = "pullback"
+
+    def __init__(self, base: FoliationDescriptor) -> None:
+        object.__setattr__(self, "base", base)
 
     def canonical(self, ambient: Ambient) -> Class2:
         if not isinstance(ambient, BundleVariety):
@@ -119,13 +123,15 @@ class PullbackOverBundle(_Recipe):
         return -relative_anticanonical(ambient) + Class2(0, self.base.canonical.s)
 
 
-@dataclass(frozen=True)
 class ConeInduced(_Recipe):
     """Preimage of a base foliation under the cone's ruling projection."""
 
-    base: "FoliationDescriptor"
-
+    __slots__ = ("base",)
+    base: FoliationDescriptor
     kind: ClassVar[str] = "cone"
+
+    def __init__(self, base: FoliationDescriptor) -> None:
+        object.__setattr__(self, "base", base)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         if not isinstance(ambient, GeneralizedCone):
@@ -147,13 +153,15 @@ class ConeInduced(_Recipe):
         return RankOneClass(self.base.canonical.s / ambient.m - ambient.vertex_rank)
 
 
-@dataclass(frozen=True)
 class CoordinateProjection(_Recipe):
     """Fibers of [x_0 ^ a_j : x_j] on a weighted projective space."""
 
+    __slots__ = ("j",)
     j: int
-
     kind: ClassVar[str] = "coordinate"
+
+    def __init__(self, j: int) -> None:
+        object.__setattr__(self, "j", j)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         if not isinstance(ambient, WeightedProjectiveSpace):
@@ -168,13 +176,15 @@ class CoordinateProjection(_Recipe):
         return ambient.is_smooth
 
 
-@dataclass(frozen=True)
 class PnCatalogCase1(_Recipe):
     """Linear-projection pullback of a transcendental rank-one foliation."""
 
+    __slots__ = ("d",)
     d: int
-
     kind: ClassVar[str] = "pn1"
+
+    def __init__(self, d: int) -> None:
+        object.__setattr__(self, "d", d)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
@@ -185,14 +195,17 @@ class PnCatalogCase1(_Recipe):
         return True
 
 
-@dataclass(frozen=True)
 class PnCatalogCase2(_Recipe):
     """Fibers of a pencil [f : g] of hypersurfaces of degrees (d_f, d_g)."""
 
+    __slots__ = ("d_f", "d_g")
     d_f: int
     d_g: int
-
     kind: ClassVar[str] = "pn2"
+
+    def __init__(self, d_f: int, d_g: int) -> None:
+        object.__setattr__(self, "d_f", d_f)
+        object.__setattr__(self, "d_g", d_g)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
@@ -205,13 +218,15 @@ class PnCatalogCase2(_Recipe):
         return self.d_f == 1 and self.d_g == 1
 
 
-@dataclass(frozen=True)
 class TranscendentalRankOne(_Recipe):
     """Rank-one foliation with no algebraic leaf through a general point."""
 
+    __slots__ = ("p",)
     p: int
-
     kind: ClassVar[str] = "transcendental"
+
+    def __init__(self, p: int) -> None:
+        object.__setattr__(self, "p", p)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
@@ -229,38 +244,56 @@ Recipe = Union[
 ]
 
 
-@dataclass(frozen=True)
-class FoliationDescriptor:
+class FoliationDescriptor(Frozen):
     """A foliation on its ambient; the canonical class is derived from the recipe."""
 
+    __slots__ = (
+        "ambient", "rank", "algebraic_rank", "canonical", "recipe", "leaf_rc", "provenance",
+    )
     ambient: Ambient
     rank: int
     algebraic_rank: int
-    canonical: Class2 | RankOneClass = field(init=False)
+    canonical: Class2 | RankOneClass
     recipe: Recipe
     leaf_rc: LeafStatus
     provenance: str
 
-    def __post_init__(self) -> None:
-        n = self.ambient.dim
-        if not (1 <= self.rank < n):
-            raise DomainError(f"rank must satisfy 1 <= rank < dim = {n}, got {self.rank}")
-        if not (0 <= self.algebraic_rank <= self.rank):
-            raise DomainError(
-                f"algebraic rank must lie in [0, rank], got {self.algebraic_rank}"
-            )
-        object.__setattr__(self, "canonical", self.recipe.canonical(self.ambient))
-        if isinstance(self.recipe, (FibrationInduced, CoordinateProjection)):
-            if self.algebraic_rank != self.rank:
+    def __init__(
+        self,
+        ambient: Ambient,
+        rank: int,
+        algebraic_rank: int,
+        recipe: Recipe,
+        leaf_rc: LeafStatus,
+        provenance: str,
+    ) -> None:
+        n = ambient.dim
+        if not (1 <= rank < n):
+            raise DomainError(f"rank must satisfy 1 <= rank < dim = {n}, got {rank}")
+        if not (0 <= algebraic_rank <= rank):
+            raise DomainError(f"algebraic rank must lie in [0, rank], got {algebraic_rank}")
+        canonical = recipe.canonical(ambient)
+        if isinstance(recipe, (FibrationInduced, CoordinateProjection)):
+            if algebraic_rank != rank:
                 raise DomainError("fibration-type recipes are algebraically integrable")
-        if isinstance(self.recipe, (PullbackOverBundle, ConeInduced)):
-            stored = (self.rank, self.algebraic_rank, self.leaf_rc.value)
-            rank, algebraic_rank, leaf_rc = _inherited(self.ambient, self.recipe.base)
-            if stored != (rank, algebraic_rank, leaf_rc.value):
+        if isinstance(recipe, (PullbackOverBundle, ConeInduced)):
+            stored = (rank, algebraic_rank, leaf_rc.value)
+            inherited_rank, inherited_algebraic_rank, inherited_leaf_rc = _inherited(
+                ambient, recipe.base
+            )
+            inherited = (inherited_rank, inherited_algebraic_rank, inherited_leaf_rc.value)
+            if stored != inherited:
                 raise DomainError(
                     f"(rank, algebraic_rank, leaf_rc) = {stored} contradicts "
-                    f"{(rank, algebraic_rank, leaf_rc.value)}, inherited from the base foliation"
+                    f"{inherited}, inherited from the base foliation"
                 )
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "algebraic_rank", algebraic_rank)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "recipe", recipe)
+        object.__setattr__(self, "leaf_rc", leaf_rc)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def purely_transcendental(self) -> bool:

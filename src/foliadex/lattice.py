@@ -18,10 +18,10 @@ import enum
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
+from .value import Frozen
 
 # The canonical exact rational type.  Fraction normalizes to lowest terms
 # with a positive denominator on construction, which gives structural
@@ -89,16 +89,16 @@ def _coerce(value: int | Fraction) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Class2:
+class Class2(Frozen):
     """A divisor class beta*L + gamma*F in the fixed (L, F) basis."""
 
+    __slots__ = ("beta", "gamma")
     beta: Fraction
     gamma: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _coerce(self.beta))
-        object.__setattr__(self, "gamma", _coerce(self.gamma))
+    def __init__(self, beta: int | Fraction, gamma: int | Fraction) -> None:
+        object.__setattr__(self, "beta", _coerce(beta))
+        object.__setattr__(self, "gamma", _coerce(gamma))
 
     def __add__(self, other: Class2) -> Class2:
         return Class2(self.beta + other.beta, self.gamma + other.gamma)
@@ -152,19 +152,21 @@ class Membership(enum.Enum):
     OUTSIDE = "outside"
 
 
-@dataclass(frozen=True)
-class Cone2:
+class Cone2(Frozen):
     """A 2-dimensional closed convex cone spanned by two extremal rays.
 
     Rays are primitive integral classes and must not be proportional, so
     the cone is full-dimensional and the change of basis below is exact.
     """
 
+    __slots__ = ("ray1", "ray2")
     ray1: Class2
     ray2: Class2
 
-    def __post_init__(self) -> None:
-        for ray in (self.ray1, self.ray2):
+    def __init__(self, ray1: Class2, ray2: Class2) -> None:
+        object.__setattr__(self, "ray1", ray1)
+        object.__setattr__(self, "ray2", ray2)
+        for ray in (ray1, ray2):
             if not ray.is_integral:
                 raise DomainError(f"cone ray {ray} is not integral")
             if content(ray) != 1:

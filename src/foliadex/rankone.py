@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .bundle import BundleVariety, Positivity
 from .errors import DomainError
 from .lattice import Class2
 from .report import InvariantReport
+from .value import Frozen
 
 
 class SingularityClass(enum.Enum):
@@ -36,8 +37,7 @@ class SingularityClass(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class PolarizedBase:
+class PolarizedBase(Frozen):
     """An abstract polarized variety (Z, O_Z(1)) used as a cone base.
 
     Only the data entering the cone computations is kept: the dimension,
@@ -46,16 +46,27 @@ class PolarizedBase:
     computed here.
     """
 
+    __slots__ = ("dim", "is_projective_space", "singularity_class", "label")
     dim: int
     is_projective_space: bool
     singularity_class: SingularityClass
     label: str
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"base dimension must be >= 1, got {self.dim}")
-        if self.is_projective_space and self.singularity_class is not SingularityClass.SMOOTH:
+    def __init__(
+        self,
+        dim: int,
+        is_projective_space: bool,
+        singularity_class: SingularityClass,
+        label: str,
+    ) -> None:
+        if dim < 1:
+            raise DomainError(f"base dimension must be >= 1, got {dim}")
+        if is_projective_space and singularity_class is not SingularityClass.SMOOTH:
             raise DomainError("a projective-space base is smooth")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "is_projective_space", is_projective_space)
+        object.__setattr__(self, "singularity_class", singularity_class)
+        object.__setattr__(self, "label", label)
 
 
 def projective_space_base(dim: int) -> PolarizedBase:
@@ -67,19 +78,22 @@ def projective_space_base(dim: int) -> PolarizedBase:
     )
 
 
-@dataclass(frozen=True)
-class GeneralizedCone:
+class GeneralizedCone(Frozen):
     """C(Z, O_Z(m)) with vertex P^{vertex_rank - 1}."""
 
+    __slots__ = ("base", "m", "vertex_rank")
     base: PolarizedBase
     m: int
     vertex_rank: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
-            raise DomainError(f"cone multiplier m must be a positive integer, got {self.m}")
-        if not isinstance(self.vertex_rank, int) or self.vertex_rank < 1:
-            raise DomainError(f"vertex rank must be a positive integer, got {self.vertex_rank}")
+    def __init__(self, base: PolarizedBase, m: int, vertex_rank: int) -> None:
+        if not isinstance(m, int) or m < 1:
+            raise DomainError(f"cone multiplier m must be a positive integer, got {m}")
+        if not isinstance(vertex_rank, int) or vertex_rank < 1:
+            raise DomainError(f"vertex rank must be a positive integer, got {vertex_rank}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "vertex_rank", vertex_rank)
 
     @property
     def dim(self) -> int:
@@ -113,15 +127,15 @@ class GeneralizedCone:
         return f"C({self.base.label}, O({self.m})) with vertex P^{self.vertex_rank - 1}"
 
 
-@dataclass(frozen=True)
-class WeightedProjectiveSpace:
+class WeightedProjectiveSpace(Frozen):
     """P(1, a_1, ..., a_n), weights ascending, gcd of the tail equal to 1."""
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        w = self.weights
+    def __init__(self, weights: Iterable[int]) -> None:
+        w = tuple(weights)
+        object.__setattr__(self, "weights", w)
         if len(w) < 2:
             raise DomainError("need at least two weights")
         if w[0] != 1:
@@ -154,14 +168,14 @@ def projective_space(dim: int) -> WeightedProjectiveSpace:
 RankOneAmbient = GeneralizedCone | WeightedProjectiveSpace
 
 
-@dataclass(frozen=True)
-class RankOneClass:
+class RankOneClass(Frozen):
     """The class s*H of a rank-one class group."""
 
+    __slots__ = ("s",)
     s: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", Fraction(self.s))
+    def __init__(self, s: int | Fraction) -> None:
+        object.__setattr__(self, "s", Fraction(s))
 
     def __neg__(self) -> RankOneClass:
         return RankOneClass(-self.s)

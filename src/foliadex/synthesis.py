@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -45,6 +44,7 @@ from .rankone import (
     pushforward_to_cone,
 )
 from .report import CheckOutcome, CheckStatus, InvariantReport
+from .value import Frozen
 
 
 class SynthKind(enum.Enum):
@@ -72,25 +72,28 @@ TARGET_FIELD = {
 }
 
 
-@dataclass(frozen=True)
-class SynthesisRequest:
+class SynthesisRequest(Frozen):
+    __slots__ = ("kind", "n", "r", "c")
     kind: SynthKind
     n: int
     r: int
     c: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", Fraction(self.c))
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"need integer n >= 2, got {self.n}")
-        if not isinstance(self.r, int) or not (0 < self.r < self.n):
-            raise DomainError(f"need 0 < r < n, got r={self.r}, n={self.n}")
-        if self.c <= 0:
-            raise DomainError(f"target must be positive, got {self.c}")
+    def __init__(self, kind: SynthKind, n: int, r: int, c: int | Fraction) -> None:
+        c = Fraction(c)
+        if not isinstance(n, int) or n < 2:
+            raise DomainError(f"need integer n >= 2, got {n}")
+        if not isinstance(r, int) or not (0 < r < n):
+            raise DomainError(f"need 0 < r < n, got r={r}, n={n}")
+        if c <= 0:
+            raise DomainError(f"target must be positive, got {c}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
-class CaseParameters:
+class CaseParameters(Frozen):
     """Auxiliary data of the fibration construction for targets in (1, r).
 
     The target is p/q; l is the twist scale, b_list the summand twists.
@@ -98,21 +101,43 @@ class CaseParameters:
     case1_constraints_check.
     """
 
+    __slots__ = ("p", "q", "l", "b_list")
     p: int
     q: int
     l: int
     b_list: tuple[int, ...]
-    branch: str
+
+    def __init__(self, p: int, q: int, l: int, b_list: tuple[int, ...]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "b_list", b_list)
 
 
-@dataclass(frozen=True)
-class ExampleRecord:
+class ExampleRecord(Frozen):
+    __slots__ = ("id", "request", "branch", "foliation", "invariants", "checks")
     id: str
     request: Optional[SynthesisRequest]
     branch: str
     foliation: FoliationDescriptor
     invariants: InvariantReport
     checks: tuple[CheckOutcome, ...]
+
+    def __init__(
+        self,
+        id: str,
+        request: Optional[SynthesisRequest],
+        branch: str,
+        foliation: FoliationDescriptor,
+        invariants: InvariantReport,
+        checks: tuple[CheckOutcome, ...],
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "request", request)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "foliation", foliation)
+        object.__setattr__(self, "invariants", invariants)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def variety(self) -> Ambient:
@@ -314,7 +339,7 @@ def case1_parameters(r: int, p: int, q: int) -> CaseParameters:
             f"twist budget {surplus} does not fit in {r - 1} slots of size {b1}; "
             "unreachable when the feasibility conditions hold"
         )
-    return CaseParameters(p=p, q=q, l=l, b_list=(b1, *tail), branch="case1")
+    return CaseParameters(p=p, q=q, l=l, b_list=(b1, *tail))
 
 
 # ---------------------------------------------------------------------------

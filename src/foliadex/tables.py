@@ -9,9 +9,7 @@ the rows that exist.
 
 from __future__ import annotations
 
-import inspect
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, UnsupportedRequest
@@ -29,6 +27,7 @@ from .families import (
     wps4_record,
 )
 from .synthesis import ExampleRecord
+from .value import Frozen
 
 # Row builder per family; a builder's parameters are the family's
 # parameter names, in order.
@@ -47,9 +46,10 @@ _BUILDERS = {
 }
 
 # Parameter names per family, in declaration order; the table columns
-# lead with these.
+# lead with these.  Every builder takes positional-or-keyword parameters
+# only, which lead its code object's local names.
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    family: tuple(inspect.signature(builder).parameters)
+    family: builder.__code__.co_varnames[: builder.__code__.co_argcount]
     for family, builder in _BUILDERS.items()
 }
 
@@ -73,10 +73,14 @@ def parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Frozen):
+    __slots__ = ("params", "record")
     params: dict[str, int]
     record: ExampleRecord
+
+    def __init__(self, params: dict[str, int], record: ExampleRecord) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "record", record)
 
 
 def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:

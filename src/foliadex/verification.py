@@ -12,7 +12,6 @@ audits over parameter grids into a SweepReport.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import BundleVariety, generalized_index
@@ -32,6 +31,7 @@ from .synthesis import (
     synthesize,
     target_check,
 )
+from .value import Frozen
 
 __all__ = [
     "check_record",
@@ -200,8 +200,7 @@ def verify_catalog(records) -> SweepReport:
 # Sweeps.
 
 
-@dataclass(frozen=True)
-class OracleGrid:
+class OracleGrid(Frozen):
     """Every integral big-not-ample class on every small bundle.
 
     The sweep's cost is a function of these fields alone.  Write
@@ -217,32 +216,58 @@ class OracleGrid:
     - each kernel call covers at most d_max * (c_max - b1) candidates.
     """
 
-    m_max: int = 4
-    b1_max: int = 3
-    rprime_max: int = 3
-    k_max: int = 3
-    coeff_max: int = 6
-    d_max: int = 6
-    c_max: int = 40
+    __slots__ = ("m_max", "b1_max", "rprime_max", "k_max", "coeff_max", "d_max", "c_max")
+    m_max: int
+    b1_max: int
+    rprime_max: int
+    k_max: int
+    coeff_max: int
+    d_max: int
+    c_max: int
+
+    def __init__(
+        self,
+        m_max: int = 4,
+        b1_max: int = 3,
+        rprime_max: int = 3,
+        k_max: int = 3,
+        coeff_max: int = 6,
+        d_max: int = 6,
+        c_max: int = 40,
+    ) -> None:
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "b1_max", b1_max)
+        object.__setattr__(self, "rprime_max", rprime_max)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "coeff_max", coeff_max)
+        object.__setattr__(self, "d_max", d_max)
+        object.__setattr__(self, "c_max", c_max)
 
 
-@dataclass(frozen=True)
-class SynthGrid:
+class SynthGrid(Frozen):
     """Every reduced target c = p/q with q <= q_max, 0 < c <= r, r < n <= n_max."""
 
+    __slots__ = ("kind", "n_max", "q_max")
     kind: SynthKind
     n_max: int
     q_max: int
 
+    def __init__(self, kind: SynthKind, n_max: int, q_max: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "q_max", q_max)
 
-@dataclass(frozen=True)
-class StandardGrid:
+
+class StandardGrid(Frozen):
     """The packaged standard catalog."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class EmptyGrid:
+
+class EmptyGrid(Frozen):
     """No checks at all: an empty SweepReport."""
+
+    __slots__ = ()
 
 
 def _oracle_sweep(grid: OracleGrid) -> SweepReport:

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +11,7 @@ from foliadex import (
     Catalog,
     Class2,
     DomainError,
+    ExampleRecord,
     ParseError,
     compute_invariants,
     export_catalog,
@@ -149,7 +149,14 @@ def test_consistent_canonical_tamper_rejected_at_import(std_catalog):
     victim = next(r for r in obj["records"] if r["id"] == record_id)
     victim["foliation"]["canonical"]["gamma"] = "-40"
     victim["invariants"] = record_to_json(
-        replace(record, invariants=compute_invariants(edited))
+        ExampleRecord(
+            id=record.id,
+            request=record.request,
+            branch=record.branch,
+            foliation=record.foliation,
+            invariants=compute_invariants(edited),
+            checks=record.checks,
+        )
     )["invariants"]
     assert victim["invariants"]["gen_index"] == "1"
     with pytest.raises(DomainError, match="stored canonical class"):

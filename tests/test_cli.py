@@ -1,7 +1,6 @@
 """Command-line behavior: output formats, exit codes, file round trips."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -299,8 +298,9 @@ def _nested(depth):
 # command: "synth" takes value as its --c; "verify" and "import" read a
 # catalog file.  A bytes value is the file's content.  Otherwise path
 # names the field set to value: in the catalog's metadata when it starts
-# with "metadata", else in the first record that victim accepts, which
-# becomes the catalog's only record.
+# with "metadata", in the catalog object itself when it starts with
+# "catalog", else in the first record that victim accepts, which becomes
+# the catalog's only record.
 @pytest.mark.parametrize(
     "command, path, value, victim",
     [
@@ -345,6 +345,7 @@ def _nested(depth):
         ("import", ("invariants", "positivity", "x"), 5, None),
         ("import", ("variety", "x"), 5, None),
         ("import", ("request", "x"), 5, None),
+        ("import", ("catalog", "x"), 5, None),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -353,7 +354,7 @@ def _nested(depth):
         "metadata-object", "case1-gamma", "coordinate-j-0", "cone-base-p5",
         "pullback-base-p8", "unknown-param", "fibration-param", "quiet-leaf-rc",
         "pn-on-weighted", "cone-algebraic-rank", "cone-rank", "pencil-degree-zero",
-        "invariants-key", "positivity-key", "variety-key", "request-key",
+        "invariants-key", "positivity-key", "variety-key", "request-key", "catalog-key",
     ],
 )
 def test_bad_input_fails_in_one_line(
@@ -370,8 +371,11 @@ def test_bad_input_fails_in_one_line(
             records = (record_to_json(r) for r in std_catalog.records)
             record = next(r for r in records if victim is None or victim(r))
             obj = {"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [record]}
-            target = obj if path[0] == "metadata" else record
-            for key in path[:-1]:
+            if path[0] == "catalog":
+                target, keys = obj, path[1:-1]
+            else:
+                target, keys = obj if path[0] == "metadata" else record, path[:-1]
+            for key in keys:
                 target = target[key]
             added = path[-1] not in target
             target[path[-1]] = value
@@ -389,6 +393,8 @@ def test_bad_input_fails_in_one_line(
         assert "not UTF-8" in err
     elif path is not None and path[0] == "metadata":
         assert f"metadata.{path[-1]} " in err or f"metadata[{path[-1]!r}] " in err
+    elif path is not None and path[0] == "catalog":
+        assert f"catalog.{path[-1]} " in err
     elif path is not None:
         assert "position 0" in err  # the mutated record is the catalog's only one
         if added:  # a key the schema does not know is named
@@ -414,6 +420,19 @@ def test_case1_synth_work_is_bounded(n, r):
     assert all(check["status"] == "pass" for check in record["checks"])
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI process pays for its imports; these two and the code that
+    # dataclasses generates were a third of importing foliadex.cli.  -S
+    # keeps site .pth files, which may import either, out of the result.
+    code = "import foliadex.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_missing_catalog_file(capsys):
     assert main(["verify", "--catalog", "/nonexistent/nope.json"]) == 1
     err = capsys.readouterr().err
@@ -430,8 +449,8 @@ def test_info_fields(capsys):
 def test_verify_flags_default_to_the_oracle_grid():
     args = build_parser().parse_args(["verify"])
     grid = OracleGrid()
-    for field in dataclasses.fields(OracleGrid):
-        assert getattr(args, field.name) == getattr(grid, field.name), field.name
+    for name in OracleGrid.__slots__:
+        assert getattr(args, name) == getattr(grid, name), name
 
 
 def test_verify_grid_oracle_small(capsys):
