@@ -102,7 +102,7 @@ def _variety_to_json(variety) -> dict:
     return {"family": family, **fields_json}
 
 
-_NOUNS = {int: "an integer", bool: "a boolean", str: "a string"}
+_NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a JSON array"}
 
 
 def _typed(value, kind: type, path: str, key: str):
@@ -111,6 +111,23 @@ def _typed(value, kind: type, path: str, key: str):
     if type(value) is not kind:
         raise ParseError(f"{path}.{key} must be {_NOUNS[kind]}, got {value!r}")
     return value
+
+
+def _enum(cls, value, path: str, key: str):
+    """The member of the enum cls whose value is path.key."""
+    try:
+        return cls(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in cls)
+        raise ParseError(f"{path}.{key} must be one of {choices}, got {value!r}") from None
+
+
+def _rational(text, path: str, key: str) -> Fraction:
+    """The rational literal at path.key."""
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}.{key}: {exc}") from None
 
 
 def _key_path(prefix: str, key: str) -> str:
@@ -145,11 +162,11 @@ _FIELD_TYPES = {"is_projective_space": bool, "label": str}
 def _field_from_json(name: str, value, path: str):
     """A variety field read from JSON, the inverse of _field_to_json."""
     if name in ("b", "weights"):
-        return tuple(_typed(entry, int, path, name) for entry in value)
+        return tuple(_typed(entry, int, path, name) for entry in _typed(value, list, path, name))
     if name == "base":
         return _variety_from_json(value, f"{path}.base", "polarized-base")
     if name == "singularity_class":
-        return SingularityClass(value)
+        return _enum(SingularityClass, value, path, name)
     return _typed(value, _FIELD_TYPES.get(name, int), path, name)
 
 
@@ -228,14 +245,15 @@ def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
         values = _fields(obj, path, _FOLIATION_FIELDS)
     kind, params, rank, algebraic_rank, canonical, leaf_rc, provenance = values
     cls = RankOneClass if isinstance(canonical, dict) and "s" in canonical else Class2
-    parts = _fields(canonical, f"{path}.canonical", _CANONICAL[cls])
-    stored = cls(*(parse_rational(part) for part in parts))
+    names = _CANONICAL[cls]
+    parts = _fields(canonical, f"{path}.canonical", names)
+    stored = cls(*(_rational(part, f"{path}.canonical", name) for name, part in zip(names, parts)))
     fol = FoliationDescriptor(
         ambient=ambient,
         rank=_typed(rank, int, path, "rank"),
         algebraic_rank=_typed(algebraic_rank, int, path, "algebraic_rank"),
         recipe=_recipe_from_json(kind, params, path),
-        leaf_rc=LeafStatus(leaf_rc),
+        leaf_rc=_enum(LeafStatus, leaf_rc, path, "leaf_rc"),
         provenance=_typed(provenance, str, path, "provenance"),
     )
     if stored != fol.canonical:
@@ -246,8 +264,8 @@ def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
     return fol
 
 
-def _optional_rational_from_json(text: Optional[str]) -> Optional[Fraction]:
-    return None if text is None else parse_rational(text)
+def _optional_rational_from_json(text: Optional[str], key: str) -> Optional[Fraction]:
+    return None if text is None else _rational(text, "invariants", key)
 
 
 _FLAGS = Positivity.__slots__
@@ -269,9 +287,9 @@ def _invariants_from_json(obj) -> InvariantReport:
     path = "invariants.positivity"
     flags = _fields(flags, path, _FLAGS)
     return InvariantReport(
-        gen_index=_optional_rational_from_json(gen_index),
-        fano_index=_optional_rational_from_json(fano_index),
-        seshadri_antican=_optional_rational_from_json(seshadri_antican),
+        gen_index=_optional_rational_from_json(gen_index, "gen_index"),
+        fano_index=_optional_rational_from_json(fano_index, "fano_index"),
+        seshadri_antican=_optional_rational_from_json(seshadri_antican, "seshadri_antican"),
         positivity=Positivity(
             **{name: _typed(flag, bool, path, name) for name, flag in zip(_FLAGS, flags)}
         ),
@@ -294,10 +312,10 @@ def _request_from_json(obj) -> Optional[SynthesisRequest]:
         return None
     kind, n, r, c = _fields(obj, "request", ("kind", "n", "r", "c"))
     return SynthesisRequest(
-        kind=SynthKind(kind),
+        kind=_enum(SynthKind, kind, "request", "kind"),
         n=_typed(n, int, "request", "n"),
         r=_typed(r, int, "request", "r"),
-        c=parse_rational(c),
+        c=_rational(c, "request", "c"),
     )
 
 
@@ -321,7 +339,7 @@ def _check_from_json(obj, path: str) -> CheckOutcome:
     name, status, detail = _fields(obj, path, ("name", "status", "detail"))
     return CheckOutcome(
         name=_typed(name, str, path, "name"),
-        status=CheckStatus(status),
+        status=_enum(CheckStatus, status, path, "status"),
         detail=_typed(detail, str, path, "detail"),
     )
 
@@ -339,7 +357,10 @@ def _record_from_json(obj) -> ExampleRecord:
             foliation, "foliation", ambient=_variety_from_json(variety, "variety")
         ),
         invariants=_invariants_from_json(invariants),
-        checks=tuple(_check_from_json(c, f"checks[{i}]") for i, c in enumerate(checks)),
+        checks=tuple(
+            _check_from_json(c, f"checks[{i}]")
+            for i, c in enumerate(_typed(checks, list, "record", "checks"))
+        ),
     )
 
 
@@ -365,22 +386,38 @@ def _metadata_from_json(obj) -> dict:
 _CATALOG_KEYS = ("schema_version", "metadata", "records")
 
 
-def export_catalog(catalog: Catalog) -> str:
-    obj = {
+def _catalog_pieces(catalog: Catalog):
+    """The export's text in pieces, each record rendered when it is reached."""
+    yield from jsontext.pieces({
         "schema_version": SCHEMA_VERSION,
         "metadata": catalog.metadata,
-        "records": [record_to_json(r) for r in catalog.records],
-    }
-    return jsontext.render(obj) + "\n"
+        "records": map(record_to_json, catalog.records),
+    })
+    yield "\n"
+
+
+def write_catalog(catalog: Catalog, out) -> None:
+    """Write the export of catalog to the text stream out, one record at a
+    time, so only one record's JSON exists at once."""
+    for piece in _catalog_pieces(catalog):
+        out.write(piece)
+
+
+def export_catalog(catalog: Catalog) -> str:
+    """The text write_catalog writes."""
+    return "".join(_catalog_pieces(catalog))
 
 
 def import_catalog(text: str) -> Catalog:
+    """The catalog in text.  Parsed JSON is dropped as it is decoded: the
+    text once it is parsed, each record's object once it is a record."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, an integer literal past Python's digit limit,
         # or nesting deeper than the decoder's recursion limit
         raise ParseError(f"catalog is not valid JSON: {exc}") from exc
+    del text
     if not isinstance(obj, dict):
         raise ParseError("catalog must be a JSON object")
     version = obj.get("schema_version")
@@ -400,6 +437,7 @@ def import_catalog(text: str) -> Catalog:
         raise ParseError("catalog records must be a JSON array")
     records = []
     for i, record_obj in enumerate(record_objs):
+        record_objs[i] = None  # record_obj holds it until the next record
         try:
             records.append(_record_from_json(record_obj))
         except (FoliadexError, LookupError, TypeError, ValueError, RecursionError) as exc:

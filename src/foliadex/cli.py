@@ -20,10 +20,10 @@ from . import __version__, jsontext
 from .catalog import (
     SCHEMA_VERSION,
     Catalog,
-    export_catalog,
     import_catalog,
     record_to_json,
     standard_catalog,
+    write_catalog,
 )
 from .errors import DomainError, ParseError, UnsupportedRequest
 from .lattice import parse_rational, render_optional
@@ -265,24 +265,35 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_catalog_export(args) -> int:
-    text = export_catalog(standard_catalog())
-    if args.out_file is None:
-        sys.stdout.write(text)
+def _write_export(catalog: Catalog, path: Optional[str]) -> None:
+    """Stream the export of catalog to the file at path, or to stdout.
+
+    stdout is flushed here, so a failed write of its last piece is an
+    OSError that main reports, not an error at interpreter exit.
+    """
+    if path is None:
+        write_catalog(catalog, sys.stdout)
+        sys.stdout.flush()
     else:
-        with open(args.out_file, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="utf-8") as handle:
+            write_catalog(catalog, handle)
+
+
+def cmd_catalog_export(args) -> int:
+    _write_export(standard_catalog(), args.out_file)
     return 0
 
 
 def _read_catalog(path: str) -> Catalog:
-    """Import the catalog file at path; text that is not UTF-8 is a ParseError."""
+    """Import the catalog file at path; text that is not UTF-8 is a ParseError.
+
+    The text goes straight to import_catalog, which frees it once parsed.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return import_catalog(handle.read())
     except UnicodeDecodeError as exc:
         raise ParseError(f"catalog {path} is not UTF-8 text: {exc}") from exc
-    return import_catalog(text)
 
 
 def cmd_catalog_import(args) -> int:
@@ -290,8 +301,7 @@ def cmd_catalog_import(args) -> int:
     if args.out_file is None:
         print(f"imported {len(catalog.records)} records (schema {SCHEMA_VERSION})")
     else:
-        with open(args.out_file, "w", encoding="utf-8") as handle:
-            handle.write(export_catalog(catalog))
+        _write_export(catalog, args.out_file)
     return 0
 
 

@@ -1,14 +1,19 @@
 """Catalog serialization and the standard example catalog."""
 
 import hashlib
+import io
 import json
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from foliadex import (
     Catalog,
+    SCHEMA_VERSION,
     Class2,
     DomainError,
     ExampleRecord,
@@ -18,6 +23,7 @@ from foliadex import (
     import_catalog,
     record_to_json,
     verify_record,
+    write_catalog,
 )
 from foliadex.cli import main
 
@@ -44,6 +50,47 @@ def test_export_bytes_are_pinned(std_catalog):
         hashlib.sha256(data).hexdigest()
         == "cb67558f760ddbd3d4b575b4eab262818f9bb3c35d7a6885e1d31891aa307dbc"
     )
+
+
+# the metadata import_catalog admits: a flat object of scalars
+FLAT_METADATA = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none()),
+    max_size=4,
+)
+
+
+@given(FLAT_METADATA, st.sampled_from([0, 1, 2, 37]), st.integers(0, 1795))
+def test_streamed_export_equals_json_dumps(std_catalog, metadata, count, start):
+    catalog = Catalog(metadata=metadata, records=std_catalog.records[start:start + count])
+    obj = {
+        "schema_version": SCHEMA_VERSION,
+        "metadata": metadata,
+        "records": [record_to_json(r) for r in catalog.records],
+    }
+    expected = json.dumps(obj, indent=2) + "\n"
+    out = io.StringIO()
+    write_catalog(catalog, out)
+    assert out.getvalue() == expected
+    assert export_catalog(catalog) == expected
+
+
+class _Discard:
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_streamed_export_holds_one_record_at_a_time(std_catalog):
+    # export_catalog, which holds the whole text, peaks at about 7 MB
+    tracemalloc.start()
+    try:
+        write_catalog(std_catalog, _Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 WINDOW = "enumeration (d <= 3, 1 <= c - b1*d <= 6)"

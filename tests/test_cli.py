@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, file round trips."""
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -187,6 +188,11 @@ def test_catalog_file_round_trip(capsys, tmp_path, std_catalog):
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
 
+    # the file is read whole before it is opened for writing
+    code, _, _ = run(capsys, "catalog", "import", "--in", str(first), "--out-file", str(first))
+    assert code == 0
+    assert first.read_bytes() == second.read_bytes()
+
     assert main(["verify", "--catalog", str(first)]) == 0
     capsys.readouterr()
 
@@ -196,6 +202,64 @@ def test_catalog_export_matches_library(capsys, tmp_path, std_catalog):
     code, out, _ = run(capsys, "catalog", "export", "--out-file", str(path))
     assert code == 0
     assert path.read_text() == export_catalog(std_catalog)
+    code, out, _ = run(capsys, "catalog", "export")
+    assert code == 0
+    assert out == export_catalog(std_catalog)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "export"],
+        ["catalog", "export", "--out-file", "/dev/full"],
+        ["catalog", "import", "--in", "small.json", "--out-file", "/dev/full"],
+    ],
+    ids=["export-stdout", "export-file", "import-file"],
+)
+def test_full_device_fails_in_one_line(tmp_path, std_catalog, argv):
+    # The export is written piece by piece; a write that fails, the last
+    # buffered one included, must end in main's one-line error, not in a
+    # traceback or an error at interpreter exit.
+    small = Catalog(metadata={}, records=std_catalog.records[:40])
+    (tmp_path / "small.json").write_text(export_catalog(small))
+    env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foliadex.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+            text=True, cwd=tmp_path, env=env, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+class _FillsUp(io.RawIOBase):
+    """A device with room for a given number of bytes."""
+
+    def __init__(self, room):
+        self.room = room
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if len(data) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= len(data)
+        return len(data)
+
+
+def test_export_to_stdout_reports_a_last_piece_that_does_not_fit(
+    monkeypatch, capsys, std_catalog
+):
+    # Only the final newline finds no room; it is written by the flush
+    # before main returns.
+    size = len(export_catalog(std_catalog))
+    device = _FillsUp(size - 1)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(device)))
+    assert main(["catalog", "export"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    device.room = size  # so the stream closes quietly
 
 
 def test_tampered_catalog_fails_verify(capsys, tmp_path, std_catalog):
@@ -288,6 +352,17 @@ def _quiet_leaf_status(record):
     )
 
 
+def _bundle(record):
+    return record["variety"]["family"] == "bundle"
+
+
+def _with(invariant):
+    return lambda record: record["invariants"][invariant] is not None
+
+
+_UTF16 = b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le")
+
+
 def _nested(depth):
     value = "leaf"
     for _ in range(depth):
@@ -300,52 +375,86 @@ def _nested(depth):
 # names the field set to value: in the catalog's metadata when it starts
 # with "metadata", in the catalog object itself when it starts with
 # "catalog", else in the first record that victim accepts, which becomes
-# the catalog's only record.
+# the catalog's only record.  The error must contain named, when given.
 @pytest.mark.parametrize(
-    "command, path, value, victim",
+    "command, path, value, victim, named",
     [
-        ("verify", ("foliation", "leaf_rc"), "maybe", None),
-        ("verify", ("checks", 0, "status"), "maybe", None),
-        ("verify", ("invariants", "positivity", "big"), False, _big_not_ample),
-        ("verify", ("invariants", "gen_index"), "1" * 5000, None),
-        ("verify", ("variety", "m"), True, _bundle_with_m_one),
-        ("synth", None, "1" * 5000 + "/3", None),
-        ("verify", ("variety", "base", "is_projective_space"), "no", _cone),
-        ("verify", ("variety", "base", "label"), 5, _cone),
-        ("verify", ("invariants", "positivity", "pseff"), 1, None),
-        ("verify", ("id",), 7, None),
-        ("verify", ("foliation", "rank"), 99, _wps),
-        ("verify", None, b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le"), None),
-        ("import", None, b"\xff\xfe" + '{"schema_version": "1"}'.encode("utf-16-le"), None),
-        ("import", ("metadata", "i"), 1.5, None),
-        ("import", ("metadata", "i"), float("inf"), None),
-        ("import", ("metadata", "i"), _nested(900), None),
-        ("verify", ("metadata", "deep key"), {"a": 1}, None),
-        ("verify", ("foliation", "canonical", "gamma"), "-40", _nine_eighths),
-        ("verify", ("foliation", "recipe_params", "j"), 0, _coordinate),
+        ("verify", ("foliation", "leaf_rc"), "maybe", None, "foliation.leaf_rc must be one of"),
+        ("verify", ("checks", 0, "status"), "maybe", None, "checks[0].status must be one of"),
+        ("verify", ("invariants", "positivity", "big"), False, _big_not_ample, None),
+        ("verify", ("invariants", "gen_index"), "1" * 5000, None, "invariants.gen_index: "),
+        ("verify", ("variety", "m"), True, _bundle_with_m_one, None),
+        ("synth", None, "1" * 5000 + "/3", None, None),
+        ("verify", ("variety", "base", "is_projective_space"), "no", _cone, None),
+        ("verify", ("variety", "base", "label"), 5, _cone, None),
+        ("verify", ("invariants", "positivity", "pseff"), 1, None, None),
+        ("verify", ("id",), 7, None, None),
+        ("verify", ("foliation", "rank"), 99, _wps, None),
+        ("verify", None, _UTF16, None, None),
+        ("import", None, _UTF16, None, None),
+        ("import", ("metadata", "i"), 1.5, None, None),
+        ("import", ("metadata", "i"), float("inf"), None, None),
+        ("import", ("metadata", "i"), _nested(900), None, None),
+        ("verify", ("metadata", "deep key"), {"a": 1}, None, None),
+        ("verify", ("foliation", "canonical", "gamma"), "-40", _nine_eighths, None),
+        ("verify", ("foliation", "recipe_params", "j"), 0, _coordinate, None),
         (
             "verify", ("foliation", "recipe_params", "base", "ambient", "weights"),
-            [1] * 6, lambda r: _cone(r) and _transcendental_base_over_plane(r),
+            [1] * 6, lambda r: _cone(r) and _transcendental_base_over_plane(r), None,
         ),
         (
             "verify", ("foliation", "recipe_params", "base", "ambient", "weights"),
-            [1] * 9, lambda r: not _cone(r) and _transcendental_base_over_plane(r),
+            [1] * 9, lambda r: not _cone(r) and _transcendental_base_over_plane(r), None,
         ),
-        ("import", ("foliation", "recipe_params", "x"), 5, _coordinate),
-        ("import", ("foliation", "recipe_params", "j"), 3, _nine_eighths),
-        ("verify", ("foliation", "leaf_rc"), "false", _quiet_leaf_status),
-        ("verify", ("variety", "weights"), [1, 1, 1, 2], lambda r: r["branch"] == "pn"),
-        ("verify", ("foliation", "algebraic_rank"), 1, _one_eighth_cone),
-        ("verify", ("foliation", "rank"), 2, _one_eighth_cone),
+        ("import", ("foliation", "recipe_params", "x"), 5, _coordinate, None),
+        ("import", ("foliation", "recipe_params", "j"), 3, _nine_eighths, None),
+        ("verify", ("foliation", "leaf_rc"), "false", _quiet_leaf_status, None),
+        ("verify", ("variety", "weights"), [1, 1, 1, 2], lambda r: r["branch"] == "pn", None),
+        ("verify", ("foliation", "algebraic_rank"), 1, _one_eighth_cone, None),
+        ("verify", ("foliation", "rank"), 2, _one_eighth_cone, None),
         (
             "verify", ("foliation", "recipe_params"), {"d_f": 3, "d_g": 0},
-            _pencil_of_degrees_two_and_one,
+            _pencil_of_degrees_two_and_one, None,
         ),
-        ("import", ("invariants", "x"), 5, None),
-        ("import", ("invariants", "positivity", "x"), 5, None),
-        ("import", ("variety", "x"), 5, None),
-        ("import", ("request", "x"), 5, None),
-        ("import", ("catalog", "x"), 5, None),
+        ("import", ("invariants", "x"), 5, None, None),
+        ("import", ("invariants", "positivity", "x"), 5, None, None),
+        ("import", ("variety", "x"), 5, None, None),
+        ("import", ("request", "x"), 5, None, None),
+        ("import", ("catalog", "x"), 5, None, None),
+        ("verify", ("checks",), {}, None, "record.checks must be a JSON array"),
+        ("verify", ("checks",), "abc", None, "record.checks must be a JSON array"),
+        ("verify", ("variety", "b"), 7, _bundle, "variety.b must be a JSON array"),
+        ("verify", ("variety", "weights"), 7, _wps, "variety.weights must be a JSON array"),
+        (
+            "import", ("foliation", "recipe_params", "base", "ambient", "weights"), "abc",
+            _transcendental_base_over_plane,
+            "foliation.recipe_params.base.ambient.weights must be a JSON array",
+        ),
+        ("verify", ("checks", 0, "status"), [], None, "checks[0].status must be one of"),
+        ("verify", ("request", "kind"), "bogus", _nine_eighths, "request.kind must be one of"),
+        (
+            "verify", ("variety", "base", "singularity_class"), "bogus", _cone,
+            "variety.base.singularity_class must be one of",
+        ),
+        ("verify", ("request", "c"), "1.5", _nine_eighths, "request.c: not a rational literal"),
+        ("verify", ("invariants", "gen_index"), "1.5", None, "invariants.gen_index: not a"),
+        (
+            "verify", ("invariants", "fano_index"), "1/0", _with("fano_index"),
+            "invariants.fano_index: zero denominator",
+        ),
+        (
+            "verify", ("invariants", "seshadri_antican"), [], _with("seshadri_antican"),
+            "invariants.seshadri_antican: not a",
+        ),
+        (
+            "verify", ("foliation", "canonical", "gamma"), "x", _nine_eighths,
+            "foliation.canonical.gamma: not a",
+        ),
+        ("verify", ("foliation", "canonical", "s"), 2, _cone, "foliation.canonical.s: not a"),
+        (
+            "import", ("foliation", "recipe_params", "base", "canonical", "s"), "1.5",
+            _cone, "foliation.recipe_params.base.canonical.s: not a",
+        ),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -355,10 +464,14 @@ def _nested(depth):
         "pullback-base-p8", "unknown-param", "fibration-param", "quiet-leaf-rc",
         "pn-on-weighted", "cone-algebraic-rank", "cone-rank", "pencil-degree-zero",
         "invariants-key", "positivity-key", "variety-key", "request-key", "catalog-key",
+        "checks-object", "checks-string", "b-integer", "weights-integer", "base-weights-string",
+        "check-status-array", "request-kind", "singularity-class", "request-c-decimal",
+        "gen-index-decimal", "fano-index-zero-denominator", "seshadri-array", "canonical-gamma",
+        "canonical-s-integer", "base-canonical-decimal",
     ],
 )
 def test_bad_input_fails_in_one_line(
-    capsys, tmp_path, std_catalog, command, path, value, victim
+    capsys, tmp_path, std_catalog, command, path, value, victim, named
 ):
     catalog = tmp_path / "mutated.json"
     again = tmp_path / "again.json"
@@ -389,6 +502,8 @@ def test_bad_input_fails_in_one_line(
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not again.exists()
+    if named is not None:
+        assert named in err
     if isinstance(value, bytes):
         assert "not UTF-8" in err
     elif path is not None and path[0] == "metadata":
