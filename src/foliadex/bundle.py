@@ -24,6 +24,12 @@ strictly decreasing in both coordinates of H on the ample lattice, so the
 componentwise-minimal integral ample class is optimal.  generalized_index
 returns the witness decomposition D = t*H0 + p_e*E + p_a*F with p_e,
 p_a >= 0, which certifies the value it reports.
+
+Positivity, the choice between the two terms of the minimum and the
+witness test all run on integers: a class is read as numerators over
+its least common positive denominator (Class2.over_common_denominator),
+which keeps every sign and order, and a Fraction is built only for a
+value that is returned.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .value import Frozen
 
 #: Fiber ray F: the pullback of a base hyperplane.
 FIBER_RAY = Class2(0, 1)
+
+_ZERO = Fraction(0)
 
 
 class BundleVariety(Frozen):
@@ -129,9 +137,10 @@ def classify_divisor(variety: BundleVariety, cls: Class2) -> Positivity:
 
     beta >= 0 and gamma >= -m*beta give pseudoeffectivity, strict versions
     give bigness; gamma >= b_1*beta upgrades to nef, strict plus beta > 0
-    to ample.
+    to ample.  The inequalities are tested on the numerators of beta and
+    gamma over their common positive denominator, which keeps their signs.
     """
-    beta, gamma = cls.beta, cls.gamma
+    beta, gamma, _ = cls.over_common_denominator()
     m, b1 = variety.m, variety.b1
     pseff = beta >= 0 and gamma >= -m * beta
     big = beta > 0 and gamma > -m * beta
@@ -169,20 +178,28 @@ class IndexWitness(Frozen):
         object.__setattr__(self, "p_e", p_e)
         object.__setattr__(self, "p_a", p_a)
 
-    def reconstruct(self, variety: BundleVariety) -> Class2:
-        return (
-            self.t * self.h
-            + self.p_e * variety.extremal_effective_ray
-            + self.p_a * FIBER_RAY
-        )
-
     def is_valid_for(self, variety: BundleVariety, cls: Class2) -> bool:
+        """H integral and ample, p_e, p_a >= 0, and t*H + p_e*E + p_a*F == cls.
+
+        The sum is compared coordinatewise on integers, both sides
+        multiplied by the denominators of H, t, p_e, p_a and cls.
+        """
+        h, t, p_e, p_a = self.h, self.t, self.p_e, self.p_a
+        if not (h.is_integral and classify_divisor(variety, h).ample):
+            return False
+        if p_e.numerator < 0 or p_a.numerator < 0:
+            return False
+        h_beta, h_gamma, h_den = h.over_common_denominator()
+        t_den, e_den, a_den = t.denominator, p_e.denominator, p_a.denominator
+        scale = h_den * t_den * e_den * a_den
+        t_part = t.numerator * e_den * a_den
+        e_part = p_e.numerator * h_den * t_den * a_den
+        a_part = p_a.numerator * h_den * t_den * e_den
+        beta_num, gamma_num, den = cls.over_common_denominator()
+        # E = L - m*F and F = (0, 1)
         return (
-            self.h.is_integral
-            and classify_divisor(variety, self.h).ample
-            and self.p_e >= 0
-            and self.p_a >= 0
-            and self.reconstruct(variety) == cls
+            (t_part * h_beta + e_part) * den == beta_num * scale
+            and (t_part * h_gamma - variety.m * e_part + a_part) * den == gamma_num * scale
         )
 
 
@@ -193,23 +210,23 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
     equals min(beta, (m*beta + gamma)/(m + b_1 + 1)); the returned witness
     decomposes cls over {H0, E, F} with nonnegative surplus coefficients.
     """
-    flags = classify_divisor(variety, cls)
-    if not flags.big:
+    if not classify_divisor(variety, cls).big:
         raise DomainError(f"generalized index needs a big class, got {cls}")
-    beta, gamma = cls.beta, cls.gamma
+    beta_num, gamma_num, den = cls.over_common_denominator()
     m, b1 = variety.m, variety.b1
     h0 = Class2(1, b1 + 1)
-    second = Fraction(m * beta + gamma, m + b1 + 1)
-    if second <= beta:
+    total = m + b1 + 1
+    # (m*beta + gamma)/(m + b1 + 1) <= beta, both sides times den*(m + b1 + 1) > 0
+    if m * beta_num + gamma_num <= beta_num * total:
         # Pseff surplus sits on the E ray: D - t*H0 = p_e * E.
-        t = second
-        p_e = (beta * (b1 + 1) - gamma) / (m + b1 + 1)
-        p_a = Fraction(0)
+        t = Fraction(m * beta_num + gamma_num, den * total)
+        p_e = Fraction(beta_num * (b1 + 1) - gamma_num, den * total)
+        p_a = _ZERO
     else:
         # Surplus sits on the fiber ray: D - beta*H0 = p_a * F.
-        t = beta
-        p_e = Fraction(0)
-        p_a = gamma - beta * (b1 + 1)
+        t = cls.beta
+        p_e = _ZERO
+        p_a = Fraction(gamma_num - beta_num * (b1 + 1), den)
     witness = IndexWitness(t=t, h=h0, p_e=p_e, p_a=p_a)
     if not witness.is_valid_for(variety, cls):
         raise ArithmeticError(f"witness reconstruction failed for {cls} on {variety.label()}")

@@ -6,6 +6,10 @@ divisor-class group.  The rank-2 case is spanned by a fixed ordered basis
 F the pullback of a hyperplane from the base.  A class is stored as the
 coefficient pair (beta, gamma) with respect to that basis, with exact
 rational coefficients throughout; no floating point enters anywhere.
+Hot paths (positivity, the generalized index, the enumeration oracle)
+read a class as integer numerators over one common positive
+denominator, Class2.over_common_denominator(), and build a Fraction only
+for a value they return.
 
 Cones are pairs of primitive integral non-proportional rays.  Membership
 is decided by solving the 2x2 change of basis exactly, so interior /
@@ -122,6 +126,23 @@ class Class2(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.beta == 0 and self.gamma == 0
+
+    def over_common_denominator(self) -> tuple[int, int, int]:
+        """(beta_num, gamma_num, den) with beta = beta_num/den, gamma = gamma_num/den.
+
+        den is the least common positive denominator, so the signs of
+        beta_num and gamma_num are those of beta and gamma.
+        """
+        beta, gamma = self.beta, self.gamma
+        beta_den, gamma_den = beta.denominator, gamma.denominator
+        if beta_den == gamma_den:
+            return beta.numerator, gamma.numerator, beta_den
+        den = math.lcm(beta_den, gamma_den)
+        return (
+            beta.numerator * (den // beta_den),
+            gamma.numerator * (den // gamma_den),
+            den,
+        )
 
     def as_integer_pair(self) -> tuple[int, int]:
         if not self.is_integral:

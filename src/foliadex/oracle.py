@@ -31,7 +31,6 @@ and its bound on t is the same number in either basis.  The corner
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import _kernels
@@ -50,10 +49,11 @@ def _require_big(variety: BundleVariety, cls: Class2) -> None:
         raise DomainError(f"oracle needs a big class, got {cls}")
 
 
-def _kernel_index(cls: Class2, m: int, b1: int, d_max: int, c_max: int) -> Fraction:
-    scale = math.lcm(cls.beta.denominator, cls.gamma.denominator)
+def _kernel_index(
+    beta_num: int, gamma_num: int, den: int, m: int, b1: int, d_max: int, c_max: int
+) -> Fraction:
     num, den, _, _ = _kernels.best_index_bound(
-        int(cls.beta * scale), int(cls.gamma * scale), scale, m, b1, d_max, c_max
+        beta_num, gamma_num, den, m, b1, d_max, c_max
     )
     return Fraction(num, den)
 
@@ -74,7 +74,8 @@ def oracle_generalized_index(
             f"need c_max >= b1*d_max + 1 = {variety.b1 * d_max + 1}, got {c_max}"
         )
     _require_big(variety, cls)
-    return _kernel_index(cls, variety.m, variety.b1, d_max, c_max)
+    beta_num, gamma_num, den = cls.over_common_denominator()
+    return _kernel_index(beta_num, gamma_num, den, variety.m, variety.b1, d_max, c_max)
 
 
 def audited_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, str]:
@@ -90,8 +91,10 @@ def audited_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, str]:
     """
     _require_big(variety, cls)
     b1 = variety.b1
-    shifted = Class2(cls.beta, cls.gamma - b1 * cls.beta)
-    value = _kernel_index(shifted, variety.m + b1, 0, AUDIT_D_MAX, AUDIT_C_SPAN)
+    beta_num, gamma_num, den = cls.over_common_denominator()
+    value = _kernel_index(
+        beta_num, gamma_num - b1 * beta_num, den, variety.m + b1, 0, AUDIT_D_MAX, AUDIT_C_SPAN
+    )
     return value, f"enumeration (d <= {AUDIT_D_MAX}, 1 <= c - b1*d <= {AUDIT_C_SPAN})"
 
 

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .bundle import BundleVariety, Positivity
 from .errors import DomainError
-from .lattice import Class2
+from .lattice import Class2, _coerce
 from .report import InvariantReport
 from .value import Frozen
 
@@ -175,7 +175,7 @@ class RankOneClass(Frozen):
     s: Fraction
 
     def __init__(self, s: int | Fraction) -> None:
-        object.__setattr__(self, "s", Fraction(s))
+        object.__setattr__(self, "s", _coerce(s))
 
     def __neg__(self) -> RankOneClass:
         return RankOneClass(-self.s)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bundle import BundleVariety, generalized_index
-from .errors import UnsupportedRequest
+from .bundle import BundleVariety, classify_divisor, generalized_index
+from .errors import DomainError, UnsupportedRequest
 from .foliation import LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
 from .lattice import Class2, reduced_targets, render_rational
@@ -200,6 +200,12 @@ def verify_catalog(records) -> SweepReport:
 # Sweeps.
 
 
+def _require_nonempty(name: str, bound: int, least: int) -> None:
+    """Refuse a grid bound that leaves the sweep nothing to check."""
+    if bound < least:
+        raise DomainError(f"{name} must be at least {least}, got {bound}: the grid would be empty")
+
+
 class OracleGrid(Frozen):
     """Every integral big-not-ample class on every small bundle.
 
@@ -242,6 +248,10 @@ class OracleGrid(Frozen):
         object.__setattr__(self, "coeff_max", coeff_max)
         object.__setattr__(self, "d_max", d_max)
         object.__setattr__(self, "c_max", c_max)
+        for name, least in (
+            ("m_max", 1), ("b1_max", 0), ("rprime_max", 1), ("k_max", 1), ("coeff_max", 1)
+        ):
+            _require_nonempty(name, getattr(self, name), least)
 
 
 class SynthGrid(Frozen):
@@ -256,6 +266,8 @@ class SynthGrid(Frozen):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "q_max", q_max)
+        _require_nonempty("n_max", n_max, 2)
+        _require_nonempty("q_max", q_max, 1)
 
 
 class StandardGrid(Frozen):
@@ -308,11 +320,10 @@ def _audit_classes(
     audited = []
     for beta in range(1, grid.coeff_max + 1):
         for gamma in range(-grid.coeff_max, grid.coeff_max + 1):
-            big = gamma > -m * beta
-            ample = gamma > b1 * beta
-            if not big or ample:
-                continue
             cls = Class2(beta, gamma)
+            flags = classify_divisor(variety, cls)
+            if not flags.big or flags.ample:
+                continue
             value, _ = generalized_index(variety, cls)
             formula = Fraction(m * beta + gamma, denom)
             enumerated = oracle_generalized_index(variety, cls, grid.d_max, grid.c_max)

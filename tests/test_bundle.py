@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foliadex.bundle import (
+    FIBER_RAY,
     BundleVariety,
+    IndexWitness,
     classify_divisor,
     fano_index,
     generalized_index,
@@ -16,7 +18,7 @@ from foliadex.bundle import (
 )
 from foliadex.errors import DomainError
 from foliadex.lattice import Class2, Cone2, Membership
-from foliadex.oracle import oracle_generalized_index
+from foliadex.oracle import audited_index, oracle_generalized_index
 
 X_HIRZEBRUCH = BundleVariety(base_dim=1, m=1, b=(0,))
 X_CASE1 = BundleVariety(base_dim=1, m=2, b=(1, 1))
@@ -171,3 +173,78 @@ def test_fano_at_most_generalized(variety, beta, gamma):
     # sampled ample integral classes: gamma > b1*beta guaranteed below
     d = Class2(beta, variety.b1 * beta + gamma)
     assert fano_index(variety, d) <= generalized_index(variety, d)[0]
+
+
+# --- rational classes against independent derivations -----------------------
+
+rationals = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 9))
+positive_rationals = st.builds(Fraction, st.integers(1, 24), st.integers(1, 9))
+nonnegative_rationals = st.builds(Fraction, st.integers(0, 24), st.integers(1, 9))
+
+
+@st.composite
+def rational_classes(draw):
+    """A bundle and a class on, near or away from a cone boundary.
+
+    gamma is an edge value (-m*beta on the pseudoeffective edge, b1*beta
+    on the nef edge, or 0) plus an offset that is often 0 and otherwise
+    has its own denominator; beta = 0 gives the fiber ray's line.
+    """
+    variety = draw(small_bundles)
+    beta = draw(st.one_of(st.just(Fraction(0)), rationals))
+    edge = draw(st.sampled_from((-variety.m, variety.b1, 0)))
+    offset = draw(st.one_of(st.just(Fraction(0)), rationals))
+    return variety, Class2(beta, edge * beta + offset)
+
+
+@given(rational_classes())
+def test_classify_divisor_equals_cone_membership(case):
+    variety, cls = case
+    flags = classify_divisor(variety, cls)
+    pseff = pseff_cone(variety).membership(cls)
+    nef = nef_cone(variety).membership(cls)
+    assert flags.pseff == (pseff is not Membership.OUTSIDE)
+    assert flags.big == (pseff is Membership.INTERIOR)
+    assert flags.nef == (nef is not Membership.OUTSIDE)
+    assert flags.ample == (nef is Membership.INTERIOR)
+
+
+@settings(max_examples=60)
+@given(small_bundles, positive_rationals, positive_rationals)
+def test_index_derivations_agree_on_non_integral_big_classes(variety, beta, surplus):
+    cls = Class2(beta, -variety.m * beta + surplus)  # big: inside the E edge
+    if cls.is_integral:
+        return
+    value, witness = generalized_index(variety, cls)
+    assert witness.is_valid_for(variety, cls)
+    assert value == oracle_generalized_index(variety, cls, d_max=6, c_max=40)
+    assert value == audited_index(variety, cls)[0]
+    m, b1 = variety.m, variety.b1
+    assert value == min(beta, (m * cls.beta + cls.gamma) / (m + b1 + 1))
+
+
+@given(
+    small_bundles, positive_rationals, nonnegative_rationals, nonnegative_rationals,
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 9),
+)
+def test_witness_test_refuses_each_forgery(variety, t, p_e, p_a, d, extra, q):
+    # Each forgery breaks one of the four conditions; the class is the
+    # sum the witness names unless the forgery is the sum itself.
+    b1 = variety.b1
+    edge = variety.extremal_effective_ray
+
+    def valid(t, h, p_e, p_a, shift=Class2(0, 0)):
+        cls = t * h + p_e * edge + p_a * FIBER_RAY + shift
+        return IndexWitness(t=t, h=h, p_e=p_e, p_a=p_a).is_valid_for(variety, cls)
+
+    ample = Class2(d, b1 * d + extra)
+    assert valid(t, ample, p_e, p_a)
+    half = Fraction(2 * d - 1, 2)
+    assert not valid(t, Class2(half, b1 * half + extra), p_e, p_a)  # ample, not integral
+    for not_ample in (Class2(d, b1 * d), Class2(d, b1 * d - extra), Class2(0, 1)):
+        assert not valid(t, not_ample, p_e, p_a)
+    below = Fraction(-1, q)
+    assert not valid(t, ample, below - p_e, p_a)
+    assert not valid(t, ample, p_e, below - p_a)
+    for shift in (Class2(Fraction(1, q), 0), Class2(0, Fraction(1, q)), Class2(0, below)):
+        assert not valid(t, ample, p_e, p_a, shift)

@@ -138,6 +138,31 @@ def test_oracle_sweep_report_bytes_are_pinned(capsys):
     )
 
 
+def test_failing_oracle_sweep_report_bytes_are_pinned(capsys, monkeypatch):
+    # An enumeration one above the true index fails every audit; the pin
+    # holds the failure detail text (closed form, direct formula,
+    # enumeration) as well as the all-pass report's layout.
+    from foliadex import _kernels
+
+    exact = _kernels.best_index_bound
+
+    def off_by_one(*args):
+        num, den, d, c = exact(*args)
+        return num + den, den, d, c
+
+    monkeypatch.setattr(_kernels, "best_index_bound", off_by_one)
+    argv = [
+        "verify", "--grid", "oracle", "--m-max", "2", "--b1-max", "1",
+        "--rprime-max", "2", "--k-max", "1", "--coeff-max", "2", "--out", "json",
+    ]
+    assert main(argv) == 1
+    data = capsys.readouterr().out.encode("utf-8")
+    assert b'"failed": 0' not in data
+    assert hashlib.sha256(data).hexdigest() == (
+        "c2a1f6c33a518aae2cf98eb61fd22fce8299fc25272702b4769882bca78f2ef1"
+    )
+
+
 def test_schema_version_gate(std_catalog):
     obj = json.loads(export_catalog(std_catalog))
     obj["schema_version"] = "2"

@@ -370,7 +370,8 @@ def _nested(depth):
     return value
 
 
-# command: "synth" takes value as its --c; "verify" and "import" read a
+# command: "synth" takes value as its --c; "grid" runs verify with the
+# arguments in value, each of which empties a sweep; "verify" and "import" read a
 # catalog file.  A bytes value is the file's content.  Otherwise path
 # names the field set to value: in the catalog's metadata when it starts
 # with "metadata", in the catalog object itself when it starts with
@@ -455,6 +456,20 @@ def _nested(depth):
             "import", ("foliation", "recipe_params", "base", "canonical", "s"), "1.5",
             _cone, "foliation.recipe_params.base.canonical.s: not a",
         ),
+        ("grid", None, ("oracle", "--coeff-max", "-3"), None, "coeff_max must be at least 1"),
+        ("grid", None, ("oracle", "--coeff-max", "0"), None, "coeff_max must be at least 1"),
+        ("grid", None, ("oracle", "--b1-max", "-1"), None, "b1_max must be at least 0"),
+        ("grid", None, ("oracle", "--k-max", "0"), None, "k_max must be at least 1"),
+        ("grid", None, ("oracle", "--m-max", "0"), None, "m_max must be at least 1"),
+        ("grid", None, ("oracle", "--rprime-max", "0"), None, "rprime_max must be at least 1"),
+        (
+            "grid", None, ("synth", "--kind", "seshadri", "--n-max", "1"), None,
+            "n_max must be at least 2",
+        ),
+        (
+            "grid", None, ("synth", "--kind", "seshadri", "--q-max", "0"), None,
+            "q_max must be at least 1",
+        ),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -467,7 +482,9 @@ def _nested(depth):
         "checks-object", "checks-string", "b-integer", "weights-integer", "base-weights-string",
         "check-status-array", "request-kind", "singularity-class", "request-c-decimal",
         "gen-index-decimal", "fano-index-zero-denominator", "seshadri-array", "canonical-gamma",
-        "canonical-s-integer", "base-canonical-decimal",
+        "canonical-s-integer", "base-canonical-decimal", "oracle-coeff-negative",
+        "oracle-coeff-zero", "oracle-b1-negative", "oracle-k-zero", "oracle-m-zero",
+        "oracle-rprime-zero", "synth-n-one", "synth-q-zero",
     ],
 )
 def test_bad_input_fails_in_one_line(
@@ -477,6 +494,8 @@ def test_bad_input_fails_in_one_line(
     again = tmp_path / "again.json"
     if command == "synth":
         argv = ["synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", value]
+    elif command == "grid":
+        argv = ["verify", "--grid", *value, "--out", "json"]
     else:
         if isinstance(value, bytes):
             catalog.write_bytes(value)

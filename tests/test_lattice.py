@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -120,3 +121,21 @@ def test_class2_arithmetic_exact(a, b, c, d, e, f):
     assert u + v == v + u
     assert (u + v) * 3 == u * 3 + v * 3
     assert (u + v) - v == u
+
+
+@given(
+    st.integers(-50, 50), st.integers(1, 30), st.integers(-50, 50), st.integers(1, 30)
+)
+def test_over_common_denominator(bp, bq, gp, gq):
+    cls = Class2(Fraction(bp, bq), Fraction(gp, gq))
+    beta_num, gamma_num, den = cls.over_common_denominator()
+    assert Fraction(beta_num, den) == cls.beta and Fraction(gamma_num, den) == cls.gamma
+    assert den == math.lcm(cls.beta.denominator, cls.gamma.denominator)
+    assert all(type(n) is int for n in (beta_num, gamma_num, den))
+
+
+def test_over_common_denominator_is_not_stored():
+    cls = Class2(Fraction(1, 2), Fraction(-1, 3))
+    assert cls.over_common_denominator() == (3, -2, 6)
+    assert Class2.__slots__ == ("beta", "gamma")
+    assert repr(cls) == "Class2(beta=Fraction(1, 2), gamma=Fraction(-1, 3))"

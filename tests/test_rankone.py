@@ -64,6 +64,21 @@ def test_index_pair_values():
     assert index_pair(W123, -1) == (None, None)
 
 
+@pytest.mark.parametrize("value", [0.5, "3/4", True, None])
+def test_rank_one_class_refuses_inexact_coefficients(value):
+    # the same exact-coercion rule as Class2
+    with pytest.raises(DomainError):
+        RankOneClass(value)
+    with pytest.raises(DomainError):
+        Class2(value, 0)
+
+
+def test_rank_one_class_keeps_a_fraction_as_given():
+    s = Fraction(3, 2)
+    assert RankOneClass(s).s is s
+    assert RankOneClass(2).s == Fraction(2) and type(RankOneClass(2).s) is Fraction
+
+
 def test_pushforward_to_cone():
     x = BundleVariety(base_dim=2, m=2, b=(0, 0))
     assert pushforward_to_cone(x, Class2(1, 0)) == RankOneClass(Fraction(1))
