@@ -23,19 +23,20 @@ attained at the corner polarization H0 = L + (b_1+1) F: t_max(D, H) is
 strictly decreasing in both coordinates of H on the ample lattice, so the
 componentwise-minimal integral ample class is optimal.  generalized_index
 returns the witness decomposition D = t*H0 + p_e*E + p_a*F with p_e,
-p_a >= 0, which certifies the value it reports.
+p_a >= 0; it does not test it.  IndexWitness.is_valid_for does, once per
+record, in the construction check that stores the outcome.
 
-Positivity, the choice between the two terms of the minimum and the
-witness test all run on integers: a class is read as numerators over
-its least common positive denominator (Class2.over_common_denominator),
-which keeps every sign and order, and a Fraction is built only for a
-value that is returned.
+Positivity and the choice between the two terms of the minimum run on
+integers: a class is read as numerators over its least common positive
+denominator (Class2.over_common_denominator), which keeps every sign and
+order, and a Fraction is built only for a value that is returned.  The
+witness test compares the two coordinates as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import DomainError
 from .lattice import Class2, Cone2, content
@@ -179,27 +180,16 @@ class IndexWitness(Frozen):
         object.__setattr__(self, "p_a", p_a)
 
     def is_valid_for(self, variety: BundleVariety, cls: Class2) -> bool:
-        """H integral and ample, p_e, p_a >= 0, and t*H + p_e*E + p_a*F == cls.
-
-        The sum is compared coordinatewise on integers, both sides
-        multiplied by the denominators of H, t, p_e, p_a and cls.
-        """
+        """H integral and ample, p_e, p_a >= 0, and t*H + p_e*E + p_a*F == cls,
+        compared coordinatewise with E = L - m*F and F = (0, 1)."""
         h, t, p_e, p_a = self.h, self.t, self.p_e, self.p_a
-        if not (h.is_integral and classify_divisor(variety, h).ample):
-            return False
-        if p_e.numerator < 0 or p_a.numerator < 0:
-            return False
-        h_beta, h_gamma, h_den = h.over_common_denominator()
-        t_den, e_den, a_den = t.denominator, p_e.denominator, p_a.denominator
-        scale = h_den * t_den * e_den * a_den
-        t_part = t.numerator * e_den * a_den
-        e_part = p_e.numerator * h_den * t_den * a_den
-        a_part = p_a.numerator * h_den * t_den * e_den
-        beta_num, gamma_num, den = cls.over_common_denominator()
-        # E = L - m*F and F = (0, 1)
         return (
-            (t_part * h_beta + e_part) * den == beta_num * scale
-            and (t_part * h_gamma - variety.m * e_part + a_part) * den == gamma_num * scale
+            h.is_integral
+            and classify_divisor(variety, h).ample
+            and p_e >= 0
+            and p_a >= 0
+            and t * h.beta + p_e == cls.beta
+            and t * h.gamma - variety.m * p_e + p_a == cls.gamma
         )
 
 
@@ -208,7 +198,8 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
 
     Requires cls big.  The optimum is attained at H0 = L + (b_1+1) F and
     equals min(beta, (m*beta + gamma)/(m + b_1 + 1)); the returned witness
-    decomposes cls over {H0, E, F} with nonnegative surplus coefficients.
+    decomposes cls over {H0, E, F} with nonnegative surplus coefficients,
+    which IndexWitness.is_valid_for tests.
     """
     if not classify_divisor(variety, cls).big:
         raise DomainError(f"generalized index needs a big class, got {cls}")
@@ -227,10 +218,7 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
         t = cls.beta
         p_e = _ZERO
         p_a = Fraction(gamma_num - beta_num * (b1 + 1), den)
-    witness = IndexWitness(t=t, h=h0, p_e=p_e, p_a=p_a)
-    if not witness.is_valid_for(variety, cls):
-        raise ArithmeticError(f"witness reconstruction failed for {cls} on {variety.label()}")
-    return t, witness
+    return t, IndexWitness(t=t, h=h0, p_e=p_e, p_a=p_a)
 
 
 def fano_index(variety: BundleVariety, cls: Class2) -> Fraction:
@@ -255,3 +243,12 @@ def seshadri_polarization(variety: BundleVariety) -> tuple[Class2, Fraction]:
     general point is exactly 1; by homogeneity eps(t*H0) = t for t >= 0.
     """
     return Class2(1, variety.b1 + 1), Fraction(1)
+
+
+def seshadri_constant(variety: BundleVariety, cls: Class2) -> Optional[Fraction]:
+    """eps(cls) = t*eps(H0) when cls = t*H0 with t >= 0, else None (unknown)."""
+    h0, eps_h0 = seshadri_polarization(variety)
+    t = cls.beta
+    if t >= 0 and cls == t * h0:
+        return t * eps_h0
+    return None

@@ -113,13 +113,28 @@ def _typed(value, kind: type, path: str, key: str):
     return value
 
 
+def _not_one_of(choices, value, path: str, key: str) -> ParseError:
+    """The error for a path.key outside its valid choices, listed in order."""
+    return ParseError(f"{path}.{key} must be one of {', '.join(choices)}, got {value!r}")
+
+
 def _enum(cls, value, path: str, key: str):
     """The member of the enum cls whose value is path.key."""
     try:
         return cls(value)
     except ValueError:
-        choices = ", ".join(member.value for member in cls)
-        raise ParseError(f"{path}.{key} must be one of {choices}, got {value!r}") from None
+        raise _not_one_of((member.value for member in cls), value, path, key) from None
+
+
+def _refused(path: str, exc: DomainError) -> DomainError:
+    """A constructor's refusal of the object at path, with path in front.
+
+    Callers catch it around the constructor call alone, so a nested
+    object's refusal, which names its own path, is not prefixed twice.
+    The try blocks are inline because a wrapper taking the fields as
+    keywords would cost about 10 ms per import of the standard catalog.
+    """
+    return type(exc)(f"{path}: {exc}")
 
 
 def _rational(text, path: str, key: str) -> Fraction:
@@ -179,10 +194,14 @@ def _variety_from_json(obj, path: str, family: Optional[str] = None):
             raise ParseError(f"{path} must be a JSON object")
         family = _typed(obj.get("family"), str, path, "family")
         if family not in _VARIETIES:
-            raise DomainError(f"unknown variety family {family!r}")
+            raise _not_one_of(_VARIETIES, family, path, "family")
     cls, names = _VARIETIES[family]
     values = _fields(obj, path, stored + names)[len(stored):]
-    return cls(**{name: _field_from_json(name, value, path) for name, value in zip(names, values)})
+    fields = {name: _field_from_json(name, value, path) for name, value in zip(names, values)}
+    try:
+        return cls(**fields)
+    except DomainError as exc:
+        raise _refused(path, exc) from None
 
 
 # class type -> its coefficient names, in export order
@@ -221,15 +240,19 @@ _FOLIATION_FIELDS = (
 def _recipe_from_json(kind, params, path: str) -> Recipe:
     """A recipe from its kind and exactly its parameters; base recurses."""
     if _typed(kind, str, path, "recipe") not in _RECIPES:
-        raise DomainError(f"unknown recipe {kind!r}")
+        raise _not_one_of(_RECIPES, kind, path, "recipe")
     recipe, names = _RECIPES[kind]
     path = f"{path}.recipe_params"
     values = _fields(params, path, names)
-    return recipe(**{
+    fields = {
         name: _fol_from_json(value, f"{path}.base")
         if name == "base" else _typed(value, int, path, name)
         for name, value in zip(names, values)
-    })
+    }
+    try:
+        return recipe(**fields)
+    except DomainError as exc:
+        raise _refused(path, exc) from None
 
 
 def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
@@ -248,14 +271,18 @@ def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
     names = _CANONICAL[cls]
     parts = _fields(canonical, f"{path}.canonical", names)
     stored = cls(*(_rational(part, f"{path}.canonical", name) for name, part in zip(names, parts)))
-    fol = FoliationDescriptor(
-        ambient=ambient,
-        rank=_typed(rank, int, path, "rank"),
-        algebraic_rank=_typed(algebraic_rank, int, path, "algebraic_rank"),
-        recipe=_recipe_from_json(kind, params, path),
-        leaf_rc=_enum(LeafStatus, leaf_rc, path, "leaf_rc"),
-        provenance=_typed(provenance, str, path, "provenance"),
-    )
+    recipe = _recipe_from_json(kind, params, path)
+    try:
+        fol = FoliationDescriptor(
+            ambient=ambient,
+            rank=_typed(rank, int, path, "rank"),
+            algebraic_rank=_typed(algebraic_rank, int, path, "algebraic_rank"),
+            recipe=recipe,
+            leaf_rc=_enum(LeafStatus, leaf_rc, path, "leaf_rc"),
+            provenance=_typed(provenance, str, path, "provenance"),
+        )
+    except DomainError as exc:
+        raise _refused(path, exc) from None
     if stored != fol.canonical:
         raise DomainError(
             f"stored canonical class {stored} differs from {fol.canonical}, "
@@ -286,14 +313,20 @@ def _invariants_from_json(obj) -> InvariantReport:
     )
     path = "invariants.positivity"
     flags = _fields(flags, path, _FLAGS)
-    return InvariantReport(
-        gen_index=_optional_rational_from_json(gen_index, "gen_index"),
-        fano_index=_optional_rational_from_json(fano_index, "fano_index"),
-        seshadri_antican=_optional_rational_from_json(seshadri_antican, "seshadri_antican"),
-        positivity=Positivity(
-            **{name: _typed(flag, bool, path, name) for name, flag in zip(_FLAGS, flags)}
-        ),
-    )
+    flags = {name: _typed(flag, bool, path, name) for name, flag in zip(_FLAGS, flags)}
+    try:
+        positivity = Positivity(**flags)
+    except DomainError as exc:
+        raise _refused(path, exc) from None
+    try:
+        return InvariantReport(
+            gen_index=_optional_rational_from_json(gen_index, "gen_index"),
+            fano_index=_optional_rational_from_json(fano_index, "fano_index"),
+            seshadri_antican=_optional_rational_from_json(seshadri_antican, "seshadri_antican"),
+            positivity=positivity,
+        )
+    except DomainError as exc:
+        raise _refused("invariants", exc) from None
 
 
 def _request_to_json(request: Optional[SynthesisRequest]) -> Optional[dict]:
@@ -311,12 +344,15 @@ def _request_from_json(obj) -> Optional[SynthesisRequest]:
     if obj is None:
         return None
     kind, n, r, c = _fields(obj, "request", ("kind", "n", "r", "c"))
-    return SynthesisRequest(
-        kind=_enum(SynthKind, kind, "request", "kind"),
-        n=_typed(n, int, "request", "n"),
-        r=_typed(r, int, "request", "r"),
-        c=_rational(c, "request", "c"),
-    )
+    try:
+        return SynthesisRequest(
+            kind=_enum(SynthKind, kind, "request", "kind"),
+            n=_typed(n, int, "request", "n"),
+            r=_typed(r, int, "request", "r"),
+            c=_rational(c, "request", "c"),
+        )
+    except DomainError as exc:
+        raise _refused("request", exc) from None
 
 
 def record_to_json(record: ExampleRecord) -> dict:
@@ -442,10 +478,9 @@ def import_catalog(text: str) -> Catalog:
             records.append(_record_from_json(record_obj))
         except (FoliadexError, LookupError, TypeError, ValueError, RecursionError) as exc:
             # A package error (a typed field, a validating constructor)
-            # keeps its class and message; anything else (a missing key,
-            # an unknown enum value, an inconsistent invariant report,
-            # recipe bases nested past the recursion limit) becomes a
-            # ParseError naming the exception.
+            # keeps its class and message; anything else, such as recipe
+            # bases nested past the recursion limit, becomes a ParseError
+            # naming the exception.
             if isinstance(exc, FoliadexError):
                 raise type(exc)(f"malformed record at position {i}: {exc}") from exc
             raise ParseError(f"malformed record at position {i}: {exc!r}") from exc

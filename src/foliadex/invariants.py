@@ -13,7 +13,7 @@ from .bundle import (
     classify_divisor,
     fano_index,
     generalized_index,
-    seshadri_polarization,
+    seshadri_constant,
 )
 from .errors import DomainError
 from .foliation import Ambient, FoliationDescriptor
@@ -42,15 +42,11 @@ def _bundle_invariants(variety: BundleVariety, fol: FoliationDescriptor) -> Inva
     fano = None
     if flags.ample and antican.is_integral:
         fano = fano_index(variety, antican)
-    # The Seshadri constant is only known along the ray of the
-    # distinguished polarization H0, where eps(t*H0) = t.
-    sesh = None
-    h0, eps_h0 = seshadri_polarization(variety)
-    t = antican.beta
-    if t >= 0 and antican == t * h0:
-        sesh = t * eps_h0
     return InvariantReport(
-        gen_index=gen, fano_index=fano, seshadri_antican=sesh, positivity=flags
+        gen_index=gen,
+        fano_index=fano,
+        seshadri_antican=seshadri_constant(variety, antican),
+        positivity=flags,
     )
 
 

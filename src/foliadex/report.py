@@ -6,6 +6,7 @@ import enum
 from fractions import Fraction
 
 from .bundle import Positivity
+from .errors import DomainError
 from .value import Frozen, Value
 
 
@@ -32,9 +33,9 @@ class InvariantReport(Frozen):
         positivity: Positivity,
     ) -> None:
         if gen_index is not None and not positivity.big:
-            raise ValueError("gen_index recorded for a non-big anticanonical class")
+            raise DomainError("gen_index recorded for a non-big anticanonical class")
         if fano_index is not None and not positivity.ample:
-            raise ValueError("fano_index recorded for a non-ample anticanonical class")
+            raise DomainError("fano_index recorded for a non-ample anticanonical class")
         object.__setattr__(self, "gen_index", gen_index)
         object.__setattr__(self, "fano_index", fano_index)
         object.__setattr__(self, "seshadri_antican", seshadri_antican)

@@ -20,6 +20,7 @@ from .bundle import (
     BundleVariety,
     generalized_index,
     relative_anticanonical,
+    seshadri_constant,
     seshadri_polarization,
 )
 from .errors import DomainError, UnsupportedRequest
@@ -214,15 +215,15 @@ def oracle_agreement_check(
 
 
 def seshadri_scaled_check(variety: BundleVariety, inv: InvariantReport) -> CheckOutcome:
-    h0, eps_h0 = seshadri_polarization(variety)
     t = inv.gen_index
     if t is None:
         return skip("seshadri-scaled-polarization", "no generalized index on record")
-    eps = t * eps_h0
+    h0, _ = seshadri_polarization(variety)
+    eps = seshadri_constant(variety, t * h0)
     return passfail(
         "seshadri-scaled-polarization",
         eps == t,
-        f"eps({render_rational(t)}*H0) = {render_rational(eps)} with H0 = {h0}",
+        f"eps({render_rational(t)}*H0) = {render_optional(eps, 'absent')} with H0 = {h0}",
     )
 
 

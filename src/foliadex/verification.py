@@ -249,9 +249,15 @@ class OracleGrid(Frozen):
         object.__setattr__(self, "d_max", d_max)
         object.__setattr__(self, "c_max", c_max)
         for name, least in (
-            ("m_max", 1), ("b1_max", 0), ("rprime_max", 1), ("k_max", 1), ("coeff_max", 1)
+            ("m_max", 1), ("b1_max", 0), ("rprime_max", 1), ("k_max", 1), ("coeff_max", 1),
+            ("d_max", 1),
         ):
             _require_nonempty(name, getattr(self, name), least)
+        if c_max < b1_max * d_max + 1:
+            raise DomainError(
+                f"c_max must be at least b1_max*d_max + 1 = {b1_max * d_max + 1}, got {c_max}: "
+                "the oracle needs an ample class for every d <= d_max on every bundle"
+            )
 
 
 class SynthGrid(Frozen):

@@ -14,6 +14,7 @@ from foliadex.bundle import (
     nef_cone,
     pseff_cone,
     relative_anticanonical,
+    seshadri_constant,
     seshadri_polarization,
 )
 from foliadex.errors import DomainError
@@ -77,6 +78,17 @@ def test_seshadri_polarization():
     assert seshadri_polarization(X_HIRZEBRUCH) == (Class2(1, 1), Fraction(1))
     assert seshadri_polarization(X_CASE1) == (Class2(1, 2), Fraction(1))
     assert seshadri_polarization(BundleVariety(2, 2, (1,))) == (Class2(1, 2), Fraction(1))
+
+
+@given(
+    st.integers(1, 3), st.integers(1, 5), st.integers(0, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)), st.integers(-3, 3),
+)
+def test_seshadri_constant_is_known_only_on_the_h0_ray(k, m, b1, t, off):
+    variety = BundleVariety(k, m, (b1,))
+    h0 = Class2(1, b1 + 1)
+    expected = t if t >= 0 and off == 0 else None
+    assert seshadri_constant(variety, t * h0 + Class2(0, off)) == expected
 
 
 # --- properties -------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Catalog serialization and the standard example catalog."""
 
+import contextlib
 import hashlib
 import io
 import json
 import re
+import time
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from foliadex import (
@@ -273,3 +275,59 @@ def test_stored_checks_all_green(std_catalog):
     for rec in std_catalog.records:
         for outcome in rec.checks:
             assert outcome.status.value != "fail", (rec.id, outcome)
+
+
+def _nodes(value, path=()):
+    """The path of every value inside a JSON value, containers included."""
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from _nodes(child, path + (i,))
+
+
+# each replaces a value with one of another JSON type, a huge integer or
+# arrays nested DEPTH deep; "delete" removes the key or array entry instead
+_DEEP = "deeply nested arrays"
+_MUTATIONS = (
+    "delete", None, True, 0, 1.5, "x", "1/0", [], {}, {"x": 1}, 10**30, -(10**30), _DEEP,
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    index=st.integers(0),
+    node=st.integers(0),
+    mutation=st.sampled_from(_MUTATIONS),
+    depth=st.sampled_from((40, 900, 5000)),
+)
+def test_mutated_one_record_catalogs_end_in_one_line(
+    std_catalog, tmp_path_factory, index, node, mutation, depth
+):
+    # A one-record catalog cut from the standard export, with one value
+    # deleted or replaced, ends verify in exit 0, 1 or 2 with at most one
+    # line of stderr, and never raises out of main.
+    record = record_to_json(std_catalog.records[index % len(std_catalog.records)])
+    paths = list(_nodes(record))[1:]
+    path = paths[node % len(paths)]
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    obj = {"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [record]}
+    text = json.dumps(obj).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+    catalog = tmp_path_factory.mktemp("fuzz") / "catalog.json"
+    catalog.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--catalog", str(catalog)])
+    assert time.perf_counter() - start < 5.0
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()

@@ -470,6 +470,31 @@ def _nested(depth):
             "grid", None, ("synth", "--kind", "seshadri", "--q-max", "0"), None,
             "q_max must be at least 1",
         ),
+        ("grid", None, ("oracle", "--d-max", "0"), None, "d_max must be at least 1"),
+        (
+            "grid", None, ("oracle", "--c-max", "10"), None,
+            "c_max must be at least b1_max*d_max + 1 = 19, got 10",
+        ),
+        (
+            "verify", ("variety", "family"), "klein", None,
+            "variety.family must be one of bundle, wps, cone, polarized-base, got 'klein'",
+        ),
+        ("verify", ("foliation", "recipe"), "zzz", None, "foliation.recipe must be one of"),
+        (
+            "import", ("foliation", "recipe_params", "base", "recipe"), "zzz", _cone,
+            "foliation.recipe_params.base.recipe must be one of",
+        ),
+        ("import", ("foliation", "rank"), 0, _wps, "foliation: rank must satisfy"),
+        ("verify", ("variety", "m"), 0, _bundle, "variety: twist m must be"),
+        ("verify", ("request", "n"), 1, _nine_eighths, "request: need integer n >= 2"),
+        (
+            "verify", ("invariants", "positivity", "pseff"), False, _big_not_ample,
+            "invariants.positivity: inconsistent flags",
+        ),
+        (
+            "verify", ("invariants", "fano_index"), "1", _big_not_ample,
+            "invariants: fano_index recorded for a non-ample anticanonical class",
+        ),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -484,7 +509,9 @@ def _nested(depth):
         "gen-index-decimal", "fano-index-zero-denominator", "seshadri-array", "canonical-gamma",
         "canonical-s-integer", "base-canonical-decimal", "oracle-coeff-negative",
         "oracle-coeff-zero", "oracle-b1-negative", "oracle-k-zero", "oracle-m-zero",
-        "oracle-rprime-zero", "synth-n-one", "synth-q-zero",
+        "oracle-rprime-zero", "synth-n-one", "synth-q-zero", "oracle-d-zero",
+        "oracle-c-short", "variety-family", "recipe", "base-recipe", "foliation-rank-zero",
+        "variety-m-zero", "request-n-one", "positivity-constructor", "report-constructor",
     ],
 )
 def test_bad_input_fails_in_one_line(

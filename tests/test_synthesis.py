@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foliadex
+from foliadex import bundle, invariants, synthesis
 from foliadex import (
     BundleVariety,
     DomainError,
@@ -24,6 +25,7 @@ from foliadex import (
     synthesize,
 )
 from foliadex.catalog import record_to_json
+from foliadex.lattice import Class2
 from foliadex.synthesis import TARGET_FIELD
 
 # every synthesized record must come back with its construction checks green
@@ -230,3 +232,38 @@ def test_records_are_built_only_by_the_assembler_and_the_decoder():
     }
     builders = {c for c in _callers("compute_invariants") if c[0] in ("synthesis.py", "families.py")}
     assert builders == {("synthesis.py", "assemble_record")}
+
+
+def test_each_certified_bundle_fact_has_one_test_and_one_rule():
+    # The witness is tested only by the construction check that stores
+    # the outcome; the Seshadri rule the records use is the one the
+    # check audits.
+    assert _callers("is_valid_for") == {("synthesis.py", "witness_check")}
+    assert _callers("seshadri_constant") == {
+        ("invariants.py", "_bundle_invariants"),
+        ("synthesis.py", "seshadri_scaled_check"),
+    }
+
+
+def test_an_invalid_witness_is_stored_as_fail(monkeypatch):
+    monkeypatch.setattr(bundle.IndexWitness, "is_valid_for", lambda self, variety, cls: False)
+    value, _ = bundle.generalized_index(BundleVariety(1, 2, (1, 1)), Class2(3, 0))
+    assert value == Fraction(3, 2)
+    statuses = {c.name: c.status.value for c in synth_generalized_index(3, 2, "3/2").checks}
+    assert statuses["index-witness-valid"] == "fail"
+    assert statuses["target-invariant-exact"] == "pass"
+
+
+def test_a_wrong_seshadri_rule_is_stored_as_fail(monkeypatch):
+    honest = bundle.seshadri_constant
+
+    def doubled_on_the_ray(variety, cls):
+        eps = honest(variety, cls)
+        return None if eps is None else 2 * eps
+
+    for module in (invariants, synthesis):
+        monkeypatch.setattr(module, "seshadri_constant", doubled_on_the_ray)
+    record = synth_generalized_index(3, 2, "3/2")
+    check = next(c for c in record.checks if c.name == "seshadri-scaled-polarization")
+    assert check.status.value == "fail"
+    assert check.detail == "eps(3/2*H0) = 3 with H0 = (1, 2)"
