@@ -9,9 +9,12 @@ class, which each recipe derives from its ambient and parameters, and
 the ranks and leaf status a pullback or cone inherits from its base
 foliation.  A stored value that differs is a DomainError.  Every object
 of a record must have exactly the keys its export writes, or the import
-is a ParseError naming the key.  Stored invariants and check outcomes
-are parsed verbatim rather than recomputed, so an edited invariant
-survives the round trip and is caught by the verification layer.
+is a ParseError naming the key.  A record's variety must be a bundle,
+a weighted projective space or a cone, the ambients compute_invariants
+accepts; a polarized base is accepted only as a cone's base or as a
+base foliation's ambient.  Stored invariants and check outcomes are
+parsed verbatim rather than recomputed, so an edited invariant survives
+the round trip and is caught by the verification layer.
 """
 
 from __future__ import annotations
@@ -285,7 +288,7 @@ def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
         raise _refused(path, exc) from None
     if stored != fol.canonical:
         raise DomainError(
-            f"stored canonical class {stored} differs from {fol.canonical}, "
+            f"{path}.canonical: stored canonical class {stored} differs from {fol.canonical}, "
             f"derived from the {fol.recipe.kind} recipe"
         )
     return fol
@@ -385,13 +388,14 @@ def _record_from_json(obj) -> ExampleRecord:
     record_id, request, branch, variety, foliation, invariants, checks = _fields(
         obj, "record", names
     )
+    ambient = _variety_from_json(variety, "variety")
+    if isinstance(ambient, PolarizedBase):
+        raise _not_one_of(("bundle", "wps", "cone"), "polarized-base", "variety", "family")
     return ExampleRecord(
         id=_typed(record_id, str, "record", "id"),
         request=_request_from_json(request),
         branch=_typed(branch, str, "record", "branch"),
-        foliation=_fol_from_json(
-            foliation, "foliation", ambient=_variety_from_json(variety, "variety")
-        ),
+        foliation=_fol_from_json(foliation, "foliation", ambient=ambient),
         invariants=_invariants_from_json(invariants),
         checks=tuple(
             _check_from_json(c, f"checks[{i}]")

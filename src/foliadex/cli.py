@@ -31,14 +31,7 @@ from .oracle import kernel_backend
 from .report import CheckStatus, SweepReport
 from .synthesis import ExampleRecord, SynthesisRequest, SynthKind, synthesize
 from .tables import FAMILY_PARAMS, parse_range, table_rows
-from .verification import (
-    EmptyGrid,
-    OracleGrid,
-    StandardGrid,
-    SynthGrid,
-    run_sweep,
-    verify_catalog,
-)
+from .verification import OracleGrid, SynthGrid, run_sweep, verify_catalog
 
 FORMATS = ("json", "csv", "table")
 
@@ -160,22 +153,17 @@ def cmd_verify(args) -> int:
         source = f"catalog {args.catalog}"
     else:
         if args.grid == "standard":
-            grid = StandardGrid()
+            report = verify_catalog(standard_catalog().records)
         elif args.grid == "oracle":
-            grid = OracleGrid(
-                **{name: getattr(args, name) for name in OracleGrid.__slots__}
-            )
-        elif args.grid == "synth":
-            if args.kind is None:
-                raise DomainError("--grid synth needs --kind")
-            grid = SynthGrid(
-                kind=SynthKind.from_text(args.kind),
-                n_max=args.n_max,
-                q_max=args.q_max,
+            report = run_sweep(
+                OracleGrid(**{name: getattr(args, name) for name in OracleGrid.__slots__})
             )
         else:
-            grid = EmptyGrid()
-        report = run_sweep(grid)
+            if args.kind is None:
+                raise DomainError("--grid synth needs --kind")
+            report = run_sweep(
+                SynthGrid(kind=SynthKind.from_text(args.kind), n_max=args.n_max, q_max=args.q_max)
+            )
         source = f"grid {args.grid}"
     print(_render_report(report, fmt, source))
     return 0 if report.ok else 1
@@ -341,7 +329,7 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument(
         "--grid",
-        choices=("standard", "oracle", "synth", "empty"),
+        choices=("standard", "oracle", "synth"),
         default="standard",
     )
     verify.add_argument("--catalog", default=None, help="verify an exported catalog file")

@@ -27,11 +27,6 @@ from fractions import Fraction
 from .errors import DomainError, ParseError
 from .value import Frozen
 
-# The canonical exact rational type.  Fraction normalizes to lowest terms
-# with a positive denominator on construction, which gives structural
-# equality and stable rendering for free.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
@@ -214,6 +209,3 @@ class Cone2(Frozen):
         if a > 0 and b > 0:
             return Membership.INTERIOR
         return Membership.BOUNDARY
-
-    def contains(self, cls: Class2) -> bool:
-        return self.membership(cls) is not Membership.OUTSIDE

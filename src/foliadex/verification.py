@@ -19,8 +19,8 @@ from .errors import DomainError, UnsupportedRequest
 from .foliation import LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
 from .lattice import Class2, reduced_targets, render_rational
-from .oracle import audited_index, kernel_backend, oracle_generalized_index
-from .report import CheckOutcome, CheckReport, CheckStatus, SweepReport
+from .oracle import audited_index, oracle_generalized_index
+from .report import CheckOutcome, CheckReport, CheckStatus, InvariantReport, SweepReport
 from .synthesis import (
     TARGET_FIELD,
     ExampleRecord,
@@ -40,10 +40,7 @@ __all__ = [
     "run_sweep",
     "OracleGrid",
     "SynthGrid",
-    "StandardGrid",
-    "EmptyGrid",
     "oracle_generalized_index",
-    "kernel_backend",
 ]
 
 
@@ -136,8 +133,7 @@ def check_record(record: ExampleRecord) -> CheckReport:
     return CheckReport(record_id=record.id, outcomes=tuple(outcomes))
 
 
-def _recomputation_outcome(record: ExampleRecord) -> CheckOutcome:
-    recomputed = compute_invariants(record.foliation)
+def _recomputation_outcome(record: ExampleRecord, recomputed: InvariantReport) -> CheckOutcome:
     ok = recomputed == record.invariants
     detail = "recomputed invariants equal the stored ones" if ok else (
         f"stored {record.invariants} != recomputed {recomputed}"
@@ -145,16 +141,21 @@ def _recomputation_outcome(record: ExampleRecord) -> CheckOutcome:
     return passfail("stored-invariants-match-recomputation", ok, detail)
 
 
-def _oracle_outcome(record: ExampleRecord) -> CheckOutcome:
+def _oracle_outcome(record: ExampleRecord, recomputed: InvariantReport) -> CheckOutcome:
+    """The recomputed closed form against the enumeration and the stored value.
+
+    Whether -K is big is read from the recomputation, never from the
+    stored invariants, so an edited record cannot hand the oracle a class
+    that is not big.
+    """
     name = "closed-form-vs-oracle"
     variety = record.variety
     if not isinstance(variety, BundleVariety):
         return skip(name, "enumeration oracle needs a rank-two lattice model")
-    if record.invariants.gen_index is None:
+    value = recomputed.gen_index
+    if value is None:
         return skip(name, "anticanonical class not big")
-    antican = -record.foliation.canonical
-    value, _ = generalized_index(variety, antican)
-    enumerated, rectangle = audited_index(variety, antican)
+    enumerated, rectangle = audited_index(variety, -record.foliation.canonical)
     ok = value == enumerated == record.invariants.gen_index
     detail = (
         f"closed form {render_rational(value)}, {rectangle} "
@@ -181,9 +182,12 @@ def _stored_checks_outcome(record: ExampleRecord) -> CheckOutcome:
 
 
 def verify_record(record: ExampleRecord) -> CheckReport:
-    outcomes = [_recomputation_outcome(record)]
+    """Every check of one record; its invariants are recomputed once and
+    that recomputation feeds both checks that need it."""
+    recomputed = compute_invariants(record.foliation)
+    outcomes = [_recomputation_outcome(record, recomputed)]
     outcomes.extend(check_record(record).outcomes)
-    outcomes.append(_oracle_outcome(record))
+    outcomes.append(_oracle_outcome(record, recomputed))
     outcomes.append(_stored_checks_outcome(record))
     return CheckReport(record_id=record.id, outcomes=tuple(outcomes))
 
@@ -276,18 +280,6 @@ class SynthGrid(Frozen):
         _require_nonempty("q_max", q_max, 1)
 
 
-class StandardGrid(Frozen):
-    """The packaged standard catalog."""
-
-    __slots__ = ()
-
-
-class EmptyGrid(Frozen):
-    """No checks at all: an empty SweepReport."""
-
-    __slots__ = ()
-
-
 def _oracle_sweep(grid: OracleGrid) -> SweepReport:
     """One row per (variety, class), one audit per distinct (m, b1, class).
 
@@ -368,10 +360,4 @@ def run_sweep(grid) -> SweepReport:
         return _oracle_sweep(grid)
     if isinstance(grid, SynthGrid):
         return _synth_sweep(grid)
-    if isinstance(grid, StandardGrid):
-        from .catalog import standard_catalog
-
-        return verify_catalog(standard_catalog().records)
-    if isinstance(grid, EmptyGrid):
-        return SweepReport()
     raise TypeError(f"unknown grid {grid!r}")

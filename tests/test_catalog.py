@@ -19,6 +19,7 @@ from foliadex import (
     Class2,
     DomainError,
     ExampleRecord,
+    FoliadexError,
     ParseError,
     compute_invariants,
     export_catalog,
@@ -296,19 +297,17 @@ _MUTATIONS = (
 )
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+_MUTATED = dict(
     index=st.integers(0),
     node=st.integers(0),
     mutation=st.sampled_from(_MUTATIONS),
     depth=st.sampled_from((40, 900, 5000)),
 )
-def test_mutated_one_record_catalogs_end_in_one_line(
-    std_catalog, tmp_path_factory, index, node, mutation, depth
-):
-    # A one-record catalog cut from the standard export, with one value
-    # deleted or replaced, ends verify in exit 0, 1 or 2 with at most one
-    # line of stderr, and never raises out of main.
+
+
+def _mutated_catalog(std_catalog, tmp_path_factory, index, node, mutation, depth):
+    """A one-record catalog file cut from the standard export, with one
+    value deleted or replaced."""
     record = record_to_json(std_catalog.records[index % len(std_catalog.records)])
     paths = list(_nodes(record))[1:]
     path = paths[node % len(paths)]
@@ -323,11 +322,45 @@ def test_mutated_one_record_catalogs_end_in_one_line(
     text = json.dumps(obj).replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
     catalog = tmp_path_factory.mktemp("fuzz") / "catalog.json"
     catalog.write_text(text)
+    return catalog
+
+
+def _verify(catalog):
+    """main's exit code and stderr for verify --catalog."""
     out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", "--catalog", str(catalog)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**_MUTATED)
+def test_mutated_one_record_catalogs_end_in_one_line(
+    std_catalog, tmp_path_factory, index, node, mutation, depth
+):
+    # A mutated one-record catalog ends verify in exit 0, 1 or 2 with at
+    # most one line of stderr, and never raises out of main.
+    catalog = _mutated_catalog(std_catalog, tmp_path_factory, index, node, mutation, depth)
+    start = time.perf_counter()
+    code, err = _verify(catalog)
     assert time.perf_counter() - start < 5.0
     assert code in (0, 1, 2)
-    assert err.getvalue().count("\n") <= 1
-    assert "Traceback" not in err.getvalue()
+    assert err.count("\n") <= 1
+    assert "Traceback" not in err
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**_MUTATED)
+def test_imported_mutations_verify_to_a_report(
+    std_catalog, tmp_path_factory, index, node, mutation, depth
+):
+    # verify decides what to compute from its own recomputation, so a
+    # catalog that import accepts gets a report, whatever it stores.
+    catalog = _mutated_catalog(std_catalog, tmp_path_factory, index, node, mutation, depth)
+    try:
+        import_catalog(catalog.read_text())
+    except FoliadexError:
+        return
+    code, err = _verify(catalog)
+    assert code in (0, 1)
+    assert err == ""

@@ -14,7 +14,15 @@ from pathlib import Path
 import pytest
 
 import foliadex
-from foliadex import SCHEMA_VERSION, Catalog, export_catalog, record_to_json
+from foliadex import (
+    SCHEMA_VERSION,
+    Catalog,
+    CheckStatus,
+    export_catalog,
+    import_catalog,
+    record_to_json,
+    verify_record,
+)
 from foliadex.cli import build_parser, main
 from foliadex.verification import OracleGrid
 
@@ -291,6 +299,66 @@ def test_request_off_its_target_fails_verify(capsys, tmp_path, std_catalog):
     assert "target-invariant-exact on re-run" in out
 
 
+def _one_record_file(std_catalog, path, record_id, edit):
+    """A catalog file holding the record record_id after edit(record JSON)."""
+    record = next(r for r in std_catalog.records if r.id == record_id)
+    obj = json.loads(export_catalog(Catalog(metadata={}, records=(record,))))
+    edit(obj["records"][0])
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _degree_sixteen_base(record):
+    # p 13 -> 15 moves K from (-2, 14) to (-2, 16), so -K = (2, -16) is not
+    # big; both stored canonicals follow, and the stored invariants do not
+    base = record["foliation"]["recipe_params"]["base"]
+    base["recipe_params"]["p"] = 15
+    base["canonical"]["s"] = "15"
+    record["foliation"]["canonical"]["gamma"] = "16"
+
+
+def test_consistent_edit_to_a_class_that_is_not_big_fails_verify(capsys, tmp_path, std_catalog):
+    # whether the oracle runs is decided by the recomputed invariants, so
+    # the stored gen_index of 1/8 cannot send it a class that is not big
+    record_id = "generalized-index:case2:n=3:r=1:c=1/8"
+    path = _one_record_file(std_catalog, tmp_path / "edited.json", record_id, _degree_sixteen_base)
+    code, out, err = run(capsys, "catalog", "import", "--in", str(path))
+    assert (code, err) == (0, "")
+
+    code, out, err = run(capsys, "verify", "--catalog", str(path), "--out", "json")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert [f["check"] for f in report["failures"]] == ["stored-invariants-match-recomputation"]
+    (record,) = import_catalog(path.read_text()).records
+    outcomes = {o.name: o for o in verify_record(record).outcomes}
+    oracle = outcomes["closed-form-vs-oracle"]
+    assert (oracle.status, oracle.detail) == (CheckStatus.SKIP, "anticanonical class not big")
+
+
+def _base_as_variety(record):
+    # the cone's base foliation, a fibration on a polarized base, made the record's own
+    base = record["foliation"]["recipe_params"]["base"]
+    record["variety"] = base.pop("ambient")
+    record["foliation"] = base
+
+
+@pytest.mark.parametrize("command", ["import", "verify"])
+def test_polarized_base_variety_is_refused(capsys, tmp_path, std_catalog, command):
+    path = _one_record_file(
+        std_catalog, tmp_path / "base.json", "table:rc-flat:n=4:r=2:m=2", _base_as_variety
+    )
+    if command == "import":
+        argv = ["catalog", "import", "--in", str(path)]
+    else:
+        argv = ["verify", "--catalog", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: malformed record at position 0: "
+        "variety.family must be one of bundle, wps, cone, got 'polarized-base'\n"
+    )
+
+
 def _big_not_ample(record):
     inv = record["invariants"]
     return inv["gen_index"] is not None and not inv["positivity"]["ample"]
@@ -397,7 +465,10 @@ def _nested(depth):
         ("import", ("metadata", "i"), float("inf"), None, None),
         ("import", ("metadata", "i"), _nested(900), None, None),
         ("verify", ("metadata", "deep key"), {"a": 1}, None, None),
-        ("verify", ("foliation", "canonical", "gamma"), "-40", _nine_eighths, None),
+        (
+            "verify", ("foliation", "canonical", "gamma"), "-40", _nine_eighths,
+            "foliation.canonical: stored canonical class (-3, -40) differs",
+        ),
         ("verify", ("foliation", "recipe_params", "j"), 0, _coordinate, None),
         (
             "verify", ("foliation", "recipe_params", "base", "ambient", "weights"),
@@ -495,6 +566,10 @@ def _nested(depth):
             "verify", ("invariants", "fano_index"), "1", _big_not_ample,
             "invariants: fano_index recorded for a non-ample anticanonical class",
         ),
+        (
+            "import", ("foliation", "recipe_params", "base", "canonical", "s"), "1/2", _cone,
+            "foliation.recipe_params.base.canonical: stored canonical class (1/2)H differs",
+        ),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -512,6 +587,7 @@ def _nested(depth):
         "oracle-rprime-zero", "synth-n-one", "synth-q-zero", "oracle-d-zero",
         "oracle-c-short", "variety-family", "recipe", "base-recipe", "foliation-rank-zero",
         "variety-m-zero", "request-n-one", "positivity-constructor", "report-constructor",
+        "base-canonical-mismatch",
     ],
 )
 def test_bad_input_fails_in_one_line(

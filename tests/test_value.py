@@ -21,7 +21,6 @@ from foliadex import (
     Cone2,
     ConeInduced,
     CoordinateProjection,
-    EmptyGrid,
     ExampleRecord,
     FibrationInduced,
     FoliationDescriptor,
@@ -35,7 +34,6 @@ from foliadex import (
     Positivity,
     PullbackOverBundle,
     RankOneClass,
-    StandardGrid,
     SweepReport,
     SynthesisRequest,
     SynthGrid,
@@ -117,8 +115,6 @@ SAMPLES = {
         ("m_max", "b1_max", "rprime_max", "k_max", "coeff_max", "d_max", "c_max"),
     ),
     SynthGrid: (lambda: SynthGrid(SynthKind.SESHADRI, 4, 6), ("kind", "n_max", "q_max")),
-    StandardGrid: (StandardGrid, ()),
-    EmptyGrid: (EmptyGrid, ()),
     Catalog: (lambda: Catalog({"a": 1}, (_RECORD,)), ("metadata", "records")),
 }
 

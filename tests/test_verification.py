@@ -11,7 +11,6 @@ from foliadex import (
     CheckStatus,
     Class2,
     DomainError,
-    EmptyGrid,
     OracleGrid,
     SynthGrid,
     SynthKind,
@@ -246,11 +245,6 @@ def test_synth_sweep_is_clean():
     assert report.failed == 0
     assert report.total == 1032
     assert report.skipped >= 6  # unsupported corners show up as skips, not failures
-
-
-def test_empty_grid():
-    report = run_sweep(EmptyGrid())
-    assert (report.total, report.passed, report.failed, report.skipped) == (0, 0, 0, 0)
 
 
 def test_unknown_grid_rejected():
