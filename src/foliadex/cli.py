@@ -3,8 +3,8 @@
 Exit codes: 0 on success (and on a verify run with no failures), 1 for
 input errors and verify runs with failures, 2 for requests outside the
 supported constructions.  Output format is chosen by --out (json, csv
-or table), defaulting to the FOLIADEX_OUT environment variable and then
-to table.  All output is byte-deterministic for fixed inputs.
+or table, the default).  All output is byte-deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -42,15 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_format(value: Optional[str]) -> str:
-    fmt = value if value is not None else os.environ.get("FOLIADEX_OUT") or "table"
-    if fmt not in FORMATS:
-        raise DomainError(
-            f"unknown output format {fmt!r}; expected one of {', '.join(FORMATS)}"
-        )
-    return fmt
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -114,11 +104,10 @@ def _render_record(record: ExampleRecord, fmt: str) -> str:
 
 
 def cmd_synth(args) -> int:
-    fmt = _resolve_format(args.out)
     kind = SynthKind.from_text(args.kind)
     request = SynthesisRequest(kind, args.n, args.r, parse_rational(args.c))
     record = synthesize(request)
-    print(_render_record(record, fmt))
+    print(_render_record(record, args.out))
     return 0
 
 
@@ -147,7 +136,6 @@ def _render_report(report: SweepReport, fmt: str, source: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    fmt = _resolve_format(args.out)
     if args.catalog is not None:
         report = verify_catalog(_read_catalog(args.catalog).records)
         source = f"catalog {args.catalog}"
@@ -165,7 +153,7 @@ def cmd_verify(args) -> int:
                 SynthGrid(kind=SynthKind.from_text(args.kind), n_max=args.n_max, q_max=args.q_max)
             )
         source = f"grid {args.grid}"
-    print(_render_report(report, fmt, source))
+    print(_render_report(report, args.out, source))
     return 0 if report.ok else 1
 
 
@@ -204,7 +192,6 @@ def _row_cells(row, columns: Sequence[str]) -> list:
 
 
 def cmd_table(args) -> int:
-    fmt = _resolve_format(args.out)
     ranges = {
         name: parse_range(getattr(args, name))
         for name in _table_params()
@@ -213,7 +200,7 @@ def cmd_table(args) -> int:
     rows = table_rows(args.family, ranges)
     columns = list(FAMILY_PARAMS[args.family]) + list(_INVARIANT_COLUMNS)
     cells = [_row_cells(row, columns) for row in rows]
-    if fmt == "json":
+    if args.out == "json":
         payload = [
             {**dict(zip(columns, row_cells)), "id": row.record.id}
             for row, row_cells in zip(rows, cells)
@@ -221,7 +208,7 @@ def cmd_table(args) -> int:
         print(jsontext.render({"family": args.family, "columns": columns, "rows": payload}))
         return 0
     text_rows = [["" if cell is None else str(cell) for cell in row_cells] for row_cells in cells]
-    if fmt == "csv":
+    if args.out == "csv":
         print(_csv_text(columns, text_rows).rstrip("\n"))
     else:
         print(_aligned(columns, text_rows))
@@ -233,7 +220,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_info(args) -> int:
-    fmt = _resolve_format(args.out)
     info = {
         "name": "foliadex",
         "version": __version__,
@@ -242,14 +228,14 @@ def cmd_info(args) -> int:
         "table_families": sorted(FAMILY_PARAMS),
         "synth_kinds": [kind.value for kind in SynthKind],
     }
-    if fmt == "json":
+    if args.out == "json":
         print(jsontext.render(info))
         return 0
     pairs = [
         (key, ", ".join(value) if isinstance(value, list) else value)
         for key, value in info.items()
     ]
-    print(_render_pairs(pairs, fmt))
+    print(_render_pairs(pairs, args.out))
     return 0
 
 
@@ -305,8 +291,8 @@ def _add_out(parser) -> None:
     parser.add_argument(
         "--out",
         choices=FORMATS,
-        default=None,
-        help="output format (default: FOLIADEX_OUT or table)",
+        default="table",
+        help="output format (default: table)",
     )
 
 
@@ -382,10 +368,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedRequest as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, DomainError, OSError, OverflowError) as exc:
+        # OverflowError: an integer argument too large to be a tuple length
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

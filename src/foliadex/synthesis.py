@@ -370,6 +370,14 @@ def assemble_record(
     )
 
 
+def record_id(request: SynthesisRequest, branch: str) -> str:
+    """The id of the record built for request on branch."""
+    return (
+        f"{request.kind.value}:{branch}:n={request.n}:r={request.r}"
+        f":c={render_rational(request.c)}"
+    )
+
+
 def _synth_record(
     request: SynthesisRequest,
     branch: str,
@@ -392,11 +400,7 @@ def _synth_record(
             yield positivity_check(inv, "ample")
         yield from extra
 
-    record_id = (
-        f"{request.kind.value}:{branch}:n={request.n}:r={request.r}"
-        f":c={render_rational(request.c)}"
-    )
-    return assemble_record(record_id, request, branch, fol, checks)
+    return assemble_record(record_id(request, branch), request, branch, fol, checks)
 
 
 def _pn_record(request: SynthesisRequest) -> ExampleRecord:

@@ -1,12 +1,13 @@
 """Machine verification: per-record audits and parameter sweeps.
 
-A record is audited on four layers: its stored invariants are recomputed
-from the geometry, the general inequalities between the invariants are
-checked, the closed-form generalized index is compared against the
-enumeration oracle where a rank-two model exists, and the stored
-construction checks are read for failures, with a synth record's
-exact-target check re-run from its request.  Sweeps aggregate these
-audits over parameter grids into a SweepReport.
+A record is audited on four layers, all graded on one recomputation of
+its invariants from the geometry: the stored invariants are compared
+with it, the general inequalities between the invariants are checked,
+the closed-form generalized index is compared against the enumeration
+oracle where a rank-two model exists, and the stored construction checks
+are read for failures, with a synth record's exact-target check re-run
+from its request.  Sweeps aggregate these audits over parameter grids
+into a SweepReport.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .bundle import BundleVariety, classify_divisor, generalized_index
 from .errors import DomainError, UnsupportedRequest
-from .foliation import LeafStatus
+from .foliation import FoliationDescriptor, LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
 from .lattice import Class2, reduced_targets, render_rational
 from .oracle import audited_index, oracle_generalized_index
@@ -27,6 +28,7 @@ from .synthesis import (
     SynthesisRequest,
     SynthKind,
     passfail,
+    record_id,
     skip,
     synthesize,
     target_check,
@@ -45,9 +47,14 @@ __all__ = [
 
 
 def check_record(record: ExampleRecord) -> CheckReport:
-    """The six inequality and classification checks, always in this order."""
-    inv = record.invariants
-    fol = record.foliation
+    """The six inequality and classification checks on the record's
+    recomputed invariants, always in this order."""
+    outcomes = _theorem_outcomes(record.foliation, compute_invariants(record.foliation))
+    return CheckReport(record_id=record.id, outcomes=outcomes)
+
+
+def _theorem_outcomes(fol: FoliationDescriptor, inv: InvariantReport) -> tuple[CheckOutcome, ...]:
+    """The six checks of check_record, graded on inv."""
     ra = fol.algebraic_rank
     outcomes = []
 
@@ -130,7 +137,7 @@ def check_record(record: ExampleRecord) -> CheckReport:
         )
         outcomes.append(passfail("maximal-seshadri-classification", ok, detail))
 
-    return CheckReport(record_id=record.id, outcomes=tuple(outcomes))
+    return tuple(outcomes)
 
 
 def _recomputation_outcome(record: ExampleRecord, recomputed: InvariantReport) -> CheckOutcome:
@@ -165,13 +172,13 @@ def _oracle_outcome(record: ExampleRecord, recomputed: InvariantReport) -> Check
     return passfail(name, ok, detail)
 
 
-def _stored_checks_outcome(record: ExampleRecord) -> CheckOutcome:
+def _stored_checks_outcome(record: ExampleRecord, recomputed: InvariantReport) -> CheckOutcome:
     """Fails on a stored check that failed, and on a synth record whose
-    invariants miss its request's target, by re-running that check."""
+    recomputed invariants miss its request's target."""
     failed = [c.name for c in record.checks if c.status is CheckStatus.FAIL]
     request = record.request
     if request is not None:
-        rerun = target_check(record.invariants, TARGET_FIELD[request.kind], request.c)
+        rerun = target_check(recomputed, TARGET_FIELD[request.kind], request.c)
         if rerun.status is CheckStatus.FAIL:
             failed.append(f"{rerun.name} on re-run ({rerun.detail})")
     detail = (
@@ -182,14 +189,16 @@ def _stored_checks_outcome(record: ExampleRecord) -> CheckOutcome:
 
 
 def verify_record(record: ExampleRecord) -> CheckReport:
-    """Every check of one record; its invariants are recomputed once and
-    that recomputation feeds both checks that need it."""
+    """Every check of one record, graded on one recomputation of its
+    invariants; the stored ones are only compared with it."""
     recomputed = compute_invariants(record.foliation)
-    outcomes = [_recomputation_outcome(record, recomputed)]
-    outcomes.extend(check_record(record).outcomes)
-    outcomes.append(_oracle_outcome(record, recomputed))
-    outcomes.append(_stored_checks_outcome(record))
-    return CheckReport(record_id=record.id, outcomes=tuple(outcomes))
+    outcomes = (
+        _recomputation_outcome(record, recomputed),
+        *_theorem_outcomes(record.foliation, recomputed),
+        _oracle_outcome(record, recomputed),
+        _stored_checks_outcome(record, recomputed),
+    )
+    return CheckReport(record_id=record.id, outcomes=outcomes)
 
 
 def verify_catalog(records) -> SweepReport:
@@ -344,11 +353,9 @@ def _synth_sweep(grid: SynthGrid) -> SweepReport:
                 try:
                     record = synthesize(request)
                 except UnsupportedRequest as exc:
-                    record_id = (
-                        f"{grid.kind.value}:unsupported:n={n}:r={r}"
-                        f":c={render_rational(c)}"
+                    report.add(
+                        record_id(request, "unsupported"), skip("synthesis-supported", str(exc))
                     )
-                    report.add(record_id, skip("synthesis-supported", str(exc)))
                     continue
                 for outcome in verify_record(record).outcomes:
                     report.add(record.id, outcome)

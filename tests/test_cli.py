@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, file round trips."""
 
+import ast
 import csv
 import errno
 import hashlib
@@ -172,14 +173,26 @@ def test_table_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def test_format_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("FOLIADEX_OUT", "json")
-    code, out, _ = run(capsys, "info")
-    assert code == 0
-    assert json.loads(out)["name"] == "foliadex"
+def _environment_reads(tree):
+    """Line numbers of os.environ and os.getenv uses, however imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                yield node.lineno
 
-    monkeypatch.setenv("FOLIADEX_OUT", "bogus")
-    assert main(["info"]) == 1
+
+def test_package_reads_no_environment():
+    # Output depends on the arguments alone; a new knob needs this test changed.
+    sources = sorted(Path(foliadex.__file__).parent.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{line}"
+        for path in sources
+        for line in _environment_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
 
 
 def test_catalog_file_round_trip(capsys, tmp_path, std_catalog):
@@ -318,8 +331,9 @@ def _degree_sixteen_base(record):
 
 
 def test_consistent_edit_to_a_class_that_is_not_big_fails_verify(capsys, tmp_path, std_catalog):
-    # whether the oracle runs is decided by the recomputed invariants, so
-    # the stored gen_index of 1/8 cannot send it a class that is not big
+    # the checks grade the recomputed invariants, so the stored gen_index
+    # of 1/8 neither sends the oracle a class that is not big nor meets the
+    # request's target
     record_id = "generalized-index:case2:n=3:r=1:c=1/8"
     path = _one_record_file(std_catalog, tmp_path / "edited.json", record_id, _degree_sixteen_base)
     code, out, err = run(capsys, "catalog", "import", "--in", str(path))
@@ -328,11 +342,20 @@ def test_consistent_edit_to_a_class_that_is_not_big_fails_verify(capsys, tmp_pat
     code, out, err = run(capsys, "verify", "--catalog", str(path), "--out", "json")
     assert (code, err) == (1, "")
     report = json.loads(out)
-    assert [f["check"] for f in report["failures"]] == ["stored-invariants-match-recomputation"]
+    assert [f["check"] for f in report["failures"]] == [
+        "stored-invariants-match-recomputation",
+        "stored-construction-checks",
+    ]
+    assert report["failures"][1]["detail"] == (
+        "failed: target-invariant-exact on re-run (gen_index = absent, target 1/8)"
+    )
     (record,) = import_catalog(path.read_text()).records
     outcomes = {o.name: o for o in verify_record(record).outcomes}
     oracle = outcomes["closed-form-vs-oracle"]
     assert (oracle.status, oracle.detail) == (CheckStatus.SKIP, "anticanonical class not big")
+    # the theorem checks grade the recomputation, which has no generalized index
+    index = outcomes["kobayashi-ochiai-generalized"]
+    assert (index.status, index.detail) == (CheckStatus.SKIP, "no generalized index on record")
 
 
 def _base_as_variety(record):
@@ -636,6 +659,26 @@ def test_bad_input_fails_in_one_line(
         assert "position 0" in err  # the mutated record is the catalog's only one
         if added:  # a key the schema does not know is named
             assert f"{path[-2]}.{path[-1]} " in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "--kind", "fano-index", "--n", "1000000000000000000000", "--r", "1", "--c", "1"),
+        ("table", "--family", "cone", "--rprime", "1000000000000000000000", "--m", "1", "--d", "0"),
+        (
+            "table", "--family", "cone", "--rprime", "1", "--m", "1", "--d", "0",
+            "--base-dim", "100000000000000000000",
+        ),
+    ],
+    ids=["synth-n", "cone-rprime", "cone-base-dim"],
+)
+def test_integer_too_large_for_a_length_fails_in_one_line(capsys, argv):
+    # these build tuples of the given length, which Python refuses at once
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 3)])

@@ -1,12 +1,16 @@
 """Machine verification: the oracle, the record checks, and the sweeps."""
 
+import ast
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from foliadex import (
+    SCHEMA_VERSION,
     BundleVariety,
     CheckStatus,
     Class2,
@@ -16,9 +20,11 @@ from foliadex import (
     SynthKind,
     check_record,
     generalized_index,
+    import_catalog,
     mixed_record,
     oracle_generalized_index,
     rc_genus_record,
+    record_to_json,
     render_rational,
     run_sweep,
     synth_fano_index,
@@ -162,6 +168,53 @@ def test_verify_record_recomputes_everything():
     assert "stored-invariants-match-recomputation" in names
     assert "closed-form-vs-oracle" in names
     assert "stored-construction-checks" in names
+
+
+def _attribute_readers(tree, attr):
+    """Names of the functions that read the attribute attr; "<module>" at top level."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_stored_invariants_are_read_only_where_compared():
+    # Every other check grades the recomputation, so a stored claim can
+    # fail its comparison but cannot decide another outcome.
+    tree = ast.parse(Path(verification.__file__).read_text(encoding="utf-8"))
+    assert _attribute_readers(tree, "invariants") == {
+        "_recomputation_outcome",
+        "_oracle_outcome",
+    }
+
+
+_COMPARED = ("stored-invariants-match-recomputation", "closed-form-vs-oracle")
+
+
+@given(st.integers(0), st.integers(0))
+@settings(max_examples=60, deadline=None)
+def test_swapped_invariants_change_only_the_comparisons(std_catalog, honest, donor):
+    # A record storing another record's invariants still decodes; only the
+    # two checks that compare stored values with the recomputation may differ.
+    records = std_catalog.records
+    record = records[honest % len(records)]
+    obj = record_to_json(record)
+    obj["invariants"] = record_to_json(records[donor % len(records)])["invariants"]
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [obj]})
+    (swapped,) = import_catalog(text).records
+
+    def graded(rec):
+        return [o for o in verify_record(rec).outcomes if o.name not in _COMPARED]
+
+    assert graded(swapped) == graded(record)
 
 
 def test_small_oracle_sweep_is_clean():
