@@ -12,7 +12,9 @@ geometry, and every record carries construction-time check outcomes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -73,6 +75,19 @@ TARGET_FIELD = {
 }
 
 
+def require_length(name: str, value: int) -> None:
+    """Refuse a dimension or rank too large for the tuples built from it.
+
+    P^k has k + 1 weights and a rank r bundle r twists, and no tuple is
+    longer than sys.maxsize, so the error names the argument before a
+    constructor fails on a bare length.
+    """
+    if value >= sys.maxsize:
+        raise DomainError(
+            f"{name} = {value} is too large: a dimension or rank must be below {sys.maxsize}"
+        )
+
+
 class SynthesisRequest(Frozen):
     __slots__ = ("kind", "n", "r", "c")
     kind: SynthKind
@@ -84,6 +99,7 @@ class SynthesisRequest(Frozen):
         c = Fraction(c)
         if not isinstance(n, int) or n < 2:
             raise DomainError(f"need integer n >= 2, got {n}")
+        require_length("n", n)
         if not isinstance(r, int) or not (0 < r < n):
             raise DomainError(f"need 0 < r < n, got r={r}, n={n}")
         if c <= 0:
@@ -409,8 +425,11 @@ def _pn_record(request: SynthesisRequest) -> ExampleRecord:
     return _synth_record(request, "pn", fol)
 
 
-def _cone_record(request: SynthesisRequest) -> ExampleRecord:
-    n, r, c = request.n, request.r, request.c
+# The standard catalog builds its 630 cone constructions once for the Fano
+# index, then again for the Seshadri value, so the cache must hold them all.
+@functools.lru_cache(maxsize=1024)
+def _cone_construction(n: int, r: int, c: Fraction) -> tuple[FoliationDescriptor, CheckOutcome]:
+    """The cone foliation realizing c and its cone-resolution check."""
     rprime = c.numerator // c.denominator + 1
     frac = rprime - c
     p, q = frac.numerator, frac.denominator
@@ -422,8 +441,19 @@ def _cone_record(request: SynthesisRequest) -> ExampleRecord:
     else:
         base_fol = transcendental_rank1(n - rprime, p)
     fol = cone_foliation(cone, base_fol)
-    extra = (cone_resolution_check(cone, fol),)
-    return _synth_record(request, "cone", fol, extra)
+    return fol, cone_resolution_check(cone, fol)
+
+
+def _cone_record(request: SynthesisRequest) -> ExampleRecord:
+    """A cone record for a Fano-index or Seshadri target.
+
+    Both kinds build the same cone for the same (n, r, c), so the
+    construction and its check come from a bounded cache, and the two
+    records of a pair share one descriptor.  Their invariants are still
+    computed by assemble_record, once per record.
+    """
+    fol, resolution = _cone_construction(request.n, request.r, request.c)
+    return _synth_record(request, "cone", fol, (resolution,))
 
 
 # ---------------------------------------------------------------------------

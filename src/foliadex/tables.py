@@ -26,7 +26,7 @@ from .families import (
     wps3_record,
     wps4_record,
 )
-from .synthesis import ExampleRecord
+from .synthesis import ExampleRecord, require_length
 from .value import Frozen
 
 # Row builder per family; a builder's parameters are the family's
@@ -52,6 +52,10 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     family: builder.__code__.co_varnames[: builder.__code__.co_argcount]
     for family, builder in _BUILDERS.items()
 }
+
+
+# The parameters that are dimensions or ranks, in every family that has them.
+_LENGTHS = ("n", "r", "rprime", "base_dim")
 
 
 def parse_range(text: str) -> range:
@@ -92,8 +96,12 @@ def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
     missing = [name for name in names if name not in ranges]
     if missing:
         raise DomainError(f"family {family!r} needs ranges for: " + ", ".join(missing))
+    axes = [tuple(ranges[name]) for name in names]
+    for name, axis in zip(names, axes):
+        if name in _LENGTHS and axis:
+            require_length(name, max(axis))
     rows = []
-    for combo in itertools.product(*(tuple(ranges[name]) for name in names)):
+    for combo in itertools.product(*axes):
         values = dict(zip(names, combo))
         try:
             record = _BUILDERS[family](**values)

@@ -188,23 +188,46 @@ def _stored_checks_outcome(record: ExampleRecord, recomputed: InvariantReport) -
     return passfail("stored-construction-checks", not failed, detail)
 
 
+def _outcomes(
+    record: ExampleRecord, recomputed: InvariantReport, theorems: tuple[CheckOutcome, ...]
+) -> tuple[CheckOutcome, ...]:
+    """Every outcome of one record, in report order; theorems are the six
+    checks of check_record, graded on recomputed."""
+    return (
+        _recomputation_outcome(record, recomputed),
+        *theorems,
+        _oracle_outcome(record, recomputed),
+        _stored_checks_outcome(record, recomputed),
+    )
+
+
 def verify_record(record: ExampleRecord) -> CheckReport:
     """Every check of one record, graded on one recomputation of its
     invariants; the stored ones are only compared with it."""
     recomputed = compute_invariants(record.foliation)
-    outcomes = (
-        _recomputation_outcome(record, recomputed),
-        *_theorem_outcomes(record.foliation, recomputed),
-        _oracle_outcome(record, recomputed),
-        _stored_checks_outcome(record, recomputed),
-    )
-    return CheckReport(record_id=record.id, outcomes=outcomes)
+    theorems = _theorem_outcomes(record.foliation, recomputed)
+    return CheckReport(record_id=record.id, outcomes=_outcomes(record, recomputed, theorems))
 
 
 def verify_catalog(records) -> SweepReport:
+    """verify_record over records, recomputing and grading the six theorems
+    once per distinct descriptor object.
+
+    Both depend on the descriptor alone, so records that share one (an
+    import shares equal geometries) share them; the comparisons with the
+    stored invariants and checks still run per record.  The table is keyed
+    by id and holds the descriptor, so no id is reused during the call.
+    """
     report = SweepReport()
+    graded: dict[int, tuple[FoliationDescriptor, InvariantReport, tuple[CheckOutcome, ...]]] = {}
     for record in records:
-        for outcome in verify_record(record).outcomes:
+        fol = record.foliation
+        shared = graded.get(id(fol))
+        if shared is None:
+            recomputed = compute_invariants(fol)
+            shared = graded[id(fol)] = (fol, recomputed, _theorem_outcomes(fol, recomputed))
+        _, recomputed, theorems = shared
+        for outcome in _outcomes(record, recomputed, theorems):
             report.add(record.id, outcome)
     return report
 

@@ -364,3 +364,48 @@ def test_imported_mutations_verify_to_a_report(
     code, err = _verify(catalog)
     assert code in (0, 1)
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# One decoded object per distinct geometry and check.
+
+
+def _cone_pair(records):
+    """The Fano-index cone record and the Seshadri record of the same (n, r, c)."""
+    by_id = {r.id: r for r in records}
+    fano = next(r for r in records if r.id.startswith("fano-index:cone:"))
+    return fano, by_id[fano.id.replace("fano-index", "seshadri", 1)]
+
+
+def test_import_decodes_each_distinct_geometry_once(std_catalog):
+    records = import_catalog(export_catalog(std_catalog)).records
+    assert len(records) == 1833
+    assert len({id(r.foliation) for r in records}) == 1104
+    assert len({id(r.invariants) for r in records}) == 1104
+    assert len({id(c) for r in records for c in r.checks}) == 941
+    assert sum(len(r.checks) for r in records) == 5829
+
+
+def test_records_sharing_a_geometry_keep_their_own_fields(std_catalog):
+    fano, sesh = _cone_pair(import_catalog(export_catalog(std_catalog)).records)
+    assert fano.foliation is sesh.foliation and fano.invariants is sesh.invariants
+    assert fano.id != sesh.id
+    assert fano.request.kind.value == "fano-index" and sesh.request.kind.value == "seshadri"
+    assert fano.checks[0].detail.startswith("fano_index = ")
+    assert sesh.checks[0].detail.startswith("seshadri_antican = ")
+    std = {r.id: r for r in std_catalog.records}
+    assert (fano, sesh) == (std[fano.id], std[sesh.id])
+
+
+def test_shared_decodes_tell_true_from_one(std_catalog):
+    # dict == holds {"pseff": 1} equal to {"pseff": True}; the typed reads
+    # must still refuse the second record, at its own position
+    first = record_to_json(std_catalog.records[0])
+    assert first["invariants"]["positivity"]["pseff"] is True
+    second = json.loads(json.dumps(first))
+    second["id"] += ":copy"
+    second["invariants"]["positivity"]["pseff"] = 1
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "records": [first, second]})
+    refusal = "malformed record at position 1: invariants.positivity.pseff must be a boolean, got 1"
+    with pytest.raises(ParseError, match=rf"^{re.escape(refusal)}$"):
+        import_catalog(text)

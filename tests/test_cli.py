@@ -662,22 +662,32 @@ def test_bad_input_fails_in_one_line(
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "name, argv",
     [
-        ("synth", "--kind", "fano-index", "--n", "1000000000000000000000", "--r", "1", "--c", "1"),
-        ("table", "--family", "cone", "--rprime", "1000000000000000000000", "--m", "1", "--d", "0"),
         (
-            "table", "--family", "cone", "--rprime", "1", "--m", "1", "--d", "0",
-            "--base-dim", "100000000000000000000",
+            "n",
+            ("synth", "--kind", "fano-index", "--n", "1000000000000000000000", "--r", "1",
+             "--c", "1"),
+        ),
+        (
+            "rprime",
+            ("table", "--family", "cone", "--rprime", "1000000000000000000000", "--m", "1",
+             "--d", "0"),
+        ),
+        (
+            "base_dim",
+            ("table", "--family", "cone", "--rprime", "1", "--m", "1", "--d", "0",
+             "--base-dim", "100000000000000000000"),
         ),
     ],
     ids=["synth-n", "cone-rprime", "cone-base-dim"],
 )
-def test_integer_too_large_for_a_length_fails_in_one_line(capsys, argv):
-    # these build tuples of the given length, which Python refuses at once
+def test_integer_too_large_for_a_length_fails_in_one_line(capsys, name, argv):
+    # these would build tuples of the given length, which Python refuses
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.startswith(f"error: {name} = ") and err.count("\n") == 1
+    assert "too large" in err
     assert "Traceback" not in err
 
 

@@ -15,10 +15,14 @@ from foliadex import (
     CheckStatus,
     Class2,
     DomainError,
+    ExampleRecord,
+    InvariantReport,
     OracleGrid,
+    SweepReport,
     SynthGrid,
     SynthKind,
     check_record,
+    export_catalog,
     generalized_index,
     import_catalog,
     mixed_record,
@@ -29,9 +33,10 @@ from foliadex import (
     run_sweep,
     synth_fano_index,
     synth_generalized_index,
+    verify_catalog,
     verify_record,
 )
-from foliadex import _kernels, oracle, verification
+from foliadex import _kernels, catalog, oracle, synthesis, verification
 
 
 def test_oracle_frozen_values():
@@ -303,3 +308,139 @@ def test_synth_sweep_is_clean():
 def test_unknown_grid_rejected():
     with pytest.raises(TypeError):
         run_sweep(object())
+
+
+# ---------------------------------------------------------------------------
+# One recomputation per distinct descriptor.
+
+
+def _reference_report(records) -> SweepReport:
+    """verify_catalog as a loop of verify_record, one recomputation per record."""
+    report = SweepReport()
+    for record in records:
+        for outcome in verify_record(record).outcomes:
+            report.add(record.id, outcome)
+    return report
+
+
+def test_verify_catalog_recomputes_each_distinct_descriptor_once(std_catalog, monkeypatch):
+    assert len({id(r.foliation) for r in std_catalog.records}) == 1203
+    records = import_catalog(export_catalog(std_catalog)).records
+    honest = verification.compute_invariants
+    calls = []
+
+    def counting(fol):
+        calls.append(fol)
+        return honest(fol)
+
+    monkeypatch.setattr(verification, "compute_invariants", counting)
+    report = verify_catalog(records)
+    assert len(calls) == 1104
+    assert (report.total, report.failed) == (16497, 0)
+
+
+def _tampered_pair(records):
+    """records with the stored gen_index of one Fano-index cone record off
+    by one, and that record's id; its Seshadri twin shares its descriptor."""
+    by_id = {r.id: r for r in records}
+    fano = next(r for r in records if r.id.startswith("fano-index:cone:"))
+    assert fano.foliation is by_id[fano.id.replace("fano-index", "seshadri", 1)].foliation
+    inv = fano.invariants
+    edited = InvariantReport(
+        inv.gen_index + 1, inv.fano_index, inv.seshadri_antican, inv.positivity
+    )
+    tampered = ExampleRecord(
+        fano.id, fano.request, fano.branch, fano.foliation, edited, fano.checks
+    )
+    return [tampered if r is fano else r for r in records], fano.id
+
+
+@pytest.mark.parametrize("tamper", [False, True], ids=["export", "one-of-a-pair"])
+@pytest.mark.parametrize("source", ["imported", "built"])
+def test_verify_catalog_equals_a_loop_of_verify_record(std_catalog, tamper, source):
+    records = std_catalog.records
+    if source == "imported":
+        records = import_catalog(export_catalog(std_catalog)).records
+    victim = None
+    if tamper:
+        records, victim = _tampered_pair(records)
+    report = verify_catalog(records)
+    assert report == _reference_report(records)
+    failing = {(f["record"], f["check"]) for f in report.failures}
+    expected = {(victim, "stored-invariants-match-recomputation")} if tamper else set()
+    assert failing == expected
+
+
+_CONTAINERS = ("dict", "list", "set", "defaultdict", "OrderedDict", "Counter")
+
+
+def _empty_container(node) -> bool:
+    """Whether node builds a mutable container that starts empty."""
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (getattr(node, "keys", None) or getattr(node, "elts", None))
+    return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in _CONTAINERS
+
+
+def _memo_sites(tree) -> list[str]:
+    """Where a module keeps state between calls: a module-level container
+    that starts empty, a cache decorator, a global statement, or a function
+    that stores into a module-level name."""
+    module_names = set()
+    sites = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            module_names.update(names)
+            if node.value is not None and _empty_container(node.value):
+                sites.append(f"<module>: {', '.join(names)} = {ast.unparse(node.value)}")
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in func.decorator_list:
+            if "cache" in ast.unparse(decorator):
+                sites.append(f"{func.name}: @{ast.unparse(decorator)}")
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                sites.append(f"{func.name}: global {', '.join(node.names)}")
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_names
+            ) or (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("setdefault", "update", "append", "add")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_names
+            ):
+                sites.append(f"{func.name}: {ast.unparse(node)}")
+    return sites
+
+
+def test_decode_and_verify_tables_live_for_one_call():
+    # The tables that share decodes and recomputations are locals, so
+    # nothing a catalog held outlives its import or its verification.
+    for module in (catalog, verification):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        assert _memo_sites(tree) == [], module.__name__
+
+
+def test_build_cache_is_bounded():
+    # A long-lived caller building catalog after catalog holds at most
+    # maxsize cone constructions.
+    tree = ast.parse(Path(synthesis.__file__).read_text(encoding="utf-8"))
+    caches = [
+        decorator
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for decorator in func.decorator_list
+        if "cache" in ast.unparse(decorator)
+    ]
+    assert caches
+    for decorator in caches:
+        assert isinstance(decorator, ast.Call), ast.unparse(decorator)
+        assert ast.unparse(decorator.func) == "functools.lru_cache"
+        (maxsize,) = [k.value for k in decorator.keywords if k.arg == "maxsize"]
+        assert isinstance(maxsize, ast.Constant) and type(maxsize.value) is int
+        assert maxsize.value > 0
