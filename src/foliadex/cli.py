@@ -372,6 +372,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # OverflowError: an integer argument too large to be a tuple length
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # str(MemoryError()) is usually empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

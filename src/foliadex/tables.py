@@ -10,39 +10,28 @@ the rows that exist.
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Iterable
 
+from . import families
 from .errors import DomainError, UnsupportedRequest
-from .families import (
-    case1_record,
-    case2_record,
-    cone_table_record,
-    hirzebruch_record,
-    mixed_record,
-    rc_flat_record,
-    rc_genus_record,
-    wps1_record,
-    wps2_record,
-    wps3_record,
-    wps4_record,
-)
 from .synthesis import ExampleRecord, require_length
 from .value import Frozen
 
 # Row builder per family; a builder's parameters are the family's
 # parameter names, in order.
 _BUILDERS = {
-    "hirzebruch": hirzebruch_record,
-    "wps1": wps1_record,
-    "wps2": wps2_record,
-    "wps3": wps3_record,
-    "wps4": wps4_record,
-    "cone": cone_table_record,
-    "case1": case1_record,
-    "case2": case2_record,
-    "mixed": mixed_record,
-    "rc-genus": rc_genus_record,
-    "rc-flat": rc_flat_record,
+    "hirzebruch": families.hirzebruch_record,
+    "wps1": families.wps1_record,
+    "wps2": families.wps2_record,
+    "wps3": families.wps3_record,
+    "wps4": families.wps4_record,
+    "cone": families.cone_table_record,
+    "case1": families.case1_record,
+    "case2": families.case2_record,
+    "mixed": families.mixed_record,
+    "rc-genus": families.rc_genus_record,
+    "rc-flat": families.rc_flat_record,
 }
 
 # Parameter names per family, in declaration order; the table columns
@@ -77,6 +66,18 @@ def parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
+def _axis(name: str, values: Iterable[int]) -> tuple[int, ...]:
+    """The values of one parameter as a tuple; a range of sys.maxsize
+    values or more cannot become one and is refused by name."""
+    if isinstance(values, range) and values:
+        if (values[-1] - values[0]) // values.step + 1 >= sys.maxsize:
+            raise DomainError(
+                f"{name} = {values[0]}..{values[-1]} is too large: "
+                f"a range must have fewer than {sys.maxsize} values"
+            )
+    return tuple(values)
+
+
 class TableRow(Frozen):
     __slots__ = ("params", "record")
     params: dict[str, int]
@@ -96,7 +97,7 @@ def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
     missing = [name for name in names if name not in ranges]
     if missing:
         raise DomainError(f"family {family!r} needs ranges for: " + ", ".join(missing))
-    axes = [tuple(ranges[name]) for name in names]
+    axes = [_axis(name, ranges[name]) for name in names]
     for name, axis in zip(names, axes):
         if name in _LENGTHS and axis:
             require_length(name, max(axis))

@@ -35,16 +35,6 @@ from .synthesis import (
 )
 from .value import Frozen
 
-__all__ = [
-    "check_record",
-    "verify_record",
-    "verify_catalog",
-    "run_sweep",
-    "OracleGrid",
-    "SynthGrid",
-    "oracle_generalized_index",
-]
-
 
 def check_record(record: ExampleRecord) -> CheckReport:
     """The six inequality and classification checks on the record's

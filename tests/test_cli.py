@@ -19,6 +19,7 @@ from foliadex import (
     SCHEMA_VERSION,
     Catalog,
     CheckStatus,
+    cli,
     export_catalog,
     import_catalog,
     record_to_json,
@@ -679,8 +680,14 @@ def test_bad_input_fails_in_one_line(
             ("table", "--family", "cone", "--rprime", "1", "--m", "1", "--d", "0",
              "--base-dim", "100000000000000000000"),
         ),
+        (
+            "rprime",
+            ("table", "--family", "cone", "--rprime", "1..1000000000000000000000", "--m", "1",
+             "--d", "0"),
+        ),
+        ("m", ("table", "--family", "wps1", "--n", "3", "--m", "1..1000000000000000000000")),
     ],
-    ids=["synth-n", "cone-rprime", "cone-base-dim"],
+    ids=["synth-n", "cone-rprime", "cone-base-dim", "cone-rprime-range", "wps1-m-range"],
 )
 def test_integer_too_large_for_a_length_fails_in_one_line(capsys, name, argv):
     # these would build tuples of the given length, which Python refuses
@@ -689,6 +696,17 @@ def test_integer_too_large_for_a_length_fails_in_one_line(capsys, name, argv):
     assert err.startswith(f"error: {name} = ") and err.count("\n") == 1
     assert "too large" in err
     assert "Traceback" not in err
+
+
+def test_out_of_memory_fails_in_one_line(capsys, monkeypatch):
+    # str(MemoryError()) is empty, so the line must say what happened
+    def exhausted(request):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "synthesize", exhausted)
+    argv = ("synth", "--kind", "fano-index", "--n", "3", "--r", "1", "--c", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("n, r", [(3, 2), (4, 3)])
