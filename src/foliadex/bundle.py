@@ -173,12 +173,6 @@ class IndexWitness(Frozen):
     p_e: Fraction
     p_a: Fraction
 
-    def __init__(self, t: Fraction, h: Class2, p_e: Fraction, p_a: Fraction) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "p_e", p_e)
-        object.__setattr__(self, "p_a", p_a)
-
     def is_valid_for(self, variety: BundleVariety, cls: Class2) -> bool:
         """H integral and ample, p_e, p_a >= 0, and t*H + p_e*E + p_a*F == cls,
         compared coordinatewise with E = L - m*F and F = (0, 1)."""
@@ -218,7 +212,7 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
         t = cls.beta
         p_e = _ZERO
         p_a = Fraction(gamma_num - beta_num * (b1 + 1), den)
-    return t, IndexWitness(t=t, h=h0, p_e=p_e, p_a=p_a)
+    return t, IndexWitness(t, h0, p_e, p_a)
 
 
 def fano_index(variety: BundleVariety, cls: Class2) -> Fraction:

@@ -381,9 +381,9 @@ def _check_from_json(obj, path: str, decoded: dict) -> CheckOutcome:
     if check is None:
         name, status, detail = _fields(obj, path, ("name", "status", "detail"))
         check = decoded[key] = CheckOutcome(
-            name=_typed(name, str, path, "name"),
-            status=_enum(CheckStatus, status, path, "status"),
-            detail=_typed(detail, str, path, "detail"),
+            _typed(name, str, path, "name"),
+            _enum(CheckStatus, status, path, "status"),
+            _typed(detail, str, path, "detail"),
         )
     return check
 
@@ -418,17 +418,11 @@ def _record_from_json(obj, decoded: dict) -> ExampleRecord:
             _invariants_from_json(invariants),
         )
     fol, inv = geometry
-    return ExampleRecord(
-        id=record_id,
-        request=request,
-        branch=branch,
-        foliation=fol,
-        invariants=inv,
-        checks=tuple(
-            _check_from_json(c, f"checks[{i}]", decoded)
-            for i, c in enumerate(_typed(checks, list, "record", "checks"))
-        ),
+    checks = tuple(
+        _check_from_json(c, f"checks[{i}]", decoded)
+        for i, c in enumerate(_typed(checks, list, "record", "checks"))
     )
+    return ExampleRecord(record_id, request, branch, fol, inv, checks)
 
 
 def _metadata_from_json(obj) -> dict:

@@ -36,10 +36,10 @@ FORMATS = ("json", "csv", "table")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad usage; the contract here is 1."""
+    """argparse prints its usage block and exits with 2 on bad usage; the
+    contract here is one line and exit 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

@@ -25,10 +25,6 @@ class DomainError(FoliadexError, ValueError):
 class UnsupportedRequest(FoliadexError):
     """A synthesis target outside the realized families.
 
-    Carries the human-readable bound that failed; the CLI maps this to
-    exit code 2.
+    Its message is the human-readable bound that failed; the CLI maps
+    this to exit code 2.
     """
-
-    def __init__(self, bound: str) -> None:
-        super().__init__(bound)
-        self.bound = bound

@@ -106,9 +106,6 @@ class PullbackOverBundle(_Recipe):
     base: FoliationDescriptor
     kind: ClassVar[str] = "pullback"
 
-    def __init__(self, base: FoliationDescriptor) -> None:
-        object.__setattr__(self, "base", base)
-
     def canonical(self, ambient: Ambient) -> Class2:
         if not isinstance(ambient, BundleVariety):
             raise DomainError("the pullback recipe lives on a bundle")
@@ -129,9 +126,6 @@ class ConeInduced(_Recipe):
     __slots__ = ("base",)
     base: FoliationDescriptor
     kind: ClassVar[str] = "cone"
-
-    def __init__(self, base: FoliationDescriptor) -> None:
-        object.__setattr__(self, "base", base)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         if not isinstance(ambient, GeneralizedCone):
@@ -160,9 +154,6 @@ class CoordinateProjection(_Recipe):
     j: int
     kind: ClassVar[str] = "coordinate"
 
-    def __init__(self, j: int) -> None:
-        object.__setattr__(self, "j", j)
-
     def canonical(self, ambient: Ambient) -> RankOneClass:
         if not isinstance(ambient, WeightedProjectiveSpace):
             raise DomainError("the coordinate recipe lives on a weighted projective space")
@@ -183,9 +174,6 @@ class PnCatalogCase1(_Recipe):
     d: int
     kind: ClassVar[str] = "pn1"
 
-    def __init__(self, d: int) -> None:
-        object.__setattr__(self, "d", d)
-
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
         return RankOneClass(self.d)
@@ -202,10 +190,6 @@ class PnCatalogCase2(_Recipe):
     d_f: int
     d_g: int
     kind: ClassVar[str] = "pn2"
-
-    def __init__(self, d_f: int, d_g: int) -> None:
-        object.__setattr__(self, "d_f", d_f)
-        object.__setattr__(self, "d_g", d_g)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
@@ -224,9 +208,6 @@ class TranscendentalRankOne(_Recipe):
     __slots__ = ("p",)
     p: int
     kind: ClassVar[str] = "transcendental"
-
-    def __init__(self, p: int) -> None:
-        object.__setattr__(self, "p", p)
 
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
@@ -342,7 +323,7 @@ def pullback_over_bundle(
         ambient=variety,
         rank=rank,
         algebraic_rank=algebraic_rank,
-        recipe=PullbackOverBundle(base=base_foliation),
+        recipe=PullbackOverBundle(base_foliation),
         leaf_rc=leaf_rc,
         provenance="constructed: projection preimage of the base foliation",
     )
@@ -369,7 +350,7 @@ def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
             ambient=ambient,
             rank=r + 1,
             algebraic_rank=r,
-            recipe=PnCatalogCase1(d=d),
+            recipe=PnCatalogCase1(d),
             leaf_rc=LeafStatus.TRUE,
             provenance=(
                 "constructed: linear-projection pullback; asserted-existence for the "
@@ -384,7 +365,7 @@ def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
         ambient=ambient,
         rank=n - 1,
         algebraic_rank=n - 1,
-        recipe=PnCatalogCase2(d_f=d_f, d_g=d_g),
+        recipe=PnCatalogCase2(d_f, d_g),
         leaf_rc=leaf_rc,
         provenance="constructed: pencil of hypersurfaces of degrees "
         f"({d_f}, {d_g})",
@@ -405,7 +386,7 @@ def transcendental_rank1(k: int, p: int) -> FoliationDescriptor:
         ambient=projective_space(k),
         rank=1,
         algebraic_rank=0,
-        recipe=TranscendentalRankOne(p=p),
+        recipe=TranscendentalRankOne(p),
         leaf_rc=LeafStatus.UNKNOWN,
         provenance=(
             f"asserted-existence: purely transcendental rank-one foliation of degree {p + 1}"
@@ -430,7 +411,7 @@ def wps_coordinate_foliation(
         ambient=variety,
         rank=n - 1,
         algebraic_rank=n - 1,
-        recipe=CoordinateProjection(j=j),
+        recipe=CoordinateProjection(j),
         leaf_rc=LeafStatus.UNKNOWN,
         provenance=f"constructed: fibers of the pencil spanned by x_0^{variety.weights[j]} and x_{j}",
     )
@@ -451,7 +432,7 @@ def cone_foliation(
         ambient=cone,
         rank=rank,
         algebraic_rank=algebraic_rank,
-        recipe=ConeInduced(base=base_foliation),
+        recipe=ConeInduced(base_foliation),
         leaf_rc=leaf_rc,
         provenance="constructed: ruling-projection preimage of the base foliation",
     )

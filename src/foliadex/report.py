@@ -54,11 +54,6 @@ class CheckOutcome(Frozen):
     status: CheckStatus
     detail: str
 
-    def __init__(self, name: str, status: CheckStatus, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "detail", detail)
-
     @property
     def failed(self) -> bool:
         return self.status is CheckStatus.FAIL
@@ -70,10 +65,6 @@ class CheckReport(Frozen):
     __slots__ = ("record_id", "outcomes")
     record_id: str
     outcomes: tuple[CheckOutcome, ...]
-
-    def __init__(self, record_id: str, outcomes: tuple[CheckOutcome, ...]) -> None:
-        object.__setattr__(self, "record_id", record_id)
-        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def failures(self) -> tuple[CheckOutcome, ...]:

@@ -75,16 +75,17 @@ TARGET_FIELD = {
 }
 
 
-def require_length(name: str, value: int) -> None:
-    """Refuse a dimension or rank too large for the tuples built from it.
+def require_length(name: str, value: int, what: str = "a dimension or rank") -> None:
+    """Refuse a value too large for the tuples built from it.
 
-    P^k has k + 1 weights and a rank r bundle r twists, and no tuple is
-    longer than sys.maxsize, so the error names the argument before a
+    P^k has k + 1 weights, a rank r bundle r twists, and the oracle sweep
+    draws twists from the b1_max + 1 values 0..b1_max; no tuple is longer
+    than sys.maxsize, so the error names the argument before a
     constructor fails on a bare length.
     """
     if value >= sys.maxsize:
         raise DomainError(
-            f"{name} = {value} is too large: a dimension or rank must be below {sys.maxsize}"
+            f"{name} = {value} is too large: {what} must be below {sys.maxsize}"
         )
 
 
@@ -124,12 +125,6 @@ class CaseParameters(Frozen):
     l: int
     b_list: tuple[int, ...]
 
-    def __init__(self, p: int, q: int, l: int, b_list: tuple[int, ...]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "b_list", b_list)
-
 
 class ExampleRecord(Frozen):
     __slots__ = ("id", "request", "branch", "foliation", "invariants", "checks")
@@ -139,22 +134,6 @@ class ExampleRecord(Frozen):
     foliation: FoliationDescriptor
     invariants: InvariantReport
     checks: tuple[CheckOutcome, ...]
-
-    def __init__(
-        self,
-        id: str,
-        request: Optional[SynthesisRequest],
-        branch: str,
-        foliation: FoliationDescriptor,
-        invariants: InvariantReport,
-        checks: tuple[CheckOutcome, ...],
-    ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "request", request)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "foliation", foliation)
-        object.__setattr__(self, "invariants", invariants)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def variety(self) -> Ambient:
@@ -170,11 +149,11 @@ class ExampleRecord(Frozen):
 
 def passfail(name: str, ok: bool, detail: str) -> CheckOutcome:
     status = CheckStatus.PASS if ok else CheckStatus.FAIL
-    return CheckOutcome(name=name, status=status, detail=detail)
+    return CheckOutcome(name, status, detail)
 
 
 def skip(name: str, detail: str) -> CheckOutcome:
-    return CheckOutcome(name=name, status=CheckStatus.SKIP, detail=detail)
+    return CheckOutcome(name, CheckStatus.SKIP, detail)
 
 
 def target_check(inv: InvariantReport, field: str, expected: Fraction) -> CheckOutcome:
@@ -356,7 +335,7 @@ def case1_parameters(r: int, p: int, q: int) -> CaseParameters:
             f"twist budget {surplus} does not fit in {r - 1} slots of size {b1}; "
             "unreachable when the feasibility conditions hold"
         )
-    return CaseParameters(p=p, q=q, l=l, b_list=(b1, *tail))
+    return CaseParameters(p, q, l, (b1, *tail))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +355,7 @@ def assemble_record(
     construction-check outcomes, in the order they are stored.
     """
     inv = compute_invariants(fol)
-    return ExampleRecord(
-        id=record_id,
-        request=request,
-        branch=branch,
-        foliation=fol,
-        invariants=inv,
-        checks=tuple(checks(inv)),
-    )
+    return ExampleRecord(record_id, request, branch, fol, inv, tuple(checks(inv)))
 
 
 def record_id(request: SynthesisRequest, branch: str) -> str:

@@ -83,10 +83,6 @@ class TableRow(Frozen):
     params: dict[str, int]
     record: ExampleRecord
 
-    def __init__(self, params: dict[str, int], record: ExampleRecord) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "record", record)
-
 
 def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
     if family not in FAMILY_PARAMS:
@@ -108,5 +104,5 @@ def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
             record = _BUILDERS[family](**values)
         except (DomainError, UnsupportedRequest):
             continue
-        rows.append(TableRow(params=values, record=record))
+        rows.append(TableRow(values, record))
     return rows

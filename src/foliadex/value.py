@@ -1,18 +1,46 @@
 """Value types: classes whose fields are listed in __slots__.
 
-A subclass names its fields, in order, in __slots__ and sets every one
-of them in its own __init__.  Value compares two objects of the same
-type field by field and prints Name(field=value, ...) in field order;
-like any class that defines equality without a hash, it is unhashable.
-Frozen also hashes the tuple of fields and refuses assignment and
-deletion, so its subclasses set their fields with object.__setattr__.
+A subclass names its fields, in order, in __slots__.  Value's
+constructor binds positional arguments to them in that order and the
+rest by keyword, and refuses a missing, unknown, repeated or surplus
+field with a TypeError; a subclass defines its own __init__ only to
+check, convert or default an argument, and then sets every field there.
+Value compares two objects of the same type field by field and prints
+Name(field=value, ...) in field order; like any class that defines
+equality without a hash, it is unhashable.  Frozen also hashes the tuple
+of fields and refuses assignment and deletion, so fields are set with
+object.__setattr__.
 """
 
 from __future__ import annotations
 
 
+def _bound(cls, args: tuple, kwargs: dict) -> list:
+    """args and kwargs as one value per field of cls, in field order."""
+    names = cls.__slots__
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} fields, got {len(args)}")
+    values = list(args)
+    try:
+        for name in names[len(args):]:
+            values.append(kwargs.pop(name))
+    except KeyError:
+        raise TypeError(f"{cls.__qualname__}() is missing field {name!r}") from None
+    for name in kwargs:
+        problem = f"got field {name!r} twice" if name in names else f"has no field {name!r}"
+        raise TypeError(f"{cls.__qualname__}() {problem}")
+    return values
+
+
 class Value:
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = _bound(type(self), args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

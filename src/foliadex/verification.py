@@ -29,6 +29,7 @@ from .synthesis import (
     SynthKind,
     passfail,
     record_id,
+    require_length,
     skip,
     synthesize,
     target_check,
@@ -40,7 +41,7 @@ def check_record(record: ExampleRecord) -> CheckReport:
     """The six inequality and classification checks on the record's
     recomputed invariants, always in this order."""
     outcomes = _theorem_outcomes(record.foliation, compute_invariants(record.foliation))
-    return CheckReport(record_id=record.id, outcomes=outcomes)
+    return CheckReport(record.id, outcomes)
 
 
 def _theorem_outcomes(fol: FoliationDescriptor, inv: InvariantReport) -> tuple[CheckOutcome, ...]:
@@ -196,7 +197,7 @@ def verify_record(record: ExampleRecord) -> CheckReport:
     invariants; the stored ones are only compared with it."""
     recomputed = compute_invariants(record.foliation)
     theorems = _theorem_outcomes(record.foliation, recomputed)
-    return CheckReport(record_id=record.id, outcomes=_outcomes(record, recomputed, theorems))
+    return CheckReport(record.id, _outcomes(record, recomputed, theorems))
 
 
 def verify_catalog(records) -> SweepReport:
@@ -284,6 +285,7 @@ class OracleGrid(Frozen):
                 f"c_max must be at least b1_max*d_max + 1 = {b1_max * d_max + 1}, got {c_max}: "
                 "the oracle needs an ample class for every d <= d_max on every bundle"
             )
+        require_length("b1_max", b1_max, "the largest twist")
 
 
 class SynthGrid(Frozen):

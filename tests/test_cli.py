@@ -137,6 +137,23 @@ def test_bad_input_exits_one(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frobnicate",),
+        ("synth", "--kind", "seshadri", "--n", "3", "--r", "2"),
+        # argparse reads -1..1 as an option, so --a has no value
+        ("table", "--family", "hirzebruch", "--a", "-1..1"),
+        ("synth", "--kind", "seshadri", "--n", "2", "--r", "1", "--c", "1/2", "--out", "yaml"),
+    ],
+)
+def test_usage_errors_fail_in_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith("foliadex") and ": error: " in err
+
+
 def test_unsupported_requests_exit_two(capsys):
     code, out, err = run(capsys, "synth", "--kind", "fano-index", "--n", "3", "--r", "2", "--c", "7/5")
     assert code == 2 and out == ""
@@ -686,8 +703,16 @@ def test_bad_input_fails_in_one_line(
              "--d", "0"),
         ),
         ("m", ("table", "--family", "wps1", "--n", "3", "--m", "1..1000000000000000000000")),
+        (
+            "b1_max",
+            ("verify", "--grid", "oracle", "--b1-max", "1000000000000000000000",
+             "--c-max", "1000000000000000000000000", "--d-max", "1"),
+        ),
     ],
-    ids=["synth-n", "cone-rprime", "cone-base-dim", "cone-rprime-range", "wps1-m-range"],
+    ids=[
+        "synth-n", "cone-rprime", "cone-base-dim", "cone-rprime-range", "wps1-m-range",
+        "oracle-b1-max",
+    ],
 )
 def test_integer_too_large_for_a_length_fails_in_one_line(capsys, name, argv):
     # these would build tuples of the given length, which Python refuses

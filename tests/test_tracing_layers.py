@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import foliadex
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -49,12 +51,31 @@ def test_cli_import_loads_every_layer_module():
     assert proc.stdout == "[]\n"
 
 
-def test_traced_synth_completes(tmp_path):
+def _assert_traced_run_completes(tmp_path, argv):
     spans = tmp_path / "spans"
-    argv = ["synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", "3/2"]
     proc = subprocess.run(
         [sys.executable, str(TRACING), str(spans), *argv],
         capture_output=True, text=True, env=ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert spans.stat().st_size > 0
+
+
+def test_traced_synth_completes(tmp_path):
+    argv = ["synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", "3/2"]
+    _assert_traced_run_completes(tmp_path, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the oracle and kernel hooks, and generalized_index's IndexWitness
+        ["verify", "--grid", "oracle", "--m-max", "1", "--b1-max", "0", "--rprime-max", "1",
+         "--k-max", "1", "--coeff-max", "2"],
+        # the rows hook and the table builders
+        ["table", "--family", "wps3", "--a1", "5", "--a2", "6..9"],
+    ],
+    ids=["verify-oracle", "table-wps3"],
+)
+def test_traced_verify_and_table_complete(tmp_path, argv):
+    _assert_traced_run_completes(tmp_path, argv)

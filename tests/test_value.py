@@ -5,7 +5,9 @@ order below, and compares, hashes and prints by them.  Every one but
 SweepReport is frozen.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +183,100 @@ def test_value_type_contract(cls):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert value == again
+
+
+def _storing_only_constructors(source: str) -> list[str]:
+    """Classes in source whose __init__ only stores its parameters, in
+    __slots__ order, with object.__setattr__: the constructor Value gives."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        slots = next(
+            (
+                ast.literal_eval(node.value) for node in cls.body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(target) for target in node.targets] == ["__slots__"]
+            ),
+            None,
+        )
+        for node in cls.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                continue
+            params = tuple(arg.arg for arg in node.args.args[1:])
+            stored = tuple(
+                f"object.__setattr__(self, {name!r}, {name})" for name in params
+            )
+            body = tuple(ast.unparse(statement) for statement in node.body)
+            if params == slots and body == stored and not node.args.defaults:
+                found.append(cls.name)
+    return found
+
+
+def test_no_constructor_only_stores_its_fields():
+    sources = sorted(Path(foliadex.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = [
+        f"{path.name}:{name}"
+        for path in sources
+        for name in _storing_only_constructors(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_storing_only_scan_finds_a_storing_constructor():
+    source = (
+        "class Pair(Frozen):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        object.__setattr__(self, 'b', b)\n"
+    )
+    assert _storing_only_constructors(source) == ["Pair"]
+    checking = source + "        if a < 0:\n            raise ValueError(a)\n"
+    assert _storing_only_constructors(checking) == []
+
+
+_INHERITED = sorted(
+    (cls for cls in SAMPLES if "__init__" not in vars(cls)), key=lambda c: c.__qualname__
+)
+
+
+def test_storing_only_types_inherit_the_constructor():
+    assert len(_INHERITED) == 13  # twelve storing types and FibrationInduced
+
+
+@pytest.mark.parametrize("cls", _INHERITED, ids=lambda c: c.__qualname__)
+def test_inherited_constructor_binds_by_position_and_keyword(cls):
+    make, names = SAMPLES[cls]
+    sample = make()
+    fields = {name: getattr(sample, name) for name in names}
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    assert type(by_position) is type(by_keyword) is cls
+    assert by_position == sample and by_keyword == sample
+    assert repr(by_position) == repr(by_keyword) == repr(sample)
+    if fields:
+        first, *rest = names
+        mixed = cls(fields[first], **{name: fields[name] for name in rest})
+        assert mixed == sample
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs",
+    [
+        (CheckOutcome, ("a-check", CheckStatus.PASS), {}),
+        (CheckOutcome, ("a-check",), {"detail": "detail"}),
+        (CheckOutcome, ("a-check", CheckStatus.PASS, "detail"), {"colour": "red"}),
+        (CheckOutcome, ("a-check", CheckStatus.PASS, "detail"), {"name": "again"}),
+        (CheckOutcome, ("a-check", CheckStatus.PASS, "detail", "surplus"), {}),
+        (FibrationInduced, ("surplus",), {}),
+        (FibrationInduced, (), {"kind": "fibration"}),
+    ],
+    ids=[
+        "missing", "missing-after-keyword", "unknown", "twice", "surplus",
+        "fieldless-surplus", "fieldless-unknown",
+    ],
+)
+def test_inherited_constructor_refuses_a_bad_field(cls, args, kwargs):
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*args, **kwargs)
