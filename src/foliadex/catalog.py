@@ -1,5 +1,14 @@
 """Catalog container and its byte-deterministic JSON serialization.
 
+The value types are the schema: a value's JSON object holds its fields
+under their names, in __slots__ order, and one encoder (_to_json) and
+one decoder (_from_json) serve every object that follows this rule.
+Three keep code of their own: a variety stores its family first; a
+foliation stores its recipe's kind apart from the recipe's fields and
+leaves out the ambient where the record holds it; and a record adds its
+foliation's ambient as its variety and shares decodes between equal
+records of one import.
+
 Export writes records with a fixed key order and no timestamps, so the
 same catalog always serializes to the same bytes.  Import reconstructs
 the geometric objects through their validating constructors, so a
@@ -23,6 +32,7 @@ import itertools
 import json
 import marshal
 from fractions import Fraction
+from functools import partial
 from typing import Optional, get_args
 
 from . import jsontext
@@ -33,7 +43,6 @@ from .lattice import (
     Class2,
     parse_rational,
     reduced_targets,
-    render_optional,
     render_rational,
 )
 from .rankone import (
@@ -51,7 +60,7 @@ from .synthesis import (
     synthesize,
 )
 from .tables import table_rows
-from .value import Frozen
+from .value import Frozen, Value
 
 SCHEMA_VERSION = "1"
 
@@ -76,40 +85,78 @@ class Catalog(Frozen):
 # ---------------------------------------------------------------------------
 # Serialization.
 
-
-_BASE_FIELDS = ("dim", "is_projective_space", "singularity_class", "label")
-
-# variety family -> (ambient class, its fields after "family", in export order)
+# variety family -> ambient class
 _VARIETIES = {
-    "bundle": (BundleVariety, ("base_dim", "m", "b")),
-    "wps": (WeightedProjectiveSpace, ("weights",)),
-    "cone": (GeneralizedCone, ("base", "m", "vertex_rank")),
-    "polarized-base": (PolarizedBase, _BASE_FIELDS),
+    "bundle": BundleVariety,
+    "wps": WeightedProjectiveSpace,
+    "cone": GeneralizedCone,
+    "polarized-base": PolarizedBase,
 }
-_FAMILIES = {cls: family for family, (cls, _) in _VARIETIES.items()}
+_FAMILIES = {cls: family for family, cls in _VARIETIES.items()}
+
+# recipe kind -> recipe class
+_RECIPES = {recipe.kind: recipe for recipe in get_args(Recipe)}
+
+_PLAIN = frozenset((int, bool, str, type(None)))
 
 
-def _field_to_json(value):
-    """A variety field as JSON: a tuple as an array, a base as an object."""
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, SingularityClass):
-        return value.value
-    if isinstance(value, PolarizedBase):
-        return {name: _field_to_json(getattr(value, name)) for name in _BASE_FIELDS}
-    return value
+def _to_json(value):
+    """value as JSON: a value type as the object of its fields in __slots__
+    order, a rational as its literal, a tuple as an array and an enum
+    member as its value; a foliation stores its ambient."""
+    cls = type(value)
+    if cls in _PLAIN:
+        return value
+    if cls is Fraction:
+        return render_rational(value)
+    if cls is FoliationDescriptor:
+        return _fol_to_json(value, include_ambient=True)
+    if isinstance(value, Value):
+        # a loop, not a comprehension, which would be a call of its own
+        obj = {}
+        for name in cls.__slots__:
+            obj[name] = _to_json(getattr(value, name))
+        return obj
+    if cls is tuple:
+        return list(map(_to_json, value))
+    return value.value
 
 
 def _variety_to_json(variety) -> dict:
-    family = _FAMILIES[type(variety)]
-    fields_json = {name: _field_to_json(getattr(variety, name)) for name in _VARIETIES[family][1]}
-    return {"family": family, **fields_json}
+    return {"family": _FAMILIES[type(variety)], **_to_json(variety)}
+
+
+def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
+    obj: dict = {}
+    if include_ambient:
+        obj["ambient"] = _variety_to_json(fol.ambient)
+    obj["recipe"] = fol.recipe.kind
+    obj["recipe_params"] = _to_json(fol.recipe)
+    obj["rank"] = fol.rank
+    obj["algebraic_rank"] = fol.algebraic_rank
+    obj["canonical"] = _to_json(fol.canonical)
+    obj["leaf_rc"] = fol.leaf_rc.value
+    obj["provenance"] = fol.provenance
+    return obj
+
+
+def record_to_json(record: ExampleRecord) -> dict:
+    """JSON object for one record, exactly as it appears in an export."""
+    return {
+        "id": record.id,
+        "request": _to_json(record.request),
+        "branch": record.branch,
+        "variety": _variety_to_json(record.variety),
+        "foliation": _fol_to_json(record.foliation, include_ambient=False),
+        "invariants": _to_json(record.invariants),
+        "checks": _to_json(record.checks),
+    }
 
 
 _NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a JSON array"}
 
 
-def _typed(value, kind: type, path: str, key: str):
+def _typed(kind: type, value, path: str, key: str):
     """The value of path.key, of exactly type kind: true and false are not
     integers, and 0 and 1 are not booleans."""
     if type(value) is not kind:
@@ -135,8 +182,6 @@ def _refused(path: str, exc: DomainError) -> DomainError:
 
     Callers catch it around the constructor call alone, so a nested
     object's refusal, which names its own path, is not prefixed twice.
-    The try blocks are inline because a wrapper taking the fields as
-    keywords would cost about 10 ms per import of the standard catalog.
     """
     return type(exc)(f"{path}: {exc}")
 
@@ -147,6 +192,15 @@ def _rational(text, path: str, key: str) -> Fraction:
         return parse_rational(text)
     except ParseError as exc:
         raise ParseError(f"{path}.{key}: {exc}") from None
+
+
+def _optional_rational(text, path: str, key: str) -> Optional[Fraction]:
+    return None if text is None else _rational(text, path, key)
+
+
+def _integers(value, path: str, key: str) -> tuple[int, ...]:
+    """The JSON array of integers at path.key, as a tuple."""
+    return tuple(_typed(int, entry, path, key) for entry in _typed(list, value, path, key))
 
 
 def _key_path(prefix: str, key: str) -> str:
@@ -174,89 +228,73 @@ def _fields(obj, path: str, names: tuple[str, ...]) -> list:
     raise ParseError(f"{path}.{missing} is missing")
 
 
-# the variety fields that are not integers
-_FIELD_TYPES = {"is_projective_space": bool, "label": str}
+def _nested(cls):
+    """The reader of a field that holds a cls object."""
+    return lambda value, path, key: _from_json(cls, value, f"{path}.{key}")
 
 
-def _field_from_json(name: str, value, path: str):
-    """A variety field read from JSON, the inverse of _field_to_json."""
-    if name in ("b", "weights"):
-        return tuple(_typed(entry, int, path, name) for entry in _typed(value, list, path, name))
-    if name == "base":
-        return _variety_from_json(value, f"{path}.base", "polarized-base")
-    if name == "singularity_class":
-        return _enum(SingularityClass, value, path, name)
-    return _typed(value, _FIELD_TYPES.get(name, int), path, name)
+_integer, _boolean, _string = partial(_typed, int), partial(_typed, bool), partial(_typed, str)
+
+# field name -> reader(value, path, name) of its JSON value, for every
+# object _from_json decodes; a field not listed is an integer
+_READ = {
+    "kind": partial(_enum, SynthKind),
+    "c": _rational,
+    "gen_index": _optional_rational,
+    "fano_index": _optional_rational,
+    "seshadri_antican": _optional_rational,
+    "positivity": _nested(Positivity),
+    "pseff": _boolean,
+    "big": _boolean,
+    "nef": _boolean,
+    "ample": _boolean,
+    "name": _string,
+    "status": partial(_enum, CheckStatus),
+    "detail": _string,
+    "s": _rational,
+    "beta": _rational,
+    "gamma": _rational,
+    "b": _integers,
+    "weights": _integers,
+    "is_projective_space": _boolean,
+    "singularity_class": partial(_enum, SingularityClass),
+    "label": _string,
+    # a recipe's base foliation, which stores its own ambient
+    "base": lambda value, path, key: _fol_from_json(value, f"{path}.{key}"),
+}
+
+# a variety's base is a cone's polarized base, stored without its family
+_VARIETY_READ = {**_READ, "base": _nested(PolarizedBase)}
 
 
-def _variety_from_json(obj, path: str, family: Optional[str] = None):
-    """An ambient from its JSON object; a cone's base is stored without
-    its family, which is given."""
-    stored = ("family",) if family is None else ()
-    if family is None:
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path} must be a JSON object")
-        family = _typed(obj.get("family"), str, path, "family")
-        if family not in _VARIETIES:
-            raise _not_one_of(_VARIETIES, family, path, "family")
-    cls, names = _VARIETIES[family]
-    values = _fields(obj, path, stored + names)[len(stored):]
-    fields = {name: _field_from_json(name, value, path) for name, value in zip(names, values)}
+def _from_json(cls, obj, path: str, read: dict = _READ, before: tuple = ()):
+    """The cls object stored at path as the JSON object of its fields, in
+    __slots__ order, each read by its reader in read.
+
+    before names keys that precede the fields, which the caller reads.
+    """
+    names = cls.__slots__
+    values = _fields(obj, path, before + names)[len(before):]
+    fields = [read.get(name, _integer)(value, path, name) for name, value in zip(names, values)]
     try:
-        return cls(**fields)
+        return cls(*fields)
     except DomainError as exc:
         raise _refused(path, exc) from None
 
 
-# class type -> its coefficient names, in export order
-_CANONICAL = {RankOneClass: ("s",), Class2: ("beta", "gamma")}
-
-# kind -> (recipe class, its parameter names in export order)
-_RECIPES = {r.kind: (r, r.__slots__) for r in get_args(Recipe)}
-
-
-def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool) -> dict:
-    obj: dict = {}
-    if include_ambient:
-        obj["ambient"] = _variety_to_json(fol.ambient)
-    recipe = fol.recipe
-    obj["recipe"] = recipe.kind
-    params = {name: getattr(recipe, name) for name in _RECIPES[recipe.kind][1]}
-    if "base" in params:
-        params["base"] = _fol_to_json(params["base"], include_ambient=True)
-    obj["recipe_params"] = params
-    obj["rank"] = fol.rank
-    obj["algebraic_rank"] = fol.algebraic_rank
-    canonical = fol.canonical
-    obj["canonical"] = {
-        name: render_rational(getattr(canonical, name)) for name in _CANONICAL[type(canonical)]
-    }
-    obj["leaf_rc"] = fol.leaf_rc.value
-    obj["provenance"] = fol.provenance
-    return obj
+def _variety_from_json(obj, path: str):
+    """An ambient from its JSON object, which stores its family first."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path} must be a JSON object")
+    family = _typed(str, obj.get("family"), path, "family")
+    if family not in _VARIETIES:
+        raise _not_one_of(_VARIETIES, family, path, "family")
+    return _from_json(_VARIETIES[family], obj, path, _VARIETY_READ, ("family",))
 
 
 _FOLIATION_FIELDS = (
     "recipe", "recipe_params", "rank", "algebraic_rank", "canonical", "leaf_rc", "provenance",
 )
-
-
-def _recipe_from_json(kind, params, path: str) -> Recipe:
-    """A recipe from its kind and exactly its parameters; base recurses."""
-    if _typed(kind, str, path, "recipe") not in _RECIPES:
-        raise _not_one_of(_RECIPES, kind, path, "recipe")
-    recipe, names = _RECIPES[kind]
-    path = f"{path}.recipe_params"
-    values = _fields(params, path, names)
-    fields = {
-        name: _fol_from_json(value, f"{path}.base")
-        if name == "base" else _typed(value, int, path, name)
-        for name, value in zip(names, values)
-    }
-    try:
-        return recipe(**fields)
-    except DomainError as exc:
-        raise _refused(path, exc) from None
 
 
 def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
@@ -272,18 +310,18 @@ def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
         values = _fields(obj, path, _FOLIATION_FIELDS)
     kind, params, rank, algebraic_rank, canonical, leaf_rc, provenance = values
     cls = RankOneClass if isinstance(canonical, dict) and "s" in canonical else Class2
-    names = _CANONICAL[cls]
-    parts = _fields(canonical, f"{path}.canonical", names)
-    stored = cls(*(_rational(part, f"{path}.canonical", name) for name, part in zip(names, parts)))
-    recipe = _recipe_from_json(kind, params, path)
+    stored = _from_json(cls, canonical, f"{path}.canonical")
+    if _typed(str, kind, path, "recipe") not in _RECIPES:
+        raise _not_one_of(_RECIPES, kind, path, "recipe")
+    recipe = _from_json(_RECIPES[kind], params, f"{path}.recipe_params")
     try:
         fol = FoliationDescriptor(
             ambient=ambient,
-            rank=_typed(rank, int, path, "rank"),
-            algebraic_rank=_typed(algebraic_rank, int, path, "algebraic_rank"),
+            rank=_typed(int, rank, path, "rank"),
+            algebraic_rank=_typed(int, algebraic_rank, path, "algebraic_rank"),
             recipe=recipe,
             leaf_rc=_enum(LeafStatus, leaf_rc, path, "leaf_rc"),
-            provenance=_typed(provenance, str, path, "provenance"),
+            provenance=_typed(str, provenance, path, "provenance"),
         )
     except DomainError as exc:
         raise _refused(path, exc) from None
@@ -295,96 +333,11 @@ def _fol_from_json(obj, path: str, ambient=None) -> FoliationDescriptor:
     return fol
 
 
-def _optional_rational_from_json(text: Optional[str], key: str) -> Optional[Fraction]:
-    return None if text is None else _rational(text, "invariants", key)
-
-
-_FLAGS = Positivity.__slots__
-
-
-def _invariants_to_json(inv: InvariantReport) -> dict:
-    return {
-        "gen_index": render_optional(inv.gen_index, None),
-        "fano_index": render_optional(inv.fano_index, None),
-        "seshadri_antican": render_optional(inv.seshadri_antican, None),
-        "positivity": {name: getattr(inv.positivity, name) for name in _FLAGS},
-    }
-
-
-def _invariants_from_json(obj) -> InvariantReport:
-    gen_index, fano_index, seshadri_antican, flags = _fields(
-        obj, "invariants", ("gen_index", "fano_index", "seshadri_antican", "positivity")
-    )
-    path = "invariants.positivity"
-    flags = _fields(flags, path, _FLAGS)
-    flags = {name: _typed(flag, bool, path, name) for name, flag in zip(_FLAGS, flags)}
-    try:
-        positivity = Positivity(**flags)
-    except DomainError as exc:
-        raise _refused(path, exc) from None
-    try:
-        return InvariantReport(
-            gen_index=_optional_rational_from_json(gen_index, "gen_index"),
-            fano_index=_optional_rational_from_json(fano_index, "fano_index"),
-            seshadri_antican=_optional_rational_from_json(seshadri_antican, "seshadri_antican"),
-            positivity=positivity,
-        )
-    except DomainError as exc:
-        raise _refused("invariants", exc) from None
-
-
-def _request_to_json(request: Optional[SynthesisRequest]) -> Optional[dict]:
-    if request is None:
-        return None
-    return {
-        "kind": request.kind.value,
-        "n": request.n,
-        "r": request.r,
-        "c": render_rational(request.c),
-    }
-
-
-def _request_from_json(obj) -> Optional[SynthesisRequest]:
-    if obj is None:
-        return None
-    kind, n, r, c = _fields(obj, "request", ("kind", "n", "r", "c"))
-    try:
-        return SynthesisRequest(
-            kind=_enum(SynthKind, kind, "request", "kind"),
-            n=_typed(n, int, "request", "n"),
-            r=_typed(r, int, "request", "r"),
-            c=_rational(c, "request", "c"),
-        )
-    except DomainError as exc:
-        raise _refused("request", exc) from None
-
-
-def record_to_json(record: ExampleRecord) -> dict:
-    """JSON object for one record, exactly as it appears in an export."""
-    return {
-        "id": record.id,
-        "request": _request_to_json(record.request),
-        "branch": record.branch,
-        "variety": _variety_to_json(record.variety),
-        "foliation": _fol_to_json(record.foliation, include_ambient=False),
-        "invariants": _invariants_to_json(record.invariants),
-        "checks": [
-            {"name": c.name, "status": c.status.value, "detail": c.detail}
-            for c in record.checks
-        ],
-    }
-
-
 def _check_from_json(obj, path: str, decoded: dict) -> CheckOutcome:
     key = marshal.dumps(obj)
     check = decoded.get(key)
     if check is None:
-        name, status, detail = _fields(obj, path, ("name", "status", "detail"))
-        check = decoded[key] = CheckOutcome(
-            _typed(name, str, path, "name"),
-            _enum(CheckStatus, status, path, "status"),
-            _typed(detail, str, path, "detail"),
-        )
+        check = decoded[key] = _from_json(CheckOutcome, obj, path)
     return check
 
 
@@ -409,18 +362,18 @@ def _record_from_json(obj, decoded: dict) -> ExampleRecord:
         ambient = _variety_from_json(variety, "variety")
         if isinstance(ambient, PolarizedBase):
             raise _not_one_of(("bundle", "wps", "cone"), "polarized-base", "variety", "family")
-    record_id = _typed(record_id, str, "record", "id")
-    request = _request_from_json(request)
-    branch = _typed(branch, str, "record", "branch")
+    record_id = _typed(str, record_id, "record", "id")
+    request = None if request is None else _from_json(SynthesisRequest, request, "request")
+    branch = _typed(str, branch, "record", "branch")
     if geometry is None:
         geometry = decoded[key] = (
             _fol_from_json(foliation, "foliation", ambient=ambient),
-            _invariants_from_json(invariants),
+            _from_json(InvariantReport, invariants, "invariants"),
         )
     fol, inv = geometry
     checks = tuple(
         _check_from_json(c, f"checks[{i}]", decoded)
-        for i, c in enumerate(_typed(checks, list, "record", "checks"))
+        for i, c in enumerate(_typed(list, checks, "record", "checks"))
     )
     return ExampleRecord(record_id, request, branch, fol, inv, checks)
 

@@ -192,6 +192,8 @@ def _row_cells(row, columns: Sequence[str]) -> list:
 
 
 def cmd_table(args) -> int:
+    if args.family == "cone" and args.base_dim is None:
+        args.base_dim = "2"
     ranges = {
         name: parse_range(getattr(args, name))
         for name in _table_params()
@@ -332,7 +334,6 @@ def build_parser() -> _Parser:
     table.add_argument("--family", required=True)
     for name in _table_params():
         table.add_argument(_flag(name))
-    table.set_defaults(base_dim="2")
     _add_out(table)
     table.set_defaults(func=cmd_table)
 

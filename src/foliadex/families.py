@@ -201,7 +201,7 @@ def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleReco
         "cone",
         fol,
         (value, value, value),
-        lambda inv: (cone_resolution_check(cone, fol),),
+        lambda inv: (cone_resolution_check(fol),),
     )
 
 
@@ -222,8 +222,8 @@ def mixed_record(r: int) -> ExampleRecord:
         fol,
         (Fraction(r), Fraction(1), None),
         lambda inv: (
-            witness_check(variety, fol),
-            oracle_agreement_check(variety, fol, inv),
+            witness_check(fol),
+            oracle_agreement_check(fol, inv),
             mixed_gap_check(inv, r),
         ),
     )
@@ -263,7 +263,7 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
         fol,
         (value, value, value),
         lambda inv: (
-            cone_resolution_check(cone, fol),
+            cone_resolution_check(fol),
             boundary_sharpness_check(inv, fol, at_equality=False),
         ),
     )
@@ -308,7 +308,7 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
         fol,
         (value, value, value),
         lambda inv: (
-            cone_resolution_check(cone, fol),
+            cone_resolution_check(fol),
             boundary_sharpness_check(inv, fol, at_equality=True),
         ),
     )

@@ -179,7 +179,8 @@ def positivity_check(inv: InvariantReport, expect: str) -> CheckOutcome:
     return passfail("anticanonical-positivity", ok, f"expected {expect}; got {got}")
 
 
-def witness_check(variety: BundleVariety, fol: FoliationDescriptor) -> CheckOutcome:
+def witness_check(fol: FoliationDescriptor) -> CheckOutcome:
+    variety = fol.ambient
     antican = -fol.canonical
     value, witness = generalized_index(variety, antican)
     ok = witness.is_valid_for(variety, antican)
@@ -189,10 +190,8 @@ def witness_check(variety: BundleVariety, fol: FoliationDescriptor) -> CheckOutc
     return passfail("index-witness-valid", ok, detail)
 
 
-def oracle_agreement_check(
-    variety: BundleVariety, fol: FoliationDescriptor, inv: InvariantReport
-) -> CheckOutcome:
-    value, rectangle = audited_index(variety, -fol.canonical)
+def oracle_agreement_check(fol: FoliationDescriptor, inv: InvariantReport) -> CheckOutcome:
+    value, rectangle = audited_index(fol.ambient, -fol.canonical)
     ok = value == inv.gen_index
     if inv.positivity.ample:
         # The closed form for ample classes is a derived extension of the
@@ -247,7 +246,8 @@ def case1_constraints_check(params: CaseParameters, r: int) -> CheckOutcome:
     return passfail("case1-constraints", ok, detail)
 
 
-def cone_resolution_check(cone: GeneralizedCone, fol: FoliationDescriptor) -> CheckOutcome:
+def cone_resolution_check(fol: FoliationDescriptor) -> CheckOutcome:
+    cone = fol.ambient
     if not cone.base.is_projective_space:
         return skip(
             "cone-resolution-consistency", "no bundle model for an abstract base"
@@ -381,8 +381,8 @@ def _synth_record(
         yield target_check(inv, TARGET_FIELD[request.kind], request.c)
         if isinstance(variety, BundleVariety):
             yield positivity_check(inv, "big-not-ample")
-            yield witness_check(variety, fol)
-            yield oracle_agreement_check(variety, fol, inv)
+            yield witness_check(fol)
+            yield oracle_agreement_check(fol, inv)
             yield seshadri_scaled_check(variety, inv)
         else:
             yield positivity_check(inv, "ample")
@@ -413,7 +413,7 @@ def _cone_construction(n: int, r: int, c: Fraction) -> tuple[FoliationDescriptor
     else:
         base_fol = transcendental_rank1(n - rprime, p)
     fol = cone_foliation(cone, base_fol)
-    return fol, cone_resolution_check(cone, fol)
+    return fol, cone_resolution_check(fol)
 
 
 def _cone_record(request: SynthesisRequest) -> ExampleRecord:

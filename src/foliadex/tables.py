@@ -90,6 +90,11 @@ def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
             f"unknown family {family!r}; known: " + ", ".join(sorted(FAMILY_PARAMS))
         )
     names = FAMILY_PARAMS[family]
+    for name in ranges:
+        if name not in names:
+            raise DomainError(
+                f"family {family!r} takes no {name}; its parameters are: " + ", ".join(names)
+            )
     missing = [name for name in names if name not in ranges]
     if missing:
         raise DomainError(f"family {family!r} needs ranges for: " + ", ".join(missing))

@@ -7,28 +7,46 @@ import json
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_foliation import arbitrary_foliations
 
 from foliadex import (
+    BundleVariety,
     Catalog,
     SCHEMA_VERSION,
+    CheckOutcome,
+    CheckStatus,
     Class2,
     DomainError,
     ExampleRecord,
     FoliadexError,
+    GeneralizedCone,
+    InvariantReport,
     ParseError,
+    Positivity,
+    RankOneClass,
+    SynthesisRequest,
+    SynthKind,
+    WeightedProjectiveSpace,
     compute_invariants,
+    cone_foliation,
     export_catalog,
     import_catalog,
+    projective_space_base,
+    pullback_over_bundle,
     record_to_json,
     verify_record,
     write_catalog,
 )
+from foliadex.catalog import _READ, _RECIPES, _VARIETIES, _VARIETY_READ
 from foliadex.cli import main
+from foliadex.synthesis import assemble_record
+from foliadex.value import Value
 
 
 def test_round_trip_preserves_objects(std_catalog):
@@ -407,5 +425,82 @@ def test_shared_decodes_tell_true_from_one(std_catalog):
     second["invariants"]["positivity"]["pseff"] = 1
     text = json.dumps({"schema_version": SCHEMA_VERSION, "records": [first, second]})
     refusal = "malformed record at position 1: invariants.positivity.pseff must be a boolean, got 1"
+    with pytest.raises(ParseError, match=rf"^{re.escape(refusal)}$"):
+        import_catalog(text)
+
+
+# ---------------------------------------------------------------------------
+# The field-driven codec: each object holds its value type's fields.
+
+
+@st.composite
+def _lifted_foliations(draw):
+    """arbitrary_foliations(), or one of them on P^k lifted one level: its
+    pullback over a bundle on P^k or its cone over P^k."""
+    fol = draw(arbitrary_foliations())
+    ambient = fol.ambient
+    lift = draw(st.sampled_from(("none", "pullback", "cone")))
+    if lift == "none" or not (isinstance(ambient, WeightedProjectiveSpace) and ambient.is_smooth):
+        return fol
+    m = draw(st.integers(1, 3))
+    if lift == "pullback":
+        b = sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)), reverse=True)
+        return pullback_over_bundle(BundleVariety(ambient.dim, m, b), fol)
+    cone = GeneralizedCone(projective_space_base(ambient.dim), m, draw(st.integers(1, 3)))
+    return cone_foliation(cone, fol)
+
+
+@st.composite
+def _arbitrary_records(draw):
+    fol = draw(_lifted_foliations())
+    n = fol.ambient.dim
+    target = st.fractions(min_value=Fraction(1, 8), max_value=n, max_denominator=8)
+    request = draw(st.none() | st.builds(
+        SynthesisRequest, st.sampled_from(SynthKind), st.just(n), st.integers(1, n - 1), target,
+    ))
+    checks = draw(st.lists(
+        st.builds(CheckOutcome, st.text(max_size=8), st.sampled_from(CheckStatus), st.text()),
+        max_size=3,
+    ))
+    return assemble_record(draw(st.text()), request, draw(st.text(max_size=8)), fol, lambda _: checks)
+
+
+@settings(deadline=None)
+@given(_arbitrary_records())
+def test_arbitrary_records_round_trip(record):
+    text = export_catalog(Catalog(records=(record,)))
+    back = import_catalog(text)
+    assert back.records == (record,)
+    assert export_catalog(back) == text
+
+
+# every class the codec decodes from the JSON object of its fields
+DECODED = (
+    SynthesisRequest, InvariantReport, Positivity, CheckOutcome, RankOneClass, Class2,
+    *_VARIETIES.values(), *_RECIPES.values(),
+)
+
+
+@pytest.mark.parametrize("cls", DECODED, ids=lambda cls: cls.__name__)
+def test_decoded_classes_take_their_fields_in_slots_order(cls):
+    # the decoder builds cls(*fields) from the fields in __slots__ order
+    if cls.__init__ is not Value.__init__:
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == cls.__slots__
+
+
+def test_every_reader_reads_a_decoded_field():
+    fields = {name for cls in DECODED for name in cls.__slots__}
+    assert set(_READ) <= fields
+    assert set(_VARIETY_READ) <= fields
+
+
+def test_invariants_are_read_in_field_order(std_catalog):
+    # gen_index precedes positivity, so of two faults it is the one named
+    obj = record_to_json(std_catalog.records[0])
+    obj["invariants"]["gen_index"] = "x"
+    obj["invariants"]["positivity"]["pseff"] = 1
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "records": [obj]})
+    refusal = "malformed record at position 0: invariants.gen_index: not a rational literal: 'x'"
     with pytest.raises(ParseError, match=rf"^{re.escape(refusal)}$"):
         import_catalog(text)

@@ -611,6 +611,10 @@ def _nested(depth):
             "import", ("foliation", "recipe_params", "base", "canonical", "s"), "1/2", _cone,
             "foliation.recipe_params.base.canonical: stored canonical class (1/2)H differs",
         ),
+        (
+            "table", None, ("--family", "wps1", "--n", "3", "--m", "1", "--a1", "5", "--r", "99"),
+            None, "family 'wps1' takes no a1; its parameters are: n, m",
+        ),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -628,7 +632,7 @@ def _nested(depth):
         "oracle-rprime-zero", "synth-n-one", "synth-q-zero", "oracle-d-zero",
         "oracle-c-short", "variety-family", "recipe", "base-recipe", "foliation-rank-zero",
         "variety-m-zero", "request-n-one", "positivity-constructor", "report-constructor",
-        "base-canonical-mismatch",
+        "base-canonical-mismatch", "table-param-of-another-family",
     ],
 )
 def test_bad_input_fails_in_one_line(
@@ -640,6 +644,8 @@ def test_bad_input_fails_in_one_line(
         argv = ["synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", value]
     elif command == "grid":
         argv = ["verify", "--grid", *value, "--out", "json"]
+    elif command == "table":
+        argv = ["table", *value]
     else:
         if isinstance(value, bytes):
             catalog.write_bytes(value)

@@ -49,7 +49,7 @@ def test_table_output_is_pinned(capsys):
     transcript.append(", ".join(families))
     data = "".join(transcript).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == (
-        "8bb74bd20f51a9eec5cde99083b2456da73c260665653cf92b7689de843fe197"
+        "c7e96471b2efbdec2ff634a90ebe9783c931881a373a49f7725985f7ec8fe052"
     )
 
 

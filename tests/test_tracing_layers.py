@@ -4,11 +4,13 @@ perfbench/tracing.py imports foliadex.cli, then wraps each (module,
 function) in its LAYERS table by name, read from sys.modules.  So a
 renamed or deleted function, or a layer module that importing the CLI
 no longer loads, makes a traced run fail.  The table is read from the
-file's source; the tracer itself runs only as a child process.
+file's source; the tracer itself runs only as a child process, whose
+spans are read back with the file's load().
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -79,3 +81,17 @@ def test_traced_synth_completes(tmp_path):
 )
 def test_traced_verify_and_table_complete(tmp_path, argv):
     _assert_traced_run_completes(tmp_path, argv)
+
+
+def test_traced_export_spans_each_record_once(tmp_path, monkeypatch):
+    # catalog.encode_s sums the record_to_json spans: one per exported record
+    _assert_traced_run_completes(
+        tmp_path, ["catalog", "export", "--out-file", str(tmp_path / "export.json")]
+    )
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # for its dataclass
+    spec.loader.exec_module(tracing)
+    trace = tracing.load(tmp_path / "spans")
+    functions = [trace.names[fid] for fid in trace.spans[2::tracing.FIELDS]]
+    assert functions.count(("catalog", "record_to_json")) == 1833
