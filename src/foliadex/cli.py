@@ -35,6 +35,14 @@ from .verification import OracleGrid, SynthGrid, run_sweep, verify_catalog
 FORMATS = ("json", "csv", "table")
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and note the flag in the namespace's given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.dest,)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse prints its usage block and exits with 2 on bad usage; the
     contract here is one line and exit 1."""
@@ -135,24 +143,27 @@ def _render_report(report: SweepReport, fmt: str, source: str) -> str:
     return "\n".join(lines)
 
 
+# the flags each grid of verify reads, besides --grid and --out; a catalog reads none
+_GRID_FLAGS = {"standard": (), "oracle": OracleGrid.__slots__, "synth": ("kind", "n_max", "q_max")}
+
+
 def cmd_verify(args) -> int:
+    source = f"catalog {args.catalog}" if args.catalog is not None else f"grid {args.grid}"
+    reads = () if args.catalog is not None else ("grid", *_GRID_FLAGS[args.grid])
+    for name in args.given:
+        if name not in reads:
+            raise DomainError(f"{_flag(name)} is not read by verify --{source}")
     if args.catalog is not None:
         report = verify_catalog(_read_catalog(args.catalog).records)
-        source = f"catalog {args.catalog}"
+    elif args.grid == "standard":
+        report = verify_catalog(standard_catalog().records)
+    elif args.grid == "oracle":
+        grid = {name: getattr(args, name) for name in OracleGrid.__slots__}
+        report = run_sweep(OracleGrid(**grid))
+    elif args.kind is None:
+        raise DomainError("--grid synth needs --kind")
     else:
-        if args.grid == "standard":
-            report = verify_catalog(standard_catalog().records)
-        elif args.grid == "oracle":
-            report = run_sweep(
-                OracleGrid(**{name: getattr(args, name) for name in OracleGrid.__slots__})
-            )
-        else:
-            if args.kind is None:
-                raise DomainError("--grid synth needs --kind")
-            report = run_sweep(
-                SynthGrid(kind=SynthKind.from_text(args.kind), n_max=args.n_max, q_max=args.q_max)
-            )
-        source = f"grid {args.grid}"
+        report = run_sweep(SynthGrid(SynthKind.from_text(args.kind), args.n_max, args.q_max))
     print(_render_report(report, args.out, source))
     return 0 if report.ok else 1
 
@@ -316,19 +327,17 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run a verification sweep")
     verify.add_argument(
-        "--grid",
-        choices=("standard", "oracle", "synth"),
-        default="standard",
+        "--grid", action=_Given, choices=("standard", "oracle", "synth"), default="standard"
     )
     verify.add_argument("--catalog", default=None, help="verify an exported catalog file")
     defaults = OracleGrid()
     for name in OracleGrid.__slots__:
-        verify.add_argument(_flag(name), type=int, default=getattr(defaults, name))
-    verify.add_argument("--kind", default=None, help="synthesis kind for --grid synth")
-    verify.add_argument("--n-max", type=int, default=4)
-    verify.add_argument("--q-max", type=int, default=6)
+        verify.add_argument(_flag(name), action=_Given, type=int, default=getattr(defaults, name))
+    verify.add_argument("--kind", action=_Given, help="synthesis kind for --grid synth")
+    verify.add_argument("--n-max", action=_Given, type=int, default=4)
+    verify.add_argument("--q-max", action=_Given, type=int, default=6)
     _add_out(verify)
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=cmd_verify, given=())
 
     table = sub.add_parser("table", help="tabulate a parametric family")
     table.add_argument("--family", required=True)

@@ -9,7 +9,7 @@ container's text as soon as the container is finished, which is faster
 than the pure-Python indenting encoder and holds fewer pieces alive.
 
 pieces(obj) yields the same text in pieces, so a large output can be
-written while it is made.
+written while it is made.  A Text in the tree is written as it is.
 """
 
 from __future__ import annotations
@@ -18,9 +18,13 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
 
 
+class Text(str):
+    """JSON text already rendered where it is written, which _render keeps."""
+
+
 def _render(obj, newline: str) -> str:
     if isinstance(obj, str):
-        return _string(obj)
+        return obj if type(obj) is Text else _string(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -47,9 +51,9 @@ def _render(obj, newline: str) -> str:
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-def render(obj) -> str:
-    """json.dumps(obj, indent=2), for the exact JSON types only."""
-    return _render(obj, "\n")
+def render(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), for the exact JSON types only, nested at newline."""
+    return _render(obj, newline)
 
 
 def _pieces(obj, newline: str):

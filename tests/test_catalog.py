@@ -43,6 +43,7 @@ from foliadex import (
     verify_record,
     write_catalog,
 )
+from foliadex import catalog
 from foliadex.catalog import _READ, _RECIPES, _VARIETIES, _VARIETY_READ
 from foliadex.cli import main
 from foliadex.synthesis import assemble_record
@@ -427,6 +428,121 @@ def test_shared_decodes_tell_true_from_one(std_catalog):
     refusal = "malformed record at position 1: invariants.positivity.pseff must be a boolean, got 1"
     with pytest.raises(ParseError, match=rf"^{re.escape(refusal)}$"):
         import_catalog(text)
+
+
+def test_import_decodes_each_distinct_variety_and_base_once(std_catalog, monkeypatch):
+    # 1,875 varieties (1,104 records' and 771 bases' ambients) and 1,875
+    # foliations (1,104 records' and 771 bases) were each decoded
+    calls = {"variety": 0, "foliation": 0}
+
+    def counted(name, decode):
+        def wrapper(*args):
+            calls[name] += 1
+            return decode(*args)
+        return wrapper
+
+    for name, decoder in (("variety", "_variety_from_json"), ("foliation", "_fol_from_json")):
+        monkeypatch.setattr(catalog, decoder, counted(name, getattr(catalog, decoder)))
+    records = import_catalog(export_catalog(std_catalog)).records
+    assert calls == {"variety": 404, "foliation": 1226}
+    fols = {id(r.foliation): r.foliation for r in records}.values()
+    bases = [fol.recipe.base for fol in fols if hasattr(fol.recipe, "base")]
+    assert (len(bases), len({id(b) for b in bases})) == (771, 122)
+    assert len({id(r.variety) for r in records}) == 402
+
+
+@pytest.mark.parametrize(
+    "keys, value, fault",
+    [
+        (("rank",), True, "rank must be an integer, got True"),
+        (("algebraic_rank",), False, "algebraic_rank must be an integer, got False"),
+        (("ambient", "weights"), [True, 1, 1], "ambient.weights must be an integer, got True"),
+    ],
+    ids=["rank", "algebraic-rank", "ambient-weights"],
+)
+def test_shared_nested_decodes_tell_true_from_one(std_catalog, keys, value, fault):
+    # the first record's base foliation decodes; the second's is equal to
+    # it under dict ==, and must be refused at its own position and path
+    first = record_to_json(std_catalog.records[0])
+    second = json.loads(json.dumps(first))
+    second["id"] += ":copy"
+    target = second["foliation"]["recipe_params"]["base"]
+    for key in keys[:-1]:
+        target = target[key]
+    assert target[keys[-1]] == value
+    target[keys[-1]] = value
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "records": [first, second]})
+    refusal = f"malformed record at position 1: foliation.recipe_params.base.{fault}"
+    with pytest.raises(ParseError, match=rf"^{re.escape(refusal)}$"):
+        import_catalog(text)
+
+
+# ---------------------------------------------------------------------------
+# One rendered text per shared object of an export.
+
+
+def _render_counts(monkeypatch, catalog_):
+    """Record-level foliation renders and check renders of one export."""
+    counts = {"foliation": 0, "check": 0}
+    fol_to_json, to_json = catalog._fol_to_json, catalog._to_json
+
+    def counted_fol(fol, include_ambient=False):
+        counts["foliation"] += not include_ambient
+        return fol_to_json(fol, include_ambient)
+
+    def counted(value):
+        counts["check"] += type(value) is CheckOutcome
+        return to_json(value)
+
+    monkeypatch.setattr(catalog, "_fol_to_json", counted_fol)
+    monkeypatch.setattr(catalog, "_to_json", counted)
+    text = export_catalog(catalog_)
+    monkeypatch.undo()
+    return text, counts
+
+
+def test_export_renders_each_shared_object_once(std_catalog, monkeypatch):
+    text, counts = _render_counts(monkeypatch, std_catalog)
+    assert counts["foliation"] == 1203  # distinct descriptor objects of the built catalog
+    assert counts["check"] <= 941  # distinct check values, of 5,199 check objects
+    again, counts = _render_counts(monkeypatch, import_catalog(text))
+    assert again == text
+    assert counts["foliation"] == 1104  # distinct geometries of the import
+    assert counts["check"] <= 941
+
+
+def _apart(records):
+    """records, one import apart each: equal objects, none shared."""
+    return tuple(
+        import_catalog(export_catalog(Catalog(records=(record,)))).records[0] for record in records
+    )
+
+
+def test_shared_and_distinct_objects_export_alike(std_catalog):
+    shared = import_catalog(export_catalog(std_catalog)).records
+    fano, sesh = _cone_pair(shared)
+    assert fano.foliation is sesh.foliation and fano.invariants is sesh.invariants
+    assert shared.index(sesh) - shared.index(fano) > 600  # the pair recurs far apart
+    assert len({id(c) for r in shared for c in r.checks}) == 941
+    apart = _apart(shared)
+    assert apart == shared
+    assert len({id(r.foliation) for r in apart}) == len({id(r.invariants) for r in apart}) == 1833
+    expected = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "metadata": std_catalog.metadata,
+            "records": [record_to_json(r) for r in shared],
+        },
+        indent=2,
+    ) + "\n"
+    for records in (shared, apart, std_catalog.records):
+        out = io.StringIO()
+        write_catalog(Catalog(metadata=std_catalog.metadata, records=records), out)
+        text = out.getvalue()
+        if text != expected:  # a plain assert would diff two 3.6 MB texts for minutes
+            pairs = zip(text + "\0", expected + "\0")
+            offset = next(i for i, (a, b) in enumerate(pairs) if a != b)
+            pytest.fail(f"export differs at offset {offset}: {text[offset:offset + 200]!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,9 @@ def _nested(depth):
 
 
 # command: "synth" takes value as its --c; "grid" runs verify with the
-# arguments in value, each of which empties a sweep; "verify" and "import" read a
+# arguments in value, each of which empties a sweep or gives a flag the grid
+# does not read; "flags" runs verify --catalog of a one-record catalog with
+# the arguments in value; "verify" and "import" read a
 # catalog file.  A bytes value is the file's content.  Otherwise path
 # names the field set to value: in the catalog's metadata when it starts
 # with "metadata", in the catalog object itself when it starts with
@@ -615,6 +617,23 @@ def _nested(depth):
             "table", None, ("--family", "wps1", "--n", "3", "--m", "1", "--a1", "5", "--r", "99"),
             None, "family 'wps1' takes no a1; its parameters are: n, m",
         ),
+        (
+            "flags", None, ("--m-max", "5", "--kind", "seshadri", "--out", "csv"), None,
+            "--m-max is not read by verify --catalog",
+        ),
+        (
+            "grid", None, ("standard", "--coeff-max", "2"), None,
+            "--coeff-max is not read by verify --grid standard",
+        ),
+        (
+            "grid", None, ("oracle", "--kind", "seshadri", "--n-max", "9"), None,
+            "--kind is not read by verify --grid oracle",
+        ),
+        (
+            "grid", None, ("synth", "--coeff-max", "99"), None,
+            "--coeff-max is not read by verify --grid synth",
+        ),
+        ("flags", None, ("--grid", "standard"), None, "--grid is not read by verify --catalog"),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -632,7 +651,8 @@ def _nested(depth):
         "oracle-rprime-zero", "synth-n-one", "synth-q-zero", "oracle-d-zero",
         "oracle-c-short", "variety-family", "recipe", "base-recipe", "foliation-rank-zero",
         "variety-m-zero", "request-n-one", "positivity-constructor", "report-constructor",
-        "base-canonical-mismatch", "table-param-of-another-family",
+        "base-canonical-mismatch", "table-param-of-another-family", "catalog-oracle-flag",
+        "standard-oracle-flag", "oracle-synth-flag", "synth-oracle-flag", "catalog-grid",
     ],
 )
 def test_bad_input_fails_in_one_line(
@@ -646,6 +666,9 @@ def test_bad_input_fails_in_one_line(
         argv = ["verify", "--grid", *value, "--out", "json"]
     elif command == "table":
         argv = ["table", *value]
+    elif command == "flags":
+        catalog.write_text(export_catalog(Catalog(records=std_catalog.records[:1])))
+        argv = ["verify", "--catalog", str(catalog), *value]
     else:
         if isinstance(value, bytes):
             catalog.write_bytes(value)
