@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError
 from .lattice import Class2, Cone2, content
-from .value import Frozen
+from .value import Frozen, Value
 
 #: Fiber ray F: the pullback of a base hyperplane.
 FIBER_RAY = Class2(0, 1)
@@ -69,9 +69,7 @@ class BundleVariety(Frozen):
                 raise DomainError(f"summand degrees must be integers >= 0, got {bi}")
         if any(b[i] < b[i + 1] for i in range(len(b) - 1)):
             raise DomainError(f"summand degrees must be sorted descending, got {b}")
-        object.__setattr__(self, "base_dim", base_dim)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "b", b)
+        Value.__init__(self, base_dim, m, b)
 
     @property
     def fiber_rank(self) -> int:
@@ -119,10 +117,7 @@ class Positivity(Frozen):
             raise DomainError("inconsistent flags: ample needs nef and big")
         if (big or nef) and not pseff:
             raise DomainError("inconsistent flags: big/nef need pseff")
-        object.__setattr__(self, "pseff", pseff)
-        object.__setattr__(self, "big", big)
-        object.__setattr__(self, "nef", nef)
-        object.__setattr__(self, "ample", ample)
+        Value.__init__(self, pseff, big, nef, ample)
 
 
 def nef_cone(variety: BundleVariety) -> Cone2:

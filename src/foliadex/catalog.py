@@ -79,8 +79,7 @@ class Catalog(Frozen):
             if record.id in seen:
                 raise DomainError(f"duplicate record id {record.id!r}")
             seen.add(record.id)
-        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
-        object.__setattr__(self, "records", records)
+        Value.__init__(self, {} if metadata is None else metadata, records)
 
 
 # ---------------------------------------------------------------------------

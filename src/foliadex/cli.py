@@ -144,7 +144,7 @@ def _render_report(report: SweepReport, fmt: str, source: str) -> str:
 
 
 # the flags each grid of verify reads, besides --grid and --out; a catalog reads none
-_GRID_FLAGS = {"standard": (), "oracle": OracleGrid.__slots__, "synth": ("kind", "n_max", "q_max")}
+_GRID_FLAGS = {"standard": (), "oracle": OracleGrid.__slots__, "synth": SynthGrid.__slots__}
 
 
 def cmd_verify(args) -> int:
@@ -334,8 +334,8 @@ def build_parser() -> _Parser:
     for name in OracleGrid.__slots__:
         verify.add_argument(_flag(name), action=_Given, type=int, default=getattr(defaults, name))
     verify.add_argument("--kind", action=_Given, help="synthesis kind for --grid synth")
-    verify.add_argument("--n-max", action=_Given, type=int, default=4)
-    verify.add_argument("--q-max", action=_Given, type=int, default=6)
+    for name, default in zip(("n_max", "q_max"), SynthGrid.__init__.__defaults__):
+        verify.add_argument(_flag(name), action=_Given, type=int, default=default)
     _add_out(verify)
     verify.set_defaults(func=cmd_verify, given=())
 

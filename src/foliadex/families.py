@@ -40,6 +40,7 @@ from .rankone import (
 )
 from .report import CheckOutcome, InvariantReport
 from .synthesis import (
+    FAMILY_FORMULA_CHECK,
     ExampleRecord,
     assemble_record,
     boundary_sharpness_check,
@@ -65,7 +66,7 @@ def family_formula_check(
     detail = (
         f"(iota-hat, iota, eps) = {render(actual)}, closed form {render(expected)}"
     )
-    return passfail("family-formula", actual == expected, detail)
+    return passfail(FAMILY_FORMULA_CHECK, actual == expected, detail)
 
 
 def _family_record(

@@ -53,7 +53,7 @@ from .rankone import (
     WeightedProjectiveSpace,
     projective_space,
 )
-from .value import Frozen
+from .value import Frozen, Value
 
 Ambient = Union[BundleVariety, WeightedProjectiveSpace, GeneralizedCone, PolarizedBase]
 
@@ -268,13 +268,7 @@ class FoliationDescriptor(Frozen):
                     f"(rank, algebraic_rank, leaf_rc) = {stored} contradicts "
                     f"{inherited}, inherited from the base foliation"
                 )
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "algebraic_rank", algebraic_rank)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "recipe", recipe)
-        object.__setattr__(self, "leaf_rc", leaf_rc)
-        object.__setattr__(self, "provenance", provenance)
+        Value.__init__(self, ambient, rank, algebraic_rank, canonical, recipe, leaf_rc, provenance)
 
     @property
     def purely_transcendental(self) -> bool:

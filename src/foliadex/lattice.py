@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .value import Frozen
+from .value import Frozen, Value
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -96,8 +96,7 @@ class Class2(Frozen):
     gamma: Fraction
 
     def __init__(self, beta: int | Fraction, gamma: int | Fraction) -> None:
-        object.__setattr__(self, "beta", _coerce(beta))
-        object.__setattr__(self, "gamma", _coerce(gamma))
+        Value.__init__(self, _coerce(beta), _coerce(gamma))
 
     def __add__(self, other: Class2) -> Class2:
         return Class2(self.beta + other.beta, self.gamma + other.gamma)
@@ -180,17 +179,14 @@ class Cone2(Frozen):
     ray2: Class2
 
     def __init__(self, ray1: Class2, ray2: Class2) -> None:
-        object.__setattr__(self, "ray1", ray1)
-        object.__setattr__(self, "ray2", ray2)
         for ray in (ray1, ray2):
             if not ray.is_integral:
                 raise DomainError(f"cone ray {ray} is not integral")
             if content(ray) != 1:
                 raise DomainError(f"cone ray {ray} is not primitive")
+        Value.__init__(self, ray1, ray2)
         if self._det() == 0:
-            raise DomainError(
-                f"rays {self.ray1} and {self.ray2} are proportional"
-            )
+            raise DomainError(f"rays {ray1} and {ray2} are proportional")
 
     def _det(self) -> Fraction:
         return self.ray1.beta * self.ray2.gamma - self.ray1.gamma * self.ray2.beta

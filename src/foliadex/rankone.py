@@ -27,7 +27,7 @@ from .bundle import BundleVariety, Positivity
 from .errors import DomainError
 from .lattice import Class2, _coerce
 from .report import InvariantReport
-from .value import Frozen
+from .value import Frozen, Value
 
 
 class SingularityClass(enum.Enum):
@@ -63,10 +63,7 @@ class PolarizedBase(Frozen):
             raise DomainError(f"base dimension must be >= 1, got {dim}")
         if is_projective_space and singularity_class is not SingularityClass.SMOOTH:
             raise DomainError("a projective-space base is smooth")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "is_projective_space", is_projective_space)
-        object.__setattr__(self, "singularity_class", singularity_class)
-        object.__setattr__(self, "label", label)
+        Value.__init__(self, dim, is_projective_space, singularity_class, label)
 
 
 def projective_space_base(dim: int) -> PolarizedBase:
@@ -91,9 +88,7 @@ class GeneralizedCone(Frozen):
             raise DomainError(f"cone multiplier m must be a positive integer, got {m}")
         if not isinstance(vertex_rank, int) or vertex_rank < 1:
             raise DomainError(f"vertex rank must be a positive integer, got {vertex_rank}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "vertex_rank", vertex_rank)
+        Value.__init__(self, base, m, vertex_rank)
 
     @property
     def dim(self) -> int:
@@ -135,7 +130,6 @@ class WeightedProjectiveSpace(Frozen):
 
     def __init__(self, weights: Iterable[int]) -> None:
         w = tuple(weights)
-        object.__setattr__(self, "weights", w)
         if len(w) < 2:
             raise DomainError("need at least two weights")
         if w[0] != 1:
@@ -147,6 +141,7 @@ class WeightedProjectiveSpace(Frozen):
             raise DomainError(f"weights must be ascending, got {w}")
         if math.gcd(*w[1:]) != 1:
             raise DomainError(f"weights {w[1:]} have a common factor")
+        Value.__init__(self, w)
 
     @property
     def dim(self) -> int:
@@ -175,7 +170,7 @@ class RankOneClass(Frozen):
     s: Fraction
 
     def __init__(self, s: int | Fraction) -> None:
-        object.__setattr__(self, "s", _coerce(s))
+        Value.__init__(self, _coerce(s))
 
     def __neg__(self) -> RankOneClass:
         return RankOneClass(-self.s)

@@ -36,10 +36,7 @@ class InvariantReport(Frozen):
             raise DomainError("gen_index recorded for a non-big anticanonical class")
         if fano_index is not None and not positivity.ample:
             raise DomainError("fano_index recorded for a non-ample anticanonical class")
-        object.__setattr__(self, "gen_index", gen_index)
-        object.__setattr__(self, "fano_index", fano_index)
-        object.__setattr__(self, "seshadri_antican", seshadri_antican)
-        object.__setattr__(self, "positivity", positivity)
+        Value.__init__(self, gen_index, fano_index, seshadri_antican, positivity)
 
 
 class CheckStatus(enum.Enum):
@@ -89,11 +86,7 @@ class SweepReport(Value):
         skipped: int = 0,
         failures: list[dict[str, str]] | None = None,
     ) -> None:
-        self.total = total
-        self.passed = passed
-        self.failed = failed
-        self.skipped = skipped
-        self.failures = [] if failures is None else failures
+        Value.__init__(self, total, passed, failed, skipped, [] if failures is None else failures)
 
     def add(self, record_id: str, outcome: CheckOutcome) -> None:
         self.total += 1

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .bundle import (
     BundleVariety,
+    Positivity,
     generalized_index,
     relative_anticanonical,
     seshadri_constant,
@@ -47,7 +48,7 @@ from .rankone import (
     pushforward_to_cone,
 )
 from .report import CheckOutcome, CheckStatus, InvariantReport
-from .value import Frozen
+from .value import Frozen, Value
 
 
 class SynthKind(enum.Enum):
@@ -105,10 +106,7 @@ class SynthesisRequest(Frozen):
             raise DomainError(f"need 0 < r < n, got r={r}, n={n}")
         if c <= 0:
             raise DomainError(f"target must be positive, got {c}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c", c)
+        Value.__init__(self, kind, n, r, c)
 
 
 class CaseParameters(Frozen):
@@ -146,6 +144,12 @@ class ExampleRecord(Frozen):
 # by the verification module; a failing check is recorded, never raised,
 # so a defective construction is visible rather than hidden.
 
+# The certificates every record stores: a synth record its exact target, a
+# table row its closed form, and both the positivity of the anticanonical class.
+TARGET_CHECK = "target-invariant-exact"
+FAMILY_FORMULA_CHECK = "family-formula"
+POSITIVITY_CHECK = "anticanonical-positivity"
+
 
 def passfail(name: str, ok: bool, detail: str) -> CheckOutcome:
     status = CheckStatus.PASS if ok else CheckStatus.FAIL
@@ -159,10 +163,14 @@ def skip(name: str, detail: str) -> CheckOutcome:
 def target_check(inv: InvariantReport, field: str, expected: Fraction) -> CheckOutcome:
     actual = getattr(inv, field)
     return passfail(
-        "target-invariant-exact",
+        TARGET_CHECK,
         actual == expected,
         f"{field} = {render_optional(actual, 'absent')}, target {render_rational(expected)}",
     )
+
+
+def render_positivity(flags: Positivity) -> str:
+    return f"pseff={flags.pseff} big={flags.big} nef={flags.nef} ample={flags.ample}"
 
 
 def positivity_check(inv: InvariantReport, expect: str) -> CheckOutcome:
@@ -173,10 +181,7 @@ def positivity_check(inv: InvariantReport, expect: str) -> CheckOutcome:
         ok = flags.big and not flags.ample
     else:
         raise DomainError(f"unknown positivity expectation {expect!r}")
-    got = (
-        f"pseff={flags.pseff} big={flags.big} nef={flags.nef} ample={flags.ample}"
-    )
-    return passfail("anticanonical-positivity", ok, f"expected {expect}; got {got}")
+    return passfail(POSITIVITY_CHECK, ok, f"expected {expect}; got {render_positivity(flags)}")
 
 
 def witness_check(fol: FoliationDescriptor) -> CheckOutcome:

@@ -3,13 +3,13 @@
 A subclass names its fields, in order, in __slots__.  Value's
 constructor binds positional arguments to them in that order and the
 rest by keyword, and refuses a missing, unknown, repeated or surplus
-field with a TypeError; a subclass defines its own __init__ only to
-check, convert or default an argument, and then sets every field there.
+field with a TypeError.  It is the one place that stores fields: a
+subclass defines its own __init__ only to check, convert or default an
+argument, and ends it with one Value.__init__(self, ...) call by position.
 Value compares two objects of the same type field by field and prints
 Name(field=value, ...) in field order; like any class that defines
 equality without a hash, it is unhashable.  Frozen also hashes the tuple
-of fields and refuses assignment and deletion, so fields are set with
-object.__setattr__.
+of fields and refuses assignment and deletion.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ its invariants from the geometry: the stored invariants are compared
 with it, the general inequalities between the invariants are checked,
 the closed-form generalized index is compared against the enumeration
 oracle where a rank-two model exists, and the stored construction checks
-are read for failures, with a synth record's exact-target check re-run
-from its request.  Sweeps aggregate these audits over parameter grids
-into a SweepReport.
+are read for failures and for missing certificates, with a synth
+record's exact-target check re-run from its request.  Sweeps aggregate
+these audits over parameter grids into a SweepReport.
 """
 
 from __future__ import annotations
@@ -15,26 +15,30 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bundle import BundleVariety, classify_divisor, generalized_index
+from .bundle import BundleVariety, Positivity, classify_divisor, generalized_index
 from .errors import DomainError, UnsupportedRequest
 from .foliation import FoliationDescriptor, LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
-from .lattice import Class2, reduced_targets, render_rational
+from .lattice import Class2, reduced_targets, render_optional, render_rational
 from .oracle import audited_index, oracle_generalized_index
 from .report import CheckOutcome, CheckReport, CheckStatus, InvariantReport, SweepReport
 from .synthesis import (
+    FAMILY_FORMULA_CHECK,
+    POSITIVITY_CHECK,
+    TARGET_CHECK,
     TARGET_FIELD,
     ExampleRecord,
     SynthesisRequest,
     SynthKind,
     passfail,
     record_id,
+    render_positivity,
     require_length,
     skip,
     synthesize,
     target_check,
 )
-from .value import Frozen
+from .value import Frozen, Value
 
 
 def check_record(record: ExampleRecord) -> CheckReport:
@@ -131,10 +135,20 @@ def _theorem_outcomes(fol: FoliationDescriptor, inv: InvariantReport) -> tuple[C
     return tuple(outcomes)
 
 
+def _render_invariant(value: Fraction | Positivity | None) -> str:
+    if isinstance(value, Positivity):
+        return render_positivity(value)
+    return render_optional(value, "absent")
+
+
 def _recomputation_outcome(record: ExampleRecord, recomputed: InvariantReport) -> CheckOutcome:
-    ok = recomputed == record.invariants
-    detail = "recomputed invariants equal the stored ones" if ok else (
-        f"stored {record.invariants} != recomputed {recomputed}"
+    stored = record.invariants
+    ok = recomputed == stored
+    detail = "recomputed invariants equal the stored ones" if ok else "; ".join(
+        f"{name}: stored {_render_invariant(getattr(stored, name))}, "
+        f"recomputed {_render_invariant(getattr(recomputed, name))}"
+        for name in InvariantReport.__slots__
+        if getattr(stored, name) != getattr(recomputed, name)
     )
     return passfail("stored-invariants-match-recomputation", ok, detail)
 
@@ -158,25 +172,31 @@ def _oracle_outcome(record: ExampleRecord, recomputed: InvariantReport) -> Check
     detail = (
         f"closed form {render_rational(value)}, {rectangle} "
         f"{render_rational(enumerated)}, stored "
-        f"{render_rational(record.invariants.gen_index)}"
+        f"{render_optional(record.invariants.gen_index, 'absent')}"
     )
     return passfail(name, ok, detail)
 
 
 def _stored_checks_outcome(record: ExampleRecord, recomputed: InvariantReport) -> CheckOutcome:
-    """Fails on a stored check that failed, and on a synth record whose
-    recomputed invariants miss its request's target."""
+    """Fails on a stored check that failed, on a certificate that is missing
+    or skipped (a synth record's target or a table row's closed form, and
+    either's positivity), and on a synth record whose recomputed invariants
+    miss its target."""
     failed = [c.name for c in record.checks if c.status is CheckStatus.FAIL]
     request = record.request
     if request is not None:
         rerun = target_check(recomputed, TARGET_FIELD[request.kind], request.c)
         if rerun.status is CheckStatus.FAIL:
             failed.append(f"{rerun.name} on re-run ({rerun.detail})")
-    detail = (
-        "failed: " + ", ".join(failed) if failed
-        else f"{len(record.checks)} stored checks, none failed"
+    certificate = FAMILY_FORMULA_CHECK if request is None else TARGET_CHECK
+    stored = {c.name for c in record.checks if c.status is not CheckStatus.SKIP}
+    missing = [name for name in (certificate, POSITIVITY_CHECK) if name not in stored]
+    problems = "; ".join(
+        f"{what}: " + ", ".join(names)
+        for what, names in (("failed", failed), ("missing", missing)) if names
     )
-    return passfail("stored-construction-checks", not failed, detail)
+    detail = problems or f"{len(record.checks)} stored checks, none failed"
+    return passfail("stored-construction-checks", not problems, detail)
 
 
 def _outcomes(
@@ -268,24 +288,18 @@ class OracleGrid(Frozen):
         d_max: int = 6,
         c_max: int = 40,
     ) -> None:
-        object.__setattr__(self, "m_max", m_max)
-        object.__setattr__(self, "b1_max", b1_max)
-        object.__setattr__(self, "rprime_max", rprime_max)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "coeff_max", coeff_max)
-        object.__setattr__(self, "d_max", d_max)
-        object.__setattr__(self, "c_max", c_max)
-        for name, least in (
-            ("m_max", 1), ("b1_max", 0), ("rprime_max", 1), ("k_max", 1), ("coeff_max", 1),
-            ("d_max", 1),
+        for name, bound, least in (
+            ("m_max", m_max, 1), ("b1_max", b1_max, 0), ("rprime_max", rprime_max, 1),
+            ("k_max", k_max, 1), ("coeff_max", coeff_max, 1), ("d_max", d_max, 1),
         ):
-            _require_nonempty(name, getattr(self, name), least)
+            _require_nonempty(name, bound, least)
         if c_max < b1_max * d_max + 1:
             raise DomainError(
                 f"c_max must be at least b1_max*d_max + 1 = {b1_max * d_max + 1}, got {c_max}: "
                 "the oracle needs an ample class for every d <= d_max on every bundle"
             )
         require_length("b1_max", b1_max, "the largest twist")
+        Value.__init__(self, m_max, b1_max, rprime_max, k_max, coeff_max, d_max, c_max)
 
 
 class SynthGrid(Frozen):
@@ -296,12 +310,10 @@ class SynthGrid(Frozen):
     n_max: int
     q_max: int
 
-    def __init__(self, kind: SynthKind, n_max: int, q_max: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "q_max", q_max)
+    def __init__(self, kind: SynthKind, n_max: int = 4, q_max: int = 6) -> None:
         _require_nonempty("n_max", n_max, 2)
         _require_nonempty("q_max", q_max, 1)
+        Value.__init__(self, kind, n_max, q_max)
 
 
 def _oracle_sweep(grid: OracleGrid) -> SweepReport:

@@ -26,7 +26,8 @@ from foliadex import (
     verify_record,
 )
 from foliadex.cli import build_parser, main
-from foliadex.verification import OracleGrid
+from foliadex.synthesis import SynthKind
+from foliadex.verification import OracleGrid, SynthGrid
 
 
 def run(capsys, *argv):
@@ -330,6 +331,10 @@ def test_request_off_its_target_fails_verify(capsys, tmp_path, std_catalog):
     assert "target-invariant-exact on re-run" in out
 
 
+_SYNTH_ID = "generalized-index:case2:n=3:r=1:c=1/8"
+_ROW_ID = "table:wps1:n=3:m=1"
+
+
 def _one_record_file(std_catalog, path, record_id, edit):
     """A catalog file holding the record record_id after edit(record JSON)."""
     record = next(r for r in std_catalog.records if r.id == record_id)
@@ -374,6 +379,86 @@ def test_consistent_edit_to_a_class_that_is_not_big_fails_verify(capsys, tmp_pat
     # the theorem checks grade the recomputation, which has no generalized index
     index = outcomes["kobayashi-ochiai-generalized"]
     assert (index.status, index.detail) == (CheckStatus.SKIP, "no generalized index on record")
+
+
+def test_absent_stored_gen_index_fails_verify_in_rendered_rationals(
+    capsys, tmp_path, std_catalog
+):
+    path = _one_record_file(
+        std_catalog, tmp_path / "absent.json", _SYNTH_ID,
+        lambda record: record["invariants"].update(gen_index=None),
+    )
+    code, out, err = run(capsys, "verify", "--catalog", str(path), "--out", "json")
+    assert (code, err) == (1, "")
+    details = {f["check"]: f["detail"] for f in json.loads(out)["failures"]}
+    assert details == {
+        "stored-invariants-match-recomputation": "gen_index: stored absent, recomputed 1/8",
+        "closed-form-vs-oracle": (
+            "closed form 1/8, enumeration (d <= 3, 1 <= c - b1*d <= 6) 1/8, stored absent"
+        ),
+    }
+    for detail in details.values():
+        assert "None" not in detail and "Fraction(" not in detail
+
+
+def test_changed_positivity_is_named_with_its_flags(capsys, tmp_path, std_catalog):
+    path = _one_record_file(
+        std_catalog, tmp_path / "nef.json", _SYNTH_ID,
+        lambda record: record["invariants"]["positivity"].update(nef=True),
+    )
+    code, out, _ = run(capsys, "verify", "--catalog", str(path), "--out", "json")
+    assert code == 1
+    (failure,) = json.loads(out)["failures"]
+    assert failure["detail"] == (
+        "positivity: stored pseff=True big=True nef=True ample=False, "
+        "recomputed pseff=True big=True nef=False ample=False"
+    )
+
+
+def _without(*names):
+    """Drop the stored checks called names; every one when none is named."""
+    def edit(record):
+        record["checks"] = [c for c in record["checks"] if names and c["name"] not in names]
+    return edit
+
+
+def _skipped(name):
+    """Mark the stored check called name as skipped."""
+    def edit(record):
+        (check,) = (c for c in record["checks"] if c["name"] == name)
+        check["status"] = "skip"
+    return edit
+
+
+@pytest.mark.parametrize(
+    "record_id, edit, missing",
+    [
+        (_SYNTH_ID, _without(), "target-invariant-exact, anticanonical-positivity"),
+        (_SYNTH_ID, _without("target-invariant-exact"), "target-invariant-exact"),
+        (_SYNTH_ID, _without("anticanonical-positivity"), "anticanonical-positivity"),
+        (_SYNTH_ID, _skipped("target-invariant-exact"), "target-invariant-exact"),
+        (_ROW_ID, _without(), "family-formula, anticanonical-positivity"),
+        (_ROW_ID, _without("family-formula"), "family-formula"),
+        (_ROW_ID, _without("anticanonical-positivity"), "anticanonical-positivity"),
+        (_ROW_ID, _skipped("family-formula"), "family-formula"),
+        (_ROW_ID, _skipped("anticanonical-positivity"), "anticanonical-positivity"),
+    ],
+    ids=["synth-emptied", "synth-target", "synth-positivity", "synth-target-skipped",
+         "row-emptied", "row-formula", "row-positivity", "row-formula-skipped",
+         "row-positivity-skipped"],
+)
+def test_record_without_its_certificate_checks_fails_verify(
+    capsys, tmp_path, std_catalog, record_id, edit, missing
+):
+    path = _one_record_file(std_catalog, tmp_path / "bare.json", record_id, edit)
+    code, out, err = run(capsys, "catalog", "import", "--in", str(path))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "verify", "--catalog", str(path), "--out", "json")
+    assert (code, err) == (1, "")
+    (failure,) = json.loads(out)["failures"]
+    assert failure == {
+        "record": record_id, "check": "stored-construction-checks", "detail": f"missing: {missing}"
+    }
 
 
 def _base_as_variety(record):
@@ -812,6 +897,14 @@ def test_verify_flags_default_to_the_oracle_grid():
     args = build_parser().parse_args(["verify"])
     grid = OracleGrid()
     for name in OracleGrid.__slots__:
+        assert getattr(args, name) == getattr(grid, name), name
+
+
+def test_verify_flags_default_to_the_synth_grid():
+    args = build_parser().parse_args(["verify", "--grid", "synth", "--kind", "seshadri"])
+    grid = SynthGrid(SynthKind.SESHADRI)
+    assert cli._GRID_FLAGS["synth"] == SynthGrid.__slots__
+    for name in ("n_max", "q_max"):
         assert getattr(args, name) == getattr(grid, name), name
 
 

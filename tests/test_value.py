@@ -187,7 +187,8 @@ def test_value_type_contract(cls):
 
 def _storing_only_constructors(source: str) -> list[str]:
     """Classes in source whose __init__ only stores its parameters, in
-    __slots__ order, with object.__setattr__: the constructor Value gives."""
+    __slots__ order, with object.__setattr__ or with one Value.__init__
+    call: the constructor Value gives."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
@@ -207,8 +208,9 @@ def _storing_only_constructors(source: str) -> list[str]:
             stored = tuple(
                 f"object.__setattr__(self, {name!r}, {name})" for name in params
             )
+            delegated = (f"Value.__init__(self, {', '.join(params)})",)
             body = tuple(ast.unparse(statement) for statement in node.body)
-            if params == slots and body == stored and not node.args.defaults:
+            if params == slots and body in (stored, delegated) and not node.args.defaults:
                 found.append(cls.name)
     return found
 
@@ -235,6 +237,54 @@ def test_storing_only_scan_finds_a_storing_constructor():
     assert _storing_only_constructors(source) == ["Pair"]
     checking = source + "        if a < 0:\n            raise ValueError(a)\n"
     assert _storing_only_constructors(checking) == []
+
+
+def test_storing_only_scan_finds_a_constructor_that_only_calls_value():
+    source = (
+        "class Pair(Frozen):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        Value.__init__(self, a, b)\n"
+    )
+    assert _storing_only_constructors(source) == ["Pair"]
+    checking = source.replace(
+        "        Value", "        if a < 0:\n            raise ValueError(a)\n        Value"
+    )
+    assert _storing_only_constructors(checking) == []
+    converting = source.replace("(self, a, b)\n", "(self, a, tuple(b))\n")
+    assert _storing_only_constructors(converting) == []
+
+
+def _hand_stores(source: str) -> list[int]:
+    """The lines where source calls object.__setattr__."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+    )
+
+
+def test_only_value_stores_fields_by_hand():
+    sources = sorted(Path(foliadex.__file__).parent.glob("*.py"))
+    found = {
+        path.name: _hand_stores(path.read_text(encoding="utf-8"))
+        for path in sources
+        if path.name != "value.py"
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_hand_store_scan_finds_every_call():
+    source = (
+        "class Pair:\n"
+        "    def __init__(self, a):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "    def renamed(self, a):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "object.__setattr__(Pair, 'b', 1)\n"
+        "setattr(Pair, 'c', 1)\n"
+    )
+    assert _hand_stores(source) == [3, 5, 6]
 
 
 _INHERITED = sorted(
