@@ -128,6 +128,11 @@ def pseff_cone(variety: BundleVariety) -> Cone2:
     return Cone2(variety.extremal_effective_ray, FIBER_RAY)
 
 
+def _is_big(m: int, beta_num: int, gamma_num: int) -> bool:
+    """Bigness on the numerators of a class over a positive denominator."""
+    return beta_num > 0 and gamma_num > -m * beta_num
+
+
 def classify_divisor(variety: BundleVariety, cls: Class2) -> Positivity:
     """Positivity flags from the two cone inequalities.
 
@@ -139,7 +144,7 @@ def classify_divisor(variety: BundleVariety, cls: Class2) -> Positivity:
     beta, gamma, _ = cls.over_common_denominator()
     m, b1 = variety.m, variety.b1
     pseff = beta >= 0 and gamma >= -m * beta
-    big = beta > 0 and gamma > -m * beta
+    big = _is_big(m, beta, gamma)
     nef = beta >= 0 and gamma >= b1 * beta
     ample = beta > 0 and gamma > b1 * beta
     return Positivity(pseff=pseff, big=big, nef=nef, ample=ample)
@@ -190,24 +195,33 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
     decomposes cls over {H0, E, F} with nonnegative surplus coefficients,
     which IndexWitness.is_valid_for tests.
     """
-    if not classify_divisor(variety, cls).big:
-        raise DomainError(f"generalized index needs a big class, got {cls}")
     beta_num, gamma_num, den = cls.over_common_denominator()
     m, b1 = variety.m, variety.b1
-    h0 = Class2(1, b1 + 1)
+    if not _is_big(m, beta_num, gamma_num):
+        raise DomainError(f"generalized index needs a big class, got {cls}")
+    t = _closed_form(m, b1, beta_num, gamma_num, den)
     total = m + b1 + 1
-    # (m*beta + gamma)/(m + b1 + 1) <= beta, both sides times den*(m + b1 + 1) > 0
-    if m * beta_num + gamma_num <= beta_num * total:
+    # where the two terms of the minimum are equal, both branches give
+    # p_e = p_a = 0
+    if t != cls.beta:
         # Pseff surplus sits on the E ray: D - t*H0 = p_e * E.
-        t = Fraction(m * beta_num + gamma_num, den * total)
         p_e = Fraction(beta_num * (b1 + 1) - gamma_num, den * total)
         p_a = _ZERO
     else:
         # Surplus sits on the fiber ray: D - beta*H0 = p_a * F.
-        t = cls.beta
         p_e = _ZERO
         p_a = Fraction(gamma_num - beta_num * (b1 + 1), den)
-    return t, IndexWitness(t, h0, p_e, p_a)
+    return t, IndexWitness(t, Class2(1, b1 + 1), p_e, p_a)
+
+
+def _closed_form(m: int, b1: int, beta_num: int, gamma_num: int, den: int) -> Fraction:
+    """min(beta, (m*beta + gamma)/(m + b1 + 1)) for a big class given by its
+    numerators over den, unguarded: the caller has classified the class."""
+    total = m + b1 + 1
+    # (m*beta + gamma)/(m + b1 + 1) <= beta, both sides times den*(m + b1 + 1) > 0
+    if m * beta_num + gamma_num <= beta_num * total:
+        return Fraction(m * beta_num + gamma_num, den * total)
+    return Fraction(beta_num, den)
 
 
 def fano_index(variety: BundleVariety, cls: Class2) -> Fraction:

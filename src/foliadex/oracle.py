@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _kernels
-from .bundle import BundleVariety, classify_divisor
+from .bundle import BundleVariety, _is_big
 from .errors import DomainError
 from .lattice import Class2
 
@@ -44,9 +44,12 @@ AUDIT_D_MAX = 3
 AUDIT_C_SPAN = 6
 
 
-def _require_big(variety: BundleVariety, cls: Class2) -> None:
-    if not classify_divisor(variety, cls).big:
+def _big_numerators(variety: BundleVariety, cls: Class2) -> tuple[int, int, int]:
+    """cls over its common denominator, refused unless it is big."""
+    beta_num, gamma_num, den = cls.over_common_denominator()
+    if not _is_big(variety.m, beta_num, gamma_num):
         raise DomainError(f"oracle needs a big class, got {cls}")
+    return beta_num, gamma_num, den
 
 
 def _kernel_index(
@@ -73,8 +76,7 @@ def oracle_generalized_index(
         raise DomainError(
             f"need c_max >= b1*d_max + 1 = {variety.b1 * d_max + 1}, got {c_max}"
         )
-    _require_big(variety, cls)
-    beta_num, gamma_num, den = cls.over_common_denominator()
+    beta_num, gamma_num, den = _big_numerators(variety, cls)
     return _kernel_index(beta_num, gamma_num, den, variety.m, variety.b1, d_max, c_max)
 
 
@@ -89,9 +91,8 @@ def audited_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, str]:
     rectangle oracle_generalized_index accepts.  Returns the enumerated
     value and the window as the check details print it.
     """
-    _require_big(variety, cls)
+    beta_num, gamma_num, den = _big_numerators(variety, cls)
     b1 = variety.b1
-    beta_num, gamma_num, den = cls.over_common_denominator()
     value = _kernel_index(
         beta_num, gamma_num - b1 * beta_num, den, variety.m + b1, 0, AUDIT_D_MAX, AUDIT_C_SPAN
     )

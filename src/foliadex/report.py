@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .bundle import Positivity
@@ -99,6 +100,23 @@ class SweepReport(Value):
             )
         else:
             self.skipped += 1
+
+    def add_under(self, prefixes: Sequence[str], rows: SweepReport) -> None:
+        """Add every row of rows once under each prefix.
+
+        The same as add(f"{prefix}:{record}", outcome) for each prefix in
+        turn and each row in order, where rows was filled by add(record,
+        outcome): the counts are added by multiplication, and an id is
+        built only for a failing row.
+        """
+        times = len(prefixes)
+        self.total += times * rows.total
+        self.passed += times * rows.passed
+        self.failed += times * rows.failed
+        self.skipped += times * rows.skipped
+        for prefix in prefixes:
+            for failure in rows.failures:
+                self.failures.append({**failure, "record": f"{prefix}:{failure['record']}"})
 
     @property
     def ok(self) -> bool:

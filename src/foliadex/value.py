@@ -35,12 +35,22 @@ def _bound(cls, args: tuple, kwargs: dict) -> list:
 class Value:
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The __set__ of each field's slot descriptor, bound once per class:
+        # it stores past a Frozen __setattr__ without an attribute lookup.
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *args, **kwargs) -> None:
-        names = self.__slots__
-        if kwargs or len(args) != len(names):
+        setters = self._setters
+        if kwargs or len(args) != len(setters):
             args = _bound(type(self), args, kwargs)
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        # a counter, not zip(): building a zip object costs more than the
+        # loop over a type's few fields
+        i = 0
+        for setter in setters:
+            setter(self, args[i])
+            i += 1
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bundle import BundleVariety, Positivity, classify_divisor, generalized_index
+from .bundle import BundleVariety, Positivity, _closed_form, classify_divisor
 from .errors import DomainError, UnsupportedRequest
 from .foliation import FoliationDescriptor, LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
@@ -253,20 +253,38 @@ def _require_nonempty(name: str, bound: int, least: int) -> None:
         raise DomainError(f"{name} must be at least {least}, got {bound}: the grid would be empty")
 
 
+# The largest oracle grid a sweep runs: its cost bounds (OracleGrid) may not
+# exceed these.  The default grid's bounds are 31,824 rows and 299,520
+# kernel candidates.
+ORACLE_MAX_ROWS = 1_000_000
+ORACLE_MAX_CANDIDATES = 20_000_000
+
+
 class OracleGrid(Frozen):
     """Every integral big-not-ample class on every small bundle.
 
     The sweep's cost is a function of these fields alone.  Write
     classes(m, b1) for the number of integral (beta, gamma) with
     1 <= beta <= coeff_max, |gamma| <= coeff_max and
-    -m*beta < gamma <= b1*beta.  Then:
+    -m*beta < gamma <= b1*beta, and b-tails for the
+    C(b1_max + rprime_max + 1, rprime_max) - 1 non-increasing tuples of
+    length at most rprime_max over 0..b1_max.  Then:
 
-    - rows = k_max * sum over b-tails and m <= m_max of classes(m, b1);
-      24,312 on the default grid;
+    - groups = b-tails * m_max, each adding its rows in one step;
+    - rows = k_max * sum over groups of classes(m, b1); 24,312 on the
+      default grid.  A failing audit fails each row of its class;
     - kernel calls = one per distinct (m, b1, beta, gamma), that is
       sum over m <= m_max and b1 <= b1_max of classes(m, b1); 856 on the
       default grid;
     - each kernel call covers at most d_max * (c_max - b1) candidates.
+
+    With classes(m, b1) <= coeff_max * (2*coeff_max + 1) these give the
+    bounds rows <= k_max * groups * that, and kernel candidates <=
+    m_max * (b1_max + 1) * that * d_max * c_max.  A grid whose bounds
+    exceed ORACLE_MAX_ROWS or ORACLE_MAX_CANDIDATES is refused.  The
+    error names the first field, in field order, that takes the bounds
+    over while the fields after it are held at the smaller of their
+    value and their default.
     """
 
     __slots__ = ("m_max", "b1_max", "rprime_max", "k_max", "coeff_max", "d_max", "c_max")
@@ -299,7 +317,48 @@ class OracleGrid(Frozen):
                 "the oracle needs an ample class for every d <= d_max on every bundle"
             )
         require_length("b1_max", b1_max, "the largest twist")
-        Value.__init__(self, m_max, b1_max, rprime_max, k_max, coeff_max, d_max, c_max)
+        fields = (m_max, b1_max, rprime_max, k_max, coeff_max, d_max, c_max)
+        if _over_ceiling(fields):
+            # the bounds only grow along this walk from a grid no larger than
+            # the default one to this grid, so some field takes them over
+            held = [min(f, d) for f, d in zip(fields, OracleGrid.__init__.__defaults__)]
+            for i, name in enumerate(self.__slots__):
+                held[i] = fields[i]
+                if _over_ceiling(held):
+                    raise DomainError(
+                        f"{name} = {fields[i]} is too large: an oracle grid may have at most "
+                        f"{ORACLE_MAX_ROWS:,} rows and {ORACLE_MAX_CANDIDATES:,} kernel "
+                        "candidates"
+                    )
+        Value.__init__(self, *fields)
+
+
+def _cost_bounds(
+    m_max: int, b1_max: int, rprime_max: int, k_max: int, coeff_max: int, d_max: int, c_max: int
+) -> tuple[int, int]:
+    """The (rows, kernel candidates) bounds of OracleGrid's docstring.
+
+    The b-tails are C(n, j) - 1 with n = b1_max + rprime_max + 1 and
+    j = min(rprime_max, b1_max + 1), reached through the increasing
+    partial products C(n - j + i, i).  As n - j >= j, these grow at least
+    as 2**i, and the count stops once it passes ORACLE_MAX_ROWS, which
+    leaves the rows bound above that ceiling: a few dozen steps, whatever
+    the fields.
+    """
+    classes = coeff_max * (2 * coeff_max + 1)
+    n, j = b1_max + rprime_max + 1, min(rprime_max, b1_max + 1)
+    tails = 1
+    for i in range(1, j + 1):
+        tails = tails * (n - j + i) // i
+        if tails > ORACLE_MAX_ROWS + 1:
+            break
+    rows = k_max * (tails - 1) * m_max * classes
+    return rows, m_max * (b1_max + 1) * classes * d_max * c_max
+
+
+def _over_ceiling(fields) -> bool:
+    rows, candidates = _cost_bounds(*fields)
+    return rows > ORACLE_MAX_ROWS or candidates > ORACLE_MAX_CANDIDATES
 
 
 class SynthGrid(Frozen):
@@ -320,45 +379,48 @@ def _oracle_sweep(grid: OracleGrid) -> SweepReport:
     """One row per (variety, class), one audit per distinct (m, b1, class).
 
     The closed form and the enumeration depend on the bundle only through
-    (m, b1), so every k and b-tail with the same (m, b1) reuses the audits
-    of the first such bundle; a failing audit fails each of its rows.
+    (m, b1), so every k and b-tail with the same (m, b1) repeats the
+    audits of the first such bundle.  The rows of one (b-tail, m) group
+    are added in one step, in the order of a loop over k and then over
+    the classes: counted by multiplication, with an id built only for a
+    failing row, so a failing audit fails each of its rows.
     """
     report = SweepReport()
-    audits: dict[tuple[int, int], list[tuple[str, CheckOutcome]]] = {}
+    audits: dict[tuple[int, int], SweepReport] = {}
     for rprime in range(1, grid.rprime_max + 1):
         for b_ascending in itertools.combinations_with_replacement(
             range(grid.b1_max + 1), rprime
         ):
             b = tuple(reversed(b_ascending))
+            tail = ",".join(str(e) for e in b)
             for m in range(1, grid.m_max + 1):
-                for k in range(1, grid.k_max + 1):
-                    variety = BundleVariety(base_dim=k, m=m, b=b)
-                    key = (m, variety.b1)
-                    if key not in audits:
-                        audits[key] = _audit_classes(grid, variety)
-                    prefix = f"oracle:k={k}:m={m}:b={','.join(str(e) for e in b)}"
-                    for suffix, outcome in audits[key]:
-                        report.add(f"{prefix}:{suffix}", outcome)
+                key = (m, b[0])
+                if key not in audits:
+                    audits[key] = _audit_classes(grid, BundleVariety(base_dim=1, m=m, b=b))
+                prefixes = [f"oracle:k={k}:m={m}:b={tail}" for k in range(1, grid.k_max + 1)]
+                report.add_under(prefixes, audits[key])
     return report
 
 
-def _audit_classes(
-    grid: OracleGrid, variety: BundleVariety
-) -> list[tuple[str, CheckOutcome]]:
+def _audit_classes(grid: OracleGrid, variety: BundleVariety) -> SweepReport:
     """Audit every integral big-not-ample class of the grid on variety.
 
-    Returns (record id suffix, outcome) pairs in the sweep's class order.
+    Returns one row per class, in the sweep's class order, with the
+    record id suffix beta=...:gamma=....  Each class is classified once,
+    by this filter: the closed form takes the filtered class through its
+    unguarded entry point, and the enumeration's own guard reads only
+    the class's numerators.
     """
     m, b1 = variety.m, variety.b1
     denom = m + b1 + 1
-    audited = []
+    rows = SweepReport()
     for beta in range(1, grid.coeff_max + 1):
         for gamma in range(-grid.coeff_max, grid.coeff_max + 1):
             cls = Class2(beta, gamma)
             flags = classify_divisor(variety, cls)
             if not flags.big or flags.ample:
                 continue
-            value, _ = generalized_index(variety, cls)
+            value = _closed_form(m, b1, beta, gamma, 1)
             formula = Fraction(m * beta + gamma, denom)
             enumerated = oracle_generalized_index(variety, cls, grid.d_max, grid.c_max)
             ok = value == formula == enumerated
@@ -366,9 +428,8 @@ def _audit_classes(
                 f"closed form {render_rational(value)}, direct formula "
                 f"{render_rational(formula)}, enumeration {render_rational(enumerated)}"
             )
-            outcome = passfail("closed-form-vs-oracle", ok, detail)
-            audited.append((f"beta={beta}:gamma={gamma}", outcome))
-    return audited
+            rows.add(f"beta={beta}:gamma={gamma}", passfail("closed-form-vs-oracle", ok, detail))
+    return rows
 
 
 def _synth_sweep(grid: SynthGrid) -> SweepReport:

@@ -837,6 +837,21 @@ def test_integer_too_large_for_a_length_fails_in_one_line(capsys, name, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["k_max", "rprime_max", "m_max", "coeff_max"])
+def test_oracle_grid_above_its_ceiling_fails_in_one_line(name):
+    # each of these grids would run for ever; the grid's cost bounds
+    # refuse it before any work
+    argv = ["verify", "--grid", "oracle", f"--{name.replace('_', '-')}", str(10**21)]
+    env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "foliadex.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=3,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {name} = {10**21} is too large")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_out_of_memory_fails_in_one_line(capsys, monkeypatch):
     # str(MemoryError()) is empty, so the line must say what happened
     def exhausted(request):

@@ -1,8 +1,10 @@
 """Machine verification: the oracle, the record checks, and the sweeps."""
 
 import ast
+import hashlib
 import itertools
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from foliadex import (
     SCHEMA_VERSION,
     BundleVariety,
+    CheckOutcome,
     CheckStatus,
     Class2,
     DomainError,
@@ -36,7 +39,8 @@ from foliadex import (
     verify_catalog,
     verify_record,
 )
-from foliadex import _kernels, catalog, oracle, synthesis, verification
+from foliadex import _kernels, bundle, catalog, oracle, synthesis, verification
+from foliadex.cli import main
 
 
 def test_oracle_frozen_values():
@@ -296,6 +300,157 @@ def test_sweep_calls_the_kernel_once_per_distinct_class(monkeypatch):
     assert report.total == 24312
     assert len(calls) == 856
     assert len(set(calls)) == 856
+
+
+# sha256 of `verify --grid oracle` stdout, taken before the sweep counted
+# rows instead of adding them one by one.
+_ORACLE_GRIDS = {
+    "default": (),
+    "coeff7": ("--coeff-max", "7", "--c-max", "41", "--d-max", "5"),
+    "coeff5": ("--coeff-max", "5", "--c-max", "39", "--d-max", "7"),
+    "failing": (
+        "--m-max", "2", "--b1-max", "2", "--rprime-max", "2", "--k-max", "3",
+        "--coeff-max", "3",
+    ),
+}
+_PASS_CSV = "468b6e3b09e719b18798e5128453c59b0cf5306da3eafd1ae8c787ab16324f35"
+_ORACLE_DIGESTS = {
+    ("default", "json"): "a0bfdc567b127721d156bd6362e605b30027e0882be3f879e50a6eff51a35042",
+    ("default", "table"): "c23d304f6464e0a42600f30e2fba5862f6517d70791866e1e481e6dc856038b4",
+    ("default", "csv"): _PASS_CSV,
+    ("coeff7", "json"): "e9fbc599f89330b6bd6ba06a955bdc28a7a687d2b28108a23a477a7be631d7d8",
+    ("coeff7", "table"): "def55e78c49fcc5a373962f1e8f0307e6c31dcc819db21949c5775e755832438",
+    ("coeff7", "csv"): _PASS_CSV,
+    ("coeff5", "json"): "cb3161216a2a2c59b8f81c5dbc9894f0837046a99b30e77b68b60f3abb156713",
+    ("coeff5", "table"): "3be491cdc4059ea4db99a72f873e87ad03959004289ec10f887a155f8fcf90e6",
+    ("coeff5", "csv"): _PASS_CSV,
+    ("failing", "json"): "d3546e2f7121eb4f4cb975aa6338c22571848162a02c8ec0b5eeb5c59d2b9bbd",
+    ("failing", "table"): "5b1a0978e380adea2e3a39e7f0f1cd6e5906b0fa8433964c3fc02b21ecb60c2a",
+    ("failing", "csv"): "83895886ceff10b4bcc39345da3f3a7252b46c80812f52279665b92ac43b0500",
+}
+
+
+@pytest.mark.parametrize("grid, fmt", sorted(_ORACLE_DIGESTS), ids="-".join)
+def test_oracle_sweep_stdout_is_pinned(capsys, monkeypatch, grid, fmt):
+    # The failing grid's enumeration is one too high for two classes:
+    # (1, 0) is audited on every bundle, (2, 1) only where b1 >= 1, so the
+    # pins hold failure ids and their order across (b-tail, m) groups.
+    if grid == "failing":
+        honest = verification.oracle_generalized_index
+        wrong = {Class2(1, 0), Class2(2, 1)}
+
+        def wrong_for_two_classes(variety, cls, d_max, c_max):
+            value = honest(variety, cls, d_max, c_max)
+            return value + 1 if cls in wrong else value
+
+        monkeypatch.setattr(verification, "oracle_generalized_index", wrong_for_two_classes)
+    code = main(["verify", "--grid", "oracle", *_ORACLE_GRIDS[grid], "--out", fmt])
+    assert code == (1 if grid == "failing" else 0)
+    data = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == _ORACLE_DIGESTS[grid, fmt]
+
+
+_OUTCOMES = st.builds(
+    CheckOutcome,
+    st.sampled_from(["a-check", "b-check"]),
+    st.sampled_from(list(CheckStatus)),
+    st.text("xy ", max_size=3),
+)
+
+
+@given(
+    st.lists(st.tuples(st.text("ab=", max_size=3), _OUTCOMES), max_size=6),
+    st.lists(st.text("pq:", max_size=3), max_size=4),
+    st.lists(st.tuples(st.text("z", max_size=2), _OUTCOMES), max_size=3),
+)
+def test_adding_rows_under_prefixes_equals_adding_each_row(rows, prefixes, before):
+    # before: rows already in the report, which the group must follow
+    looped, grouped, unit = SweepReport(), SweepReport(), SweepReport()
+    for record, outcome in before:
+        looped.add(record, outcome)
+        grouped.add(record, outcome)
+    for prefix in prefixes:
+        for record, outcome in rows:
+            looped.add(f"{prefix}:{record}", outcome)
+    for record, outcome in rows:
+        unit.add(record, outcome)
+    grouped.add_under(prefixes, unit)
+    assert grouped.to_dict() == looped.to_dict()
+    assert [list(f.items()) for f in grouped.failures] == [
+        list(f.items()) for f in looped.failures
+    ]
+
+
+def test_sweep_classifies_each_class_once(monkeypatch):
+    # 16 (m, b1) pairs times 78 classes (beta <= 6, |gamma| <= 6) are
+    # classified by the sweep's filter and by nothing else; the 856 big
+    # and not ample ones reach the kernel once each.
+    honest_classify, honest_kernel = bundle.classify_divisor, _kernels.best_index_bound
+    classified, kernel_calls = [], []
+
+    def counting_classify(variety, cls):
+        classified.append((variety.m, variety.b1, cls))
+        return honest_classify(variety, cls)
+
+    def counting_kernel(*args):
+        kernel_calls.append(args)
+        return honest_kernel(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("foliadex") and (
+            getattr(module, "classify_divisor", None) is honest_classify
+        ):
+            monkeypatch.setattr(module, "classify_divisor", counting_classify)
+    monkeypatch.setattr(_kernels, "best_index_bound", counting_kernel)
+    report = run_sweep(OracleGrid())
+    assert report.total == 24312
+    assert len(classified) == len(set(classified)) == 1248
+    assert len(kernel_calls) == 856
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{}, {"m_max": 2, "b1_max": 1, "rprime_max": 2, "k_max": 2, "coeff_max": 3},
+     {"b1_max": 0, "rprime_max": 5, "coeff_max": 2, "d_max": 2, "c_max": 7}],
+    ids=["default", "small", "flat"],
+)
+def test_oracle_grid_cost_bounds_the_sweep(fields, monkeypatch):
+    honest = _kernels.best_index_bound
+    candidates = []
+
+    def counting(beta_num, gamma_num, scale, m, b1, d_max, c_max):
+        candidates.append(sum(c_max - b1 * d for d in range(1, d_max + 1)))
+        return honest(beta_num, gamma_num, scale, m, b1, d_max, c_max)
+
+    monkeypatch.setattr(_kernels, "best_index_bound", counting)
+    grid = OracleGrid(**fields)
+    rows, kernel = verification._cost_bounds(*(getattr(grid, n) for n in grid.__slots__))
+    report = run_sweep(grid)
+    assert report.total <= rows and sum(candidates) <= kernel
+    if not fields:
+        assert (rows, kernel) == (31824, 299520)
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"rprime_max": 12}, "rprime_max = 12"),
+        ({"m_max": 20, "k_max": 20}, "k_max = 20"),
+        ({"k_max": 20, "m_max": 20, "coeff_max": 1}, None),
+        ({"coeff_max": 1, "k_max": 200}, None),
+        ({"d_max": 3, "c_max": 10**6}, "c_max = 1000000"),
+        ({"b1_max": 10**17, "rprime_max": 10**17, "d_max": 1, "c_max": 10**18},
+         "b1_max = 100000000000000000"),
+    ],
+)
+def test_oracle_grid_refuses_a_cost_over_its_ceiling(fields, named):
+    # the field named is the first, in field order, that takes the bounds
+    # over while the later ones are held at min(value, default)
+    if named is None:
+        OracleGrid(**fields)
+        return
+    with pytest.raises(DomainError, match=f"^{named} is too large: an oracle grid may have"):
+        OracleGrid(**fields)
 
 
 def test_synth_sweep_is_clean():
