@@ -58,6 +58,7 @@ from .synthesis import (
     ExampleRecord,
     SynthesisRequest,
     SynthKind,
+    request_id,
     synthesize,
 )
 from .tables import table_rows
@@ -393,7 +394,8 @@ def _record_from_json(obj, decoded: dict) -> ExampleRecord:
     JSON alone, and marshal tells true from 1 and 1 from 1.0, so equal
     bytes decode alike.  Only a decode that succeeded is stored, and the
     fields are read in the same order either way, so a malformed record
-    fails with its own message, nested objects included.
+    fails with its own message, nested objects included.  Last, a synth
+    record's id must be the one request_id gives its request and branch.
     """
     names = ("id", "request", "branch", "variety", "foliation", "invariants", "checks")
     record_id, request, branch, variety, foliation, invariants, checks = _fields(
@@ -418,6 +420,10 @@ def _record_from_json(obj, decoded: dict) -> ExampleRecord:
         _once(decoded, _check_from_json, c, f"checks[{i}]")
         for i, c in enumerate(_typed(list, checks, "record", "checks"))
     )
+    if request is not None and record_id != (expected := request_id(request, branch)):
+        raise DomainError(
+            f"record.id {record_id!r} is not {expected!r}, the id of its request and branch"
+        )
     return ExampleRecord(record_id, request, branch, fol, inv, checks)
 
 

@@ -49,6 +49,7 @@ from .synthesis import (
     oracle_agreement_check,
     passfail,
     positivity_check,
+    record_id,
     synth_generalized_index,
     witness_check,
 )
@@ -70,17 +71,18 @@ def family_formula_check(
 
 
 def _family_record(
-    record_id: str,
-    branch: str,
+    family: str,
+    params: dict[str, int],
     fol: FoliationDescriptor,
     expected: tuple[Optional[Fraction], Optional[Fraction], Optional[Fraction]],
     extra: Callable[[InvariantReport], tuple[CheckOutcome, ...]] = lambda inv: (),
 ) -> ExampleRecord:
-    """A table row: the family-formula and ample checks, then extra(inv)."""
+    """The table row of family at params: the family-formula and ample
+    checks, then extra(inv)."""
     return assemble_record(
-        record_id,
+        record_id("table", family, params),
         None,
-        branch,
+        family,
         fol,
         lambda inv: (
             family_formula_check(inv, expected),
@@ -126,9 +128,7 @@ def wps1_record(n: int, m: int) -> ExampleRecord:
     variety = WeightedProjectiveSpace((1, 1, 1) + (m,) * (n - 2))
     fol = wps_coordinate_foliation(variety, 1)
     value = Fraction(m * (n - 2) + 1, m)
-    return _family_record(
-        f"table:wps1:n={n}:m={m}", "wps1", fol, (value, value, value)
-    )
+    return _family_record("wps1", {"n": n, "m": m}, fol, (value, value, value))
 
 
 def wps2_record(n: int, mprime: int, m: int) -> ExampleRecord:
@@ -144,10 +144,7 @@ def wps2_record(n: int, mprime: int, m: int) -> ExampleRecord:
     index = Fraction((n - 2) * mprime + m, mprime * m)
     eps = 1 + Fraction((n - 2) * mprime, m)
     return _family_record(
-        f"table:wps2:n={n}:mprime={mprime}:m={m}",
-        "wps2",
-        fol,
-        (index, index, eps),
+        "wps2", {"n": n, "mprime": mprime, "m": m}, fol, (index, index, eps)
     )
 
 
@@ -164,10 +161,7 @@ def wps3_record(a1: int, a2: int) -> ExampleRecord:
     variety = _surface_weights(a1, a2)
     fol = wps_coordinate_foliation(variety, 1)
     index = Fraction(1, a1)
-    return _family_record(
-        f"table:wps3:a1={a1}:a2={a2}", "wps3", fol,
-        (index, index, Fraction(1)),
-    )
+    return _family_record("wps3", {"a1": a1, "a2": a2}, fol, (index, index, Fraction(1)))
 
 
 def wps4_record(a1: int, a2: int) -> ExampleRecord:
@@ -176,8 +170,7 @@ def wps4_record(a1: int, a2: int) -> ExampleRecord:
     fol = wps_coordinate_foliation(variety, 2)
     index = Fraction(1, a2)
     return _family_record(
-        f"table:wps4:a1={a1}:a2={a2}", "wps4", fol,
-        (index, index, Fraction(a1, a2)),
+        "wps4", {"a1": a1, "a2": a2}, fol, (index, index, Fraction(a1, a2))
     )
 
 
@@ -198,8 +191,8 @@ def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleReco
     fol = cone_foliation(cone, pn_foliation(base_dim, 1, d))
     value = rprime - Fraction(d, m)
     return _family_record(
-        f"table:cone:k={base_dim}:rprime={rprime}:m={m}:d={d}",
         "cone",
+        {"base_dim": base_dim, "rprime": rprime, "m": m, "d": d},
         fol,
         (value, value, value),
         lambda inv: (cone_resolution_check(fol),),
@@ -218,8 +211,8 @@ def mixed_record(r: int) -> ExampleRecord:
     variety = BundleVariety(base_dim=r + 2, m=1, b=(r - 2,) * r)
     fol = pullback_over_bundle(variety, pn_foliation(r + 2, r, -r))
     return _family_record(
-        f"table:mixed:r={r}",
         "mixed",
+        {"r": r},
         fol,
         (Fraction(r), Fraction(1), None),
         lambda inv: (
@@ -259,8 +252,8 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
     fol = cone_foliation(cone, base_fol)
     value = (r - 1) - Fraction(2, m)
     return _family_record(
-        f"table:rc-genus:r={r}:m={m}",
         "rc-genus",
+        {"r": r, "m": m},
         fol,
         (value, value, value),
         lambda inv: (
@@ -304,8 +297,8 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
     fol = cone_foliation(cone, base_fol)
     value = Fraction(r - 1)
     return _family_record(
-        f"table:rc-flat:n={n}:r={r}:m={m}",
         "rc-flat",
+        {"n": n, "r": r, "m": m},
         fol,
         (value, value, value),
         lambda inv: (

@@ -363,50 +363,38 @@ def assemble_record(
     return ExampleRecord(record_id, request, branch, fol, inv, tuple(checks(inv)))
 
 
-def record_id(request: SynthesisRequest, branch: str) -> str:
+# Parameter names an id writes otherwise.
+_ID_NAMES = {"base_dim": "k"}
+
+
+def record_id(head: str, branch: str, params: dict[str, int | Fraction]) -> str:
+    """The id head:branch:name=value:..., the one format of a record id.
+
+    head is the synth kind or "table", and params the construction's
+    parameters in order; base_dim is written as k, and a value as
+    render_rational writes it.
+    """
+    fields = (f"{_ID_NAMES.get(name, name)}={render_rational(v)}" for name, v in params.items())
+    return ":".join((head, branch, *fields))
+
+
+def request_id(request: SynthesisRequest, branch: str) -> str:
     """The id of the record built for request on branch."""
-    return (
-        f"{request.kind.value}:{branch}:n={request.n}:r={request.r}"
-        f":c={render_rational(request.c)}"
+    return record_id(
+        request.kind.value, branch, {"n": request.n, "r": request.r, "c": request.c}
     )
-
-
-def _synth_record(
-    request: SynthesisRequest,
-    branch: str,
-    fol: FoliationDescriptor,
-    extra: tuple[CheckOutcome, ...] = (),
-) -> ExampleRecord:
-    """A synth record: the exact-target check, the positivity its branch
-    promises (big but not ample on a bundle, with the index audits; ample
-    elsewhere), then extra."""
-    variety = fol.ambient
-
-    def checks(inv: InvariantReport) -> Iterator[CheckOutcome]:
-        yield target_check(inv, TARGET_FIELD[request.kind], request.c)
-        if isinstance(variety, BundleVariety):
-            yield positivity_check(inv, "big-not-ample")
-            yield witness_check(fol)
-            yield oracle_agreement_check(fol, inv)
-            yield seshadri_scaled_check(variety, inv)
-        else:
-            yield positivity_check(inv, "ample")
-        yield from extra
-
-    return assemble_record(record_id(request, branch), request, branch, fol, checks)
-
-
-def _pn_record(request: SynthesisRequest) -> ExampleRecord:
-    c = int(request.c)
-    fol = pn_foliation(request.n, request.r, -c)
-    return _synth_record(request, "pn", fol)
 
 
 # The standard catalog builds its 630 cone constructions once for the Fano
 # index, then again for the Seshadri value, so the cache must hold them all.
 @functools.lru_cache(maxsize=1024)
 def _cone_construction(n: int, r: int, c: Fraction) -> tuple[FoliationDescriptor, CheckOutcome]:
-    """The cone foliation realizing c and its cone-resolution check."""
+    """The cone foliation realizing c and its cone-resolution check.
+
+    Fano-index and Seshadri targets build the same cone for the same
+    (n, r, c), so the two records of a pair share one descriptor; their
+    invariants are still computed by assemble_record, once per record.
+    """
     rprime = c.numerator // c.denominator + 1
     frac = rprime - c
     p, q = frac.numerator, frac.denominator
@@ -419,18 +407,6 @@ def _cone_construction(n: int, r: int, c: Fraction) -> tuple[FoliationDescriptor
         base_fol = transcendental_rank1(n - rprime, p)
     fol = cone_foliation(cone, base_fol)
     return fol, cone_resolution_check(fol)
-
-
-def _cone_record(request: SynthesisRequest) -> ExampleRecord:
-    """A cone record for a Fano-index or Seshadri target.
-
-    Both kinds build the same cone for the same (n, r, c), so the
-    construction and its check come from a bounded cache, and the two
-    records of a pair share one descriptor.  Their invariants are still
-    computed by assemble_record, once per record.
-    """
-    fol, resolution = _cone_construction(request.n, request.r, request.c)
-    return _synth_record(request, "cone", fol, (resolution,))
 
 
 # ---------------------------------------------------------------------------
@@ -453,21 +429,21 @@ def _rank_open_question(n: int, c: Fraction) -> UnsupportedRequest:
     )
 
 
-def _synth_generalized_index(request: SynthesisRequest) -> ExampleRecord:
-    n, r, c = request.n, request.r, request.c
-    if c.denominator == 1:
-        return _pn_record(request)
+# A construction: its branch, its foliation and the checks only it stores.
+Construction = tuple[str, FoliationDescriptor, tuple[CheckOutcome, ...]]
+
+
+def _synth_generalized_index(n: int, r: int, c: Fraction) -> Construction:
     if n == 2:
         if c.numerator == c.denominator - 1:
             a = c.denominator
             variety = BundleVariety(base_dim=1, m=a - 1, b=(0,))
-            return _synth_record(request, "hirzebruch", fibration_foliation(variety))
+            return "hirzebruch", fibration_foliation(variety), ()
         raise _surface_open_question(c)
     if c > 1:
         params = case1_parameters(r, c.numerator, c.denominator)
         variety = BundleVariety(base_dim=n - r, m=params.q, b=params.b_list)
-        extra = (case1_constraints_check(params, r),)
-        return _synth_record(request, "case1", fibration_foliation(variety), extra)
+        return "case1", fibration_foliation(variety), (case1_constraints_check(params, r),)
     p, q = c.numerator, c.denominator
     variety = BundleVariety(base_dim=n - 1, m=q, b=(q - 1,))
     d = 2 * (q - p) - 1
@@ -475,16 +451,10 @@ def _synth_generalized_index(request: SynthesisRequest) -> ExampleRecord:
         base_fol = pn_foliation(n - 1, r - 1, d)
     else:
         base_fol = transcendental_rank1(n - 1, d)
-    fol = pullback_over_bundle(variety, base_fol)
-    return _synth_record(request, "case2", fol)
+    return "case2", pullback_over_bundle(variety, base_fol), ()
 
 
-def _synth_fano_index(request: SynthesisRequest) -> ExampleRecord:
-    n, r, c = request.n, request.r, request.c
-    if c.denominator == 1:
-        return _pn_record(request)
-    if c <= min(r, n - 2):
-        return _cone_record(request)
+def _synth_fano_index(n: int, r: int, c: Fraction) -> Construction:
     fractional = c - (n - 2)
     if r == n - 1 and 0 < fractional < 1 and fractional.numerator == 1:
         a = fractional.denominator
@@ -494,33 +464,27 @@ def _synth_fano_index(request: SynthesisRequest) -> ExampleRecord:
         else:
             variety = WeightedProjectiveSpace((1, a, a + 1))
             branch = "wps3"
-        fol = wps_coordinate_foliation(variety, 1)
-        return _synth_record(request, branch, fol)
+        return branch, wps_coordinate_foliation(variety, 1), ()
     raise _rank_open_question(n, c)
 
 
-def _synth_seshadri(request: SynthesisRequest) -> ExampleRecord:
-    n, r, c = request.n, request.r, request.c
-    if c.denominator == 1:
-        return _pn_record(request)
-    if c <= min(r, n - 2):
-        return _cone_record(request)
+def _synth_seshadri(n: int, r: int, c: Fraction) -> Construction:
     if n == 2:
         variety = WeightedProjectiveSpace((1, c.numerator, c.denominator))
-        fol = wps_coordinate_foliation(variety, 2)
-        return _synth_record(request, "wps4", fol)
+        return "wps4", wps_coordinate_foliation(variety, 2), ()
     if r == n - 1 and n - 2 < c < n - 1:
         ratio = (c - 1) / (n - 2)
         mprime, m = ratio.numerator, ratio.denominator
         variety = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
-        fol = wps_coordinate_foliation(variety, 1)
-        return _synth_record(request, "wps2", fol)
+        return "wps2", wps_coordinate_foliation(variety, 1), ()
     raise UnsupportedRequest(
         f"no construction for a Seshadri target {render_rational(c)} with "
         f"n={n}, r={r}"
     )
 
 
+# The construction per kind of a target that is neither an integer nor, for
+# a Fano index or Seshadri value, in the cone range.
 _DISPATCH = {
     SynthKind.GENERALIZED_INDEX: _synth_generalized_index,
     SynthKind.FANO_INDEX: _synth_fano_index,
@@ -529,13 +493,41 @@ _DISPATCH = {
 
 
 def synthesize(request: SynthesisRequest) -> ExampleRecord:
-    """Build the record for a request, or raise UnsupportedRequest."""
-    if request.c > request.r:
+    """Build the record for a request, or raise UnsupportedRequest.
+
+    The one place a synth record is assembled.  An integer target is the
+    P^n foliation for every kind; a Fano-index or Seshadri target in
+    c <= min(r, n-2) is a cone.  The checks are the exact target, the
+    positivity the branch promises (big but not ample on a bundle, with
+    the index audits; ample elsewhere), then the construction's own.
+    """
+    n, r, c = request.n, request.r, request.c
+    if c > r:
         raise UnsupportedRequest(
-            f"target {render_rational(request.c)} exceeds the bound c <= r = "
-            f"{request.r} forced by the algebraic-rank inequality r^a >= iota-hat"
+            f"target {render_rational(c)} exceeds the bound c <= r = "
+            f"{r} forced by the algebraic-rank inequality r^a >= iota-hat"
         )
-    return _DISPATCH[request.kind](request)
+    if c.denominator == 1:
+        branch, fol, own = "pn", pn_foliation(n, r, -int(c)), ()
+    elif request.kind is not SynthKind.GENERALIZED_INDEX and c <= min(r, n - 2):
+        fol, resolution = _cone_construction(n, r, c)
+        branch, own = "cone", (resolution,)
+    else:
+        branch, fol, own = _DISPATCH[request.kind](n, r, c)
+    variety = fol.ambient
+
+    def checks(inv: InvariantReport) -> Iterator[CheckOutcome]:
+        yield target_check(inv, TARGET_FIELD[request.kind], c)
+        if isinstance(variety, BundleVariety):
+            yield positivity_check(inv, "big-not-ample")
+            yield witness_check(fol)
+            yield oracle_agreement_check(fol, inv)
+            yield seshadri_scaled_check(variety, inv)
+        else:
+            yield positivity_check(inv, "ample")
+        yield from own
+
+    return assemble_record(request_id(request, branch), request, branch, fol, checks)
 
 
 def synth_generalized_index(n: int, r: int, c: Fraction | int | str) -> ExampleRecord:

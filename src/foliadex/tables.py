@@ -10,8 +10,7 @@ the rows that exist.
 from __future__ import annotations
 
 import itertools
-import sys
-from typing import Iterable
+from typing import Sequence
 
 from . import families
 from .errors import DomainError, UnsupportedRequest
@@ -66,16 +65,17 @@ def parse_range(text: str) -> range:
     return range(value, value + 1)
 
 
-def _axis(name: str, values: Iterable[int]) -> tuple[int, ...]:
-    """The values of one parameter as a tuple; a range of sys.maxsize
-    values or more cannot become one and is refused by name."""
-    if isinstance(values, range) and values:
-        if (values[-1] - values[0]) // values.step + 1 >= sys.maxsize:
-            raise DomainError(
-                f"{name} = {values[0]}..{values[-1]} is too large: "
-                f"a range must have fewer than {sys.maxsize} values"
-            )
-    return tuple(values)
+# The most parameter tuples one table may try: the product of its range
+# lengths, computed before any tuple is built.  A row costs about 0.2 ms,
+# more in a high dimension; the README states run times at this ceiling.
+TABLE_MAX_TUPLES = 100_000
+
+
+def _length(values: Sequence[int]) -> int:
+    """len(values), also for a range too long for len."""
+    if isinstance(values, range):
+        return max(0, -((values.start - values.stop) // values.step))
+    return len(values)
 
 
 class TableRow(Frozen):
@@ -84,7 +84,7 @@ class TableRow(Frozen):
     record: ExampleRecord
 
 
-def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
+def table_rows(family: str, ranges: dict[str, Sequence[int]]) -> list[TableRow]:
     if family not in FAMILY_PARAMS:
         raise DomainError(
             f"unknown family {family!r}; known: " + ", ".join(sorted(FAMILY_PARAMS))
@@ -98,12 +98,22 @@ def table_rows(family: str, ranges: dict[str, Iterable[int]]) -> list[TableRow]:
     missing = [name for name in names if name not in ranges]
     if missing:
         raise DomainError(f"family {family!r} needs ranges for: " + ", ".join(missing))
-    axes = [_axis(name, ranges[name]) for name in names]
-    for name, axis in zip(names, axes):
-        if name in _LENGTHS and axis:
-            require_length(name, max(axis))
+    tuples = 1
+    for name in names:
+        values = ranges[name]
+        tuples *= _length(values)
+        if tuples > TABLE_MAX_TUPLES:
+            raise DomainError(
+                f"{name} = {values[0]}..{values[-1]} is too large: a table may try at most "
+                f"{TABLE_MAX_TUPLES:,} parameter tuples, the product of its range lengths"
+            )
+    if not tuples:
+        return []
+    for name in names:
+        if name in _LENGTHS:
+            require_length(name, max(ranges[name]))
     rows = []
-    for combo in itertools.product(*axes):
+    for combo in itertools.product(*(ranges[name] for name in names)):
         values = dict(zip(names, combo))
         try:
             record = _BUILDERS[family](**values)

@@ -31,8 +31,8 @@ from .synthesis import (
     SynthesisRequest,
     SynthKind,
     passfail,
-    record_id,
     render_positivity,
+    request_id,
     require_length,
     skip,
     synthesize,
@@ -51,88 +51,56 @@ def check_record(record: ExampleRecord) -> CheckReport:
 def _theorem_outcomes(fol: FoliationDescriptor, inv: InvariantReport) -> tuple[CheckOutcome, ...]:
     """The six checks of check_record, graded on inv."""
     ra = fol.algebraic_rank
-    outcomes = []
+    eps = inv.seshadri_antican
 
-    if inv.gen_index is None:
-        outcomes.append(
-            skip("kobayashi-ochiai-generalized", "no generalized index on record")
-        )
-    else:
-        outcomes.append(
-            passfail(
-                "kobayashi-ochiai-generalized",
-                ra >= inv.gen_index,
-                f"r^a = {ra} >= iota-hat = {render_rational(inv.gen_index)}",
-            )
-        )
-
-    if inv.fano_index is None:
-        outcomes.append(skip("kobayashi-ochiai-fano", "no Fano index on record"))
-    else:
-        outcomes.append(
-            passfail(
-                "kobayashi-ochiai-fano",
-                ra >= inv.fano_index,
-                f"r^a = {ra} >= iota = {render_rational(inv.fano_index)}",
-            )
-        )
+    def rank_bound(name: str, symbol: str, value, absent: str) -> CheckOutcome:
+        # r^a >= value, skipped when the value is absent
+        if value is None:
+            return skip(name, absent)
+        return passfail(name, ra >= value, f"r^a = {ra} >= {symbol} = {render_rational(value)}")
 
     if inv.fano_index is None or inv.gen_index is None:
-        outcomes.append(skip("fano-le-generalized", "one of the indices is absent"))
+        fano_le = skip("fano-le-generalized", "one of the indices is absent")
     else:
-        outcomes.append(
-            passfail(
-                "fano-le-generalized",
-                inv.fano_index <= inv.gen_index,
-                f"iota = {render_rational(inv.fano_index)} <= iota-hat = "
-                f"{render_rational(inv.gen_index)}",
-            )
+        fano_le = passfail(
+            "fano-le-generalized",
+            inv.fano_index <= inv.gen_index,
+            f"iota = {render_rational(inv.fano_index)} <= iota-hat = "
+            f"{render_rational(inv.gen_index)}",
         )
-
-    eps = inv.seshadri_antican
-    if eps is None:
-        outcomes.append(skip("seshadri-bound", "no Seshadri value on record"))
-    elif not inv.positivity.nef:
-        outcomes.append(skip("seshadri-bound", "anticanonical class not nef"))
+    if eps is not None and not inv.positivity.nef:
+        seshadri = skip("seshadri-bound", "anticanonical class not nef")
     else:
-        outcomes.append(
-            passfail(
-                "seshadri-bound",
-                ra >= eps,
-                f"r^a = {ra} >= eps = {render_rational(eps)}",
-            )
-        )
-
+        seshadri = rank_bound("seshadri-bound", "eps", eps, "no Seshadri value on record")
     if eps is None or not (inv.positivity.nef and inv.positivity.big):
-        outcomes.append(
-            skip("rc-consistency", "needs a Seshadri value and a nef and big class")
-        )
+        rc = skip("rc-consistency", "needs a Seshadri value and a nef and big class")
     else:
-        triggered = eps > ra - 1
-        ok = (not triggered) or fol.leaf_rc is not LeafStatus.FALSE
-        detail = (
-            f"eps = {render_rational(eps)} vs r^a - 1 = {ra - 1}; "
-            f"leaf_rc = {fol.leaf_rc.value}"
+        rc = passfail(
+            "rc-consistency",
+            eps <= ra - 1 or fol.leaf_rc is not LeafStatus.FALSE,
+            f"eps = {render_rational(eps)} vs r^a - 1 = {ra - 1}; leaf_rc = {fol.leaf_rc.value}",
         )
-        outcomes.append(passfail("rc-consistency", ok, detail))
-
     if eps is None:
-        outcomes.append(
-            skip("maximal-seshadri-classification", "no Seshadri value on record")
-        )
+        maximal = skip("maximal-seshadri-classification", "no Seshadri value on record")
     elif not ambient_is_smooth(fol.ambient):
-        outcomes.append(
-            skip("maximal-seshadri-classification", "ambient space is singular")
-        )
+        maximal = skip("maximal-seshadri-classification", "ambient space is singular")
     else:
-        at_max = eps == ra
-        ok = (not at_max) or fol.recipe.linear_leaves(fol.ambient)
-        detail = (
-            f"eps = {render_rational(eps)}, r^a = {ra}, recipe = {fol.recipe.kind}"
+        maximal = passfail(
+            "maximal-seshadri-classification",
+            eps != ra or fol.recipe.linear_leaves(fol.ambient),
+            f"eps = {render_rational(eps)}, r^a = {ra}, recipe = {fol.recipe.kind}",
         )
-        outcomes.append(passfail("maximal-seshadri-classification", ok, detail))
-
-    return tuple(outcomes)
+    return (
+        rank_bound(
+            "kobayashi-ochiai-generalized", "iota-hat", inv.gen_index,
+            "no generalized index on record",
+        ),
+        rank_bound("kobayashi-ochiai-fano", "iota", inv.fano_index, "no Fano index on record"),
+        fano_le,
+        seshadri,
+        rc,
+        maximal,
+    )
 
 
 def _render_invariant(value: Fraction | Positivity | None) -> str:
@@ -318,19 +286,26 @@ class OracleGrid(Frozen):
             )
         require_length("b1_max", b1_max, "the largest twist")
         fields = (m_max, b1_max, rprime_max, k_max, coeff_max, d_max, c_max)
-        if _over_ceiling(fields):
-            # the bounds only grow along this walk from a grid no larger than
-            # the default one to this grid, so some field takes them over
-            held = [min(f, d) for f, d in zip(fields, OracleGrid.__init__.__defaults__)]
-            for i, name in enumerate(self.__slots__):
-                held[i] = fields[i]
-                if _over_ceiling(held):
-                    raise DomainError(
-                        f"{name} = {fields[i]} is too large: an oracle grid may have at most "
-                        f"{ORACLE_MAX_ROWS:,} rows and {ORACLE_MAX_CANDIDATES:,} kernel "
-                        "candidates"
-                    )
+        _refuse_over_ceiling(
+            self.__slots__, fields, OracleGrid.__init__.__defaults__, _over_ceiling,
+            f"an oracle grid may have at most {ORACLE_MAX_ROWS:,} rows and "
+            f"{ORACLE_MAX_CANDIDATES:,} kernel candidates",
+        )
         Value.__init__(self, *fields)
+
+
+def _refuse_over_ceiling(names, fields, defaults, over, ceiling: str) -> None:
+    """Refuse a grid whose cost bounds are over its ceiling, naming the
+    first field, in field order, that takes them over while the fields
+    after it are held at the smaller of their value and their default."""
+    if over(fields):
+        # the bounds only grow along this walk from a grid no larger than
+        # the default one to this grid, so some field takes them over
+        held = [min(f, d) for f, d in zip(fields, defaults)]
+        for i, name in enumerate(names):
+            held[i] = fields[i]
+            if over(held):
+                raise DomainError(f"{name} = {fields[i]} is too large: {ceiling}")
 
 
 def _cost_bounds(
@@ -361,8 +336,19 @@ def _over_ceiling(fields) -> bool:
     return rows > ORACLE_MAX_ROWS or candidates > ORACLE_MAX_CANDIDATES
 
 
+# The most targets a synth sweep tries: its target-count bound (SynthGrid)
+# may not exceed this.  The default grid's bound is 210 targets.
+SYNTH_MAX_TARGETS = 50_000
+
+
 class SynthGrid(Frozen):
-    """Every reduced target c = p/q with q <= q_max, 0 < c <= r, r < n <= n_max."""
+    """Every reduced target c = p/q with q <= q_max, 0 < c <= r, r < n <= n_max.
+
+    Rank r has at most r*q targets of denominator q, so the sweep tries at
+    most (n_max + 1) * n_max * (n_max - 1) / 6 * q_max * (q_max + 1) / 2
+    targets.  A grid whose bound exceeds SYNTH_MAX_TARGETS is refused,
+    naming n_max or q_max as OracleGrid names its fields.
+    """
 
     __slots__ = ("kind", "n_max", "q_max")
     kind: SynthKind
@@ -372,6 +358,12 @@ class SynthGrid(Frozen):
     def __init__(self, kind: SynthKind, n_max: int = 4, q_max: int = 6) -> None:
         _require_nonempty("n_max", n_max, 2)
         _require_nonempty("q_max", q_max, 1)
+        _refuse_over_ceiling(
+            ("n_max", "q_max"), (n_max, q_max), SynthGrid.__init__.__defaults__,
+            lambda f: (f[0] + 1) * f[0] * (f[0] - 1) // 6 * f[1] * (f[1] + 1) // 2
+            > SYNTH_MAX_TARGETS,
+            f"a synth grid may have at most {SYNTH_MAX_TARGETS:,} targets",
+        )
         Value.__init__(self, kind, n_max, q_max)
 
 
@@ -442,7 +434,7 @@ def _synth_sweep(grid: SynthGrid) -> SweepReport:
                     record = synthesize(request)
                 except UnsupportedRequest as exc:
                     report.add(
-                        record_id(request, "unsupported"), skip("synthesis-supported", str(exc))
+                        request_id(request, "unsupported"), skip("synthesis-supported", str(exc))
                     )
                     continue
                 for outcome in verify_record(record).outcomes:

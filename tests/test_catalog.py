@@ -46,7 +46,7 @@ from foliadex import (
 from foliadex import catalog
 from foliadex.catalog import _READ, _RECIPES, _VARIETIES, _VARIETY_READ
 from foliadex.cli import main
-from foliadex.synthesis import assemble_record
+from foliadex.synthesis import assemble_record, request_id
 from foliadex.value import Value
 
 
@@ -578,7 +578,10 @@ def _arbitrary_records(draw):
         st.builds(CheckOutcome, st.text(max_size=8), st.sampled_from(CheckStatus), st.text()),
         max_size=3,
     ))
-    return assemble_record(draw(st.text()), request, draw(st.text(max_size=8)), fol, lambda _: checks)
+    branch = draw(st.text(max_size=8))
+    # import refuses a synth record whose id is not the one of its request
+    record_id = draw(st.text()) if request is None else request_id(request, branch)
+    return assemble_record(record_id, request, branch, fol, lambda _: checks)
 
 
 @settings(deadline=None)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -316,12 +317,14 @@ def test_tampered_catalog_fails_verify(capsys, tmp_path, std_catalog):
 
 
 def test_request_off_its_target_fails_verify(capsys, tmp_path, std_catalog):
-    # the stored invariants and checks are those of 9/8; only the request moves
+    # the stored invariants and checks are those of 9/8; only the request
+    # moves, and the id with it, since import refuses an id off its request
     record = next(
         r for r in std_catalog.records if r.id == "generalized-index:case1:n=3:r=2:c=9/8"
     )
     obj = json.loads(export_catalog(Catalog(metadata={}, records=(record,))))
     obj["records"][0]["request"]["c"] = "5/4"
+    obj["records"][0]["id"] = "generalized-index:case1:n=3:r=2:c=5/4"
     path = tmp_path / "moved.json"
     path.write_text(json.dumps(obj))
 
@@ -342,6 +345,35 @@ def _one_record_file(std_catalog, path, record_id, edit):
     edit(obj["records"][0])
     path.write_text(json.dumps(obj))
     return path
+
+
+def _set(key, value, inner=None):
+    def edit(record):
+        (record if inner is None else record[inner])[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("n", 4, "request"),
+        _set("r", 2, "request"),
+        _set("c", "1/7", "request"),
+        _set("id", "generalized-index:case2:n=3:r=1:c=1/7"),
+        _set("branch", "case1"),
+    ],
+    ids=["request-n", "request-r", "request-c", "id", "branch"],
+)
+def test_synth_id_off_its_request_or_branch_is_refused_on_import(
+    capsys, tmp_path, std_catalog, edit
+):
+    # each edit leaves a well-formed record whose id is not the one its
+    # request and branch give
+    path = _one_record_file(std_catalog, tmp_path / "edited.json", _SYNTH_ID, edit)
+    code, out, err = run(capsys, "catalog", "import", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed record at position 0: record.id ")
+    assert err.endswith(", the id of its request and branch\n") and err.count("\n") == 1
 
 
 def _degree_sixteen_base(record):
@@ -849,6 +881,35 @@ def test_oracle_grid_above_its_ceiling_fails_in_one_line(name):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith(f"error: {name} = {10**21} is too large")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (
+            "rprime",
+            ("table", "--family", "cone", "--rprime", "1..100000000", "--m", "1", "--d", "0"),
+        ),
+        ("a2", ("table", "--family", "wps3", "--a1", "1..100000", "--a2", "1..100000")),
+        ("n_max", ("verify", "--grid", "synth", "--kind", "fano-index", "--n-max", str(10**21))),
+        ("q_max", ("verify", "--grid", "synth", "--kind", "fano-index", "--q-max", str(10**21))),
+    ],
+    ids=["cone-rprime", "wps3-a2", "synth-n-max", "synth-q-max"],
+)
+def test_work_above_its_ceiling_fails_in_one_line(name, argv):
+    # each of these would run for minutes or for ever; the product of the
+    # table's range lengths, or the synth grid's target-count bound, is
+    # refused before any work
+    env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "foliadex.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=3,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: {name} = ") and "is too large" in proc.stderr
     assert proc.stderr.count("\n") == 1
 
 

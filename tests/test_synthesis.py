@@ -24,9 +24,10 @@ from foliadex import (
     synth_seshadri,
     synthesize,
 )
-from foliadex.catalog import record_to_json
+from foliadex.catalog import _standard_tables, record_to_json
 from foliadex.lattice import Class2
-from foliadex.synthesis import TARGET_FIELD
+from foliadex.synthesis import TARGET_FIELD, record_id, request_id
+from foliadex.tables import table_rows
 
 # every synthesized record must come back with its construction checks green
 def assert_certified(record):
@@ -232,6 +233,34 @@ def test_records_are_built_only_by_the_assembler_and_the_decoder():
     }
     builders = {c for c in _callers("compute_invariants") if c[0] in ("synthesis.py", "families.py")}
     assert builders == {("synthesis.py", "assemble_record")}
+
+
+def test_ids_are_formatted_in_one_place():
+    # a synth record's id renders its request, a table row's its family
+    # and parameters; nothing else writes one
+    assert _callers("record_id") == {
+        ("synthesis.py", "request_id"),
+        ("families.py", "_family_record"),
+    }
+
+
+def test_id_grammar():
+    request = SynthesisRequest(SynthKind.SESHADRI, 3, 2, Fraction(3, 2))
+    assert request_id(request, "cone") == "seshadri:cone:n=3:r=2:c=3/2"
+    params = {"base_dim": 2, "rprime": 1, "m": 3, "d": 0}
+    assert record_id("table", "cone", params) == "table:cone:k=2:rprime=1:m=3:d=0"
+
+
+def test_each_standard_id_renders_its_construction(std_catalog):
+    # synth records first, then the table rows, in export order
+    expected = [
+        request_id(record.request, record.branch)
+        for record in std_catalog.records if record.request is not None
+    ]
+    for family, ranges in _standard_tables():
+        rows = table_rows(family, ranges)
+        expected.extend(record_id("table", family, row.params) for row in rows)
+    assert [record.id for record in std_catalog.records] == expected
 
 
 def test_each_certified_bundle_fact_has_one_test_and_one_rule():

@@ -3,8 +3,11 @@
 import hashlib
 import json
 
+import pytest
+
 from foliadex.cli import main
-from foliadex.tables import FAMILY_PARAMS
+from foliadex.errors import DomainError
+from foliadex.tables import FAMILY_PARAMS, table_rows
 
 # Every family over a box that holds feasible and infeasible tuples,
 # plus requests that table_rows or parse_range reject.
@@ -75,3 +78,12 @@ def test_zero_denominator_is_an_infeasible_row(capsys):
     expected = capsys.readouterr().out
     assert main([*base, "--q", "0..2"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_table_tuples_are_bounded_before_any_is_built():
+    # 2 * 50,001 tuples pass the ceiling of 100,000, which a2 takes over
+    refusal = "a2 = 1..50001 is too large: a table may try at most 100,000 parameter tuples"
+    with pytest.raises(DomainError, match=f"^{refusal}, the product of its range lengths$"):
+        table_rows("wps3", {"a1": range(1, 3), "a2": range(1, 50_002)})
+    # with an empty range no tuple exists, however long the others are
+    assert table_rows("wps3", {"a1": (), "a2": range(1, 10**21)}) == []

@@ -40,6 +40,7 @@ from foliadex import (
     verify_record,
 )
 from foliadex import _kernels, bundle, catalog, oracle, synthesis, verification
+from foliadex.lattice import reduced_targets
 from foliadex.cli import main
 
 
@@ -350,6 +351,25 @@ def test_oracle_sweep_stdout_is_pinned(capsys, monkeypatch, grid, fmt):
     assert hashlib.sha256(data).hexdigest() == _ORACLE_DIGESTS[grid, fmt]
 
 
+# sha256 of every (record id, check, status, detail) that verify_record
+# returns over the standard catalog, one tab-separated line each; taken
+# before every synth record was assembled by synthesize.
+_VERIFY_RECORD_DIGEST = "69cab1c0ea72896c3d4bac2530434a2face167f9c987a77e4c8d55a67a63e555"
+
+
+def test_verify_record_outcomes_of_the_standard_catalog_are_pinned(std_catalog):
+    # verify's reports print only failures, so this pins the details of
+    # the passing and skipped checks too
+    lines = [
+        f"{record.id}\t{o.name}\t{o.status.value}\t{o.detail}\n"
+        for record in std_catalog.records
+        for o in verify_record(record).outcomes
+    ]
+    assert len(lines) == 16497
+    data = "".join(lines).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == _VERIFY_RECORD_DIGEST
+
+
 _OUTCOMES = st.builds(
     CheckOutcome,
     st.sampled_from(["a-check", "b-check"]),
@@ -458,6 +478,36 @@ def test_synth_sweep_is_clean():
     assert report.failed == 0
     assert report.total == 1032
     assert report.skipped >= 6  # unsupported corners show up as skips, not failures
+
+
+@pytest.mark.parametrize(
+    "n_max, q_max, named",
+    [
+        (3, 157, None),
+        (66, 1, None),
+        (3, 158, "q_max = 158"),
+        (67, 1, "n_max = 67"),
+        (10**21, 10**21, f"n_max = {10**21}"),
+        (4, 10**21, f"q_max = {10**21}"),
+    ],
+)
+def test_synth_grid_refuses_a_target_bound_over_its_ceiling(n_max, q_max, named):
+    # the bound C(n_max + 1, 3) * q_max * (q_max + 1) / 2 is 49,612 and
+    # 47,905 on the grids allowed, 50,244 and 50,116 on the first two refused
+    if named is None:
+        SynthGrid(SynthKind.SESHADRI, n_max, q_max)
+        return
+    refusal = f"{named} is too large: a synth grid may have at most 50,000 targets"
+    with pytest.raises(DomainError, match=f"^{refusal}$"):
+        SynthGrid(SynthKind.SESHADRI, n_max, q_max)
+
+
+@pytest.mark.parametrize("n_max, q_max", [(4, 6), (2, 40), (9, 3)])
+def test_synth_grid_target_bound_holds(n_max, q_max):
+    targets = sum(
+        len(reduced_targets(Fraction(r), q_max)) for n in range(2, n_max + 1) for r in range(1, n)
+    )
+    assert targets <= (n_max + 1) * n_max * (n_max - 1) // 6 * q_max * (q_max + 1) // 2
 
 
 def test_unknown_grid_rejected():
