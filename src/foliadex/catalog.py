@@ -28,6 +28,7 @@ the round trip and is caught by the verification layer.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import marshal
@@ -58,10 +59,11 @@ from .synthesis import (
     ExampleRecord,
     SynthesisRequest,
     SynthKind,
+    parse_record_id,
     request_id,
     synthesize,
 )
-from .tables import table_rows
+from .tables import FAMILY_PARAMS, table_rows
 from .value import Frozen, Value
 
 SCHEMA_VERSION = "1"
@@ -384,6 +386,20 @@ def _fol_from_json(obj, path: str, decoded: dict, ambient=None) -> FoliationDesc
 _check_from_json = partial(_from_json, CheckOutcome)
 
 
+def _is_table_row_id(text: str, branch: str) -> bool:
+    """Whether text is the id of the table row of family branch at integer
+    parameters, named as FAMILY_PARAMS names them."""
+    try:
+        head, id_branch, params = parse_record_id(text)
+    except ParseError:
+        return False
+    return (
+        (head, id_branch) == ("table", branch)
+        and tuple(params) == FAMILY_PARAMS.get(branch)
+        and all(value.denominator == 1 for value in params.values())
+    )
+
+
 def _record_from_json(obj, decoded: dict) -> ExampleRecord:
     """The record of obj, sharing what an earlier record of the same import
     decoded from equal JSON.
@@ -395,7 +411,9 @@ def _record_from_json(obj, decoded: dict) -> ExampleRecord:
     bytes decode alike.  Only a decode that succeeded is stored, and the
     fields are read in the same order either way, so a malformed record
     fails with its own message, nested objects included.  Last, a synth
-    record's id must be the one request_id gives its request and branch.
+    record's id must be the one request_id gives its request and branch,
+    and a table row's id the one record_id gives its family and integer
+    parameters.
     """
     names = ("id", "request", "branch", "variety", "foliation", "invariants", "checks")
     record_id, request, branch, variety, foliation, invariants, checks = _fields(
@@ -424,6 +442,8 @@ def _record_from_json(obj, decoded: dict) -> ExampleRecord:
         raise DomainError(
             f"record.id {record_id!r} is not {expected!r}, the id of its request and branch"
         )
+    if request is None and not _is_table_row_id(record_id, branch):
+        raise DomainError(f"record.id {record_id!r} is not the id of a {branch!r} table row")
     return ExampleRecord(record_id, request, branch, fol, inv, checks)
 
 
@@ -449,28 +469,31 @@ def _metadata_from_json(obj) -> dict:
 _CATALOG_KEYS = ("schema_version", "metadata", "records")
 
 
-def _catalog_pieces(catalog: Catalog):
-    """The export's text in pieces, each record rendered when it is reached."""
-    shared = _shared_objects(catalog.records)
-    yield from jsontext.pieces({
-        "schema_version": SCHEMA_VERSION,
-        "metadata": catalog.metadata,
-        "records": (record_to_json(record, shared) for record in catalog.records),
-    })
-    yield "\n"
-
-
 def write_catalog(catalog: Catalog, out) -> None:
     """Write the export of catalog to the text stream out, one record at a
     time: one record's JSON exists at once, and the text of each object
     that several records share from its first use to its last."""
-    for piece in _catalog_pieces(catalog):
-        out.write(piece)
+    shared = _shared_objects(catalog.records)
+    # the frame around the records array, split where its one member
+    # stands: "\0" is no character of an escaped string
+    head, _, tail = jsontext.render({
+        "schema_version": SCHEMA_VERSION,
+        "metadata": catalog.metadata,
+        "records": [jsontext.Text("\0")] if catalog.records else [],
+    }).partition("\0")
+    out.write(head)
+    separator = ""
+    for record in catalog.records:
+        out.write(separator + jsontext.render(record_to_json(record, shared), "\n    "))
+        separator = ",\n    "
+    out.write(tail + "\n")
 
 
 def export_catalog(catalog: Catalog) -> str:
     """The text write_catalog writes."""
-    return "".join(_catalog_pieces(catalog))
+    out = io.StringIO()
+    write_catalog(catalog, out)
+    return out.getvalue()
 
 
 def import_catalog(text: str) -> Catalog:

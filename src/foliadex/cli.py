@@ -129,13 +129,9 @@ def _render_report(report: SweepReport, fmt: str, source: str) -> str:
     if fmt == "csv":
         rows = [[f["record"], f["check"], f["detail"]] for f in report.failures]
         return _csv_text(["record", "check", "detail"], rows).rstrip("\n")
-    lines = [
-        f"source   {source}",
-        f"total    {report.total}",
-        f"passed   {report.passed}",
-        f"failed   {report.failed}",
-        f"skipped  {report.skipped}",
-    ]
+    names = ("total", "passed", "failed", "skipped")
+    pairs = [("source", source), *((name, str(getattr(report, name))) for name in names)]
+    lines = [_render_pairs(pairs, fmt)]
     for failure in report.failures:
         lines.append(
             f"FAIL {failure['record']} [{failure['check']}]: {failure['detail']}"

@@ -8,7 +8,8 @@ weighted-hypersurface pencils in their four weight patterns, the cone
 rows, the index-gap bundles, and the two boundary families whose leaves
 are not rationally connected are built here and carry a family-formula
 check comparing all three recomputed invariants against the closed
-forms the family realizes.
+forms the family realizes.  A builder checks only the bounds that no
+constructor it calls refuses already.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _family_record(
         fol,
         lambda inv: (
             family_formula_check(inv, expected),
-            positivity_check(inv, "ample"),
+            positivity_check(inv, ample=True),
             *extra(inv),
         ),
     )
@@ -123,8 +124,8 @@ def case2_record(n: int, r: int, p: int, q: int) -> ExampleRecord:
 
 def wps1_record(n: int, m: int) -> ExampleRecord:
     """Weights (1, 1, 1, m, ..., m), pencil on the first coordinate."""
-    if n < 3 or m < 1:
-        raise DomainError(f"need n >= 3 and m >= 1, got n={n}, m={m}")
+    if n < 3:
+        raise DomainError(f"need n >= 3, got n={n}")
     variety = WeightedProjectiveSpace((1, 1, 1) + (m,) * (n - 2))
     fol = wps_coordinate_foliation(variety, 1)
     value = Fraction(m * (n - 2) + 1, m)
@@ -133,12 +134,8 @@ def wps1_record(n: int, m: int) -> ExampleRecord:
 
 def wps2_record(n: int, mprime: int, m: int) -> ExampleRecord:
     """Weights (1, m', ..., m', m), pencil on the first coordinate."""
-    if n < 3 or mprime < 1 or m < mprime:
-        raise DomainError(
-            f"need n >= 3 and 1 <= mprime <= m, got n={n}, mprime={mprime}, m={m}"
-        )
-    if math.gcd(mprime, m) != 1:
-        raise DomainError(f"mprime and m must be coprime, got {mprime}, {m}")
+    if n < 3:
+        raise DomainError(f"need n >= 3, got n={n}")
     variety = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
     fol = wps_coordinate_foliation(variety, 1)
     index = Fraction((n - 2) * mprime + m, mprime * m)
@@ -148,17 +145,9 @@ def wps2_record(n: int, mprime: int, m: int) -> ExampleRecord:
     )
 
 
-def _surface_weights(a1: int, a2: int) -> WeightedProjectiveSpace:
-    if not (1 <= a1 <= a2):
-        raise DomainError(f"need 1 <= a1 <= a2, got a1={a1}, a2={a2}")
-    if math.gcd(a1, a2) != 1:
-        raise DomainError(f"a1 and a2 must be coprime, got {a1}, {a2}")
-    return WeightedProjectiveSpace((1, a1, a2))
-
-
 def wps3_record(a1: int, a2: int) -> ExampleRecord:
     """Weights (1, a1, a2), pencil on the first coordinate."""
-    variety = _surface_weights(a1, a2)
+    variety = WeightedProjectiveSpace((1, a1, a2))
     fol = wps_coordinate_foliation(variety, 1)
     index = Fraction(1, a1)
     return _family_record("wps3", {"a1": a1, "a2": a2}, fol, (index, index, Fraction(1)))
@@ -166,7 +155,7 @@ def wps3_record(a1: int, a2: int) -> ExampleRecord:
 
 def wps4_record(a1: int, a2: int) -> ExampleRecord:
     """Weights (1, a1, a2), pencil on the second coordinate."""
-    variety = _surface_weights(a1, a2)
+    variety = WeightedProjectiveSpace((1, a1, a2))
     fol = wps_coordinate_foliation(variety, 2)
     index = Fraction(1, a2)
     return _family_record(
@@ -176,11 +165,6 @@ def wps4_record(a1: int, a2: int) -> ExampleRecord:
 
 def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleRecord:
     """Cone over the rank-one pencil foliation on P^k with K = d*H."""
-    if base_dim < 2 or rprime < 1 or m < 1:
-        raise DomainError(
-            f"need base_dim >= 2, rprime >= 1, m >= 1, got "
-            f"({base_dim}, {rprime}, {m})"
-        )
     if not (0 <= d < m * rprime):
         raise DomainError(
             f"need 0 <= d < m*rprime = {m * rprime} for an ample record, got d={d}"
@@ -230,8 +214,6 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
     times a line, so its leaf closures are not rationally connected and
     the record sits strictly below the eps <= r^a - 1 boundary.
     """
-    if r < 2 or m < 1:
-        raise DomainError(f"need r >= 2 and m >= 1, got r={r}, m={m}")
     if not 2 < m * (r - 1):
         raise DomainError(
             f"need 2 < m*(r-1) for an ample record, got m={m}, r={r}"
@@ -271,8 +253,6 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
     vanishes, the leaves are elliptic curves, and the cone realizes the
     equality case of the Seshadri boundary with leaf_rc false.
     """
-    if r < 2 or m < 1 or n <= r:
-        raise DomainError(f"need n > r >= 2 and m >= 1, got n={n}, r={r}, m={m}")
     base = PolarizedBase(
         dim=n - r + 1,
         is_projective_space=False,

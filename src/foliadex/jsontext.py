@@ -7,14 +7,11 @@ Infinity) can reach an output.  json.dumps runs its C encoder only when
 indent is None; this writer keeps the C string escaper and joins each
 container's text as soon as the container is finished, which is faster
 than the pure-Python indenting encoder and holds fewer pieces alive.
-
-pieces(obj) yields the same text in pieces, so a large output can be
-written while it is made.  A Text in the tree is written as it is.
+A Text in the tree is written as it is.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
 
 
@@ -55,39 +52,3 @@ def render(obj, newline: str = "\n") -> str:
     """json.dumps(obj, indent=2), for the exact JSON types only, nested at newline."""
     return _render(obj, newline)
 
-
-def _pieces(obj, newline: str):
-    if isinstance(obj, dict):
-        brackets = "{}"
-        # _string raises TypeError on a key that is not a str
-        members = ((_string(key) + ": ", value) for key, value in obj.items())
-    elif isinstance(obj, (list, Iterator)):
-        brackets = "[]"
-        members = (("", value) for value in obj)
-    else:
-        yield _render(obj, newline)
-        return
-    inner = newline + "  "
-    separator = brackets[0] + inner
-    empty = True
-    for prefix, value in members:
-        if isinstance(value, Iterator):
-            yield separator + prefix
-            yield from _pieces(value, inner)
-        else:
-            yield separator + prefix + _render(value, inner)
-        separator = "," + inner
-        empty = False
-    yield brackets if empty else newline + brackets[1]
-
-
-def pieces(obj):
-    """render(obj) in pieces, so a large output can be written as it is made.
-
-    obj's outermost container is yielded one member at a time.  An
-    iterator, as obj or as such a member, stands for the array of what it
-    yields and is written the same way, each member rendered when it is
-    yielded.  Any other member is rendered whole, so it may hold no
-    iterator.
-    """
-    return _pieces(obj, "\n")

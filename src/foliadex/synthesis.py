@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -26,7 +25,7 @@ from .bundle import (
     seshadri_constant,
     seshadri_polarization,
 )
-from .errors import DomainError, UnsupportedRequest
+from .errors import DomainError, ParseError, UnsupportedRequest
 from .foliation import (
     Ambient,
     FoliationDescriptor,
@@ -39,7 +38,7 @@ from .foliation import (
     wps_coordinate_foliation,
 )
 from .invariants import compute_invariants
-from .lattice import Class2, render_optional, render_rational
+from .lattice import Class2, parse_rational, render_optional, render_rational
 from .oracle import audited_index
 from .rankone import (
     GeneralizedCone,
@@ -76,18 +75,10 @@ TARGET_FIELD = {
 }
 
 
-def require_length(name: str, value: int, what: str = "a dimension or rank") -> None:
-    """Refuse a value too large for the tuples built from it.
-
-    P^k has k + 1 weights, a rank r bundle r twists, and the oracle sweep
-    draws twists from the b1_max + 1 values 0..b1_max; no tuple is longer
-    than sys.maxsize, so the error names the argument before a
-    constructor fails on a bare length.
-    """
-    if value >= sys.maxsize:
-        raise DomainError(
-            f"{name} = {value} is too large: {what} must be below {sys.maxsize}"
-        )
+# The largest dimension or rank of a synth request or table row.  A
+# record's weights and twists, and so its time and memory, grow linearly
+# with these; the README states run times near this ceiling.
+MAX_DIMENSION = 1_000
 
 
 class SynthesisRequest(Frozen):
@@ -101,7 +92,10 @@ class SynthesisRequest(Frozen):
         c = Fraction(c)
         if not isinstance(n, int) or n < 2:
             raise DomainError(f"need integer n >= 2, got {n}")
-        require_length("n", n)
+        if n > MAX_DIMENSION:
+            raise DomainError(
+                f"n = {n} is too large: a dimension or rank may be at most {MAX_DIMENSION:,}"
+            )
         if not isinstance(r, int) or not (0 < r < n):
             raise DomainError(f"need 0 < r < n, got r={r}, n={n}")
         if c <= 0:
@@ -173,14 +167,11 @@ def render_positivity(flags: Positivity) -> str:
     return f"pseff={flags.pseff} big={flags.big} nef={flags.nef} ample={flags.ample}"
 
 
-def positivity_check(inv: InvariantReport, expect: str) -> CheckOutcome:
+def positivity_check(inv: InvariantReport, ample: bool) -> CheckOutcome:
+    """-K ample, or big and not ample."""
     flags = inv.positivity
-    if expect == "ample":
-        ok = flags.ample
-    elif expect == "big-not-ample":
-        ok = flags.big and not flags.ample
-    else:
-        raise DomainError(f"unknown positivity expectation {expect!r}")
+    ok = flags.ample if ample else (flags.big and not flags.ample)
+    expect = "ample" if ample else "big-not-ample"
     return passfail(POSITIVITY_CHECK, ok, f"expected {expect}; got {render_positivity(flags)}")
 
 
@@ -378,6 +369,24 @@ def record_id(head: str, branch: str, params: dict[str, int | Fraction]) -> str:
     return ":".join((head, branch, *fields))
 
 
+# The parameter each name of _ID_NAMES stands for.
+_ID_PARAMS = {v: k for k, v in _ID_NAMES.items()}
+
+
+def parse_record_id(text: str) -> tuple[str, str, dict[str, Fraction]]:
+    """The (head, branch, params) that record_id writes as text, k read
+    back as base_dim; ParseError if record_id writes no such text."""
+    try:
+        head, branch, *fields = text.split(":")
+        pairs = [field.split("=") for field in fields]
+        params = {_ID_PARAMS.get(name, name): parse_rational(value) for name, value in pairs}
+        if record_id(head, branch, params) == text:
+            return head, branch, params
+    except ValueError:  # too few parts, a field not name=value, or a ParseError
+        pass
+    raise ParseError(f"{text!r} is not a record id")
+
+
 def request_id(request: SynthesisRequest, branch: str) -> str:
     """The id of the record built for request on branch."""
     return record_id(
@@ -519,12 +528,12 @@ def synthesize(request: SynthesisRequest) -> ExampleRecord:
     def checks(inv: InvariantReport) -> Iterator[CheckOutcome]:
         yield target_check(inv, TARGET_FIELD[request.kind], c)
         if isinstance(variety, BundleVariety):
-            yield positivity_check(inv, "big-not-ample")
+            yield positivity_check(inv, ample=False)
             yield witness_check(fol)
             yield oracle_agreement_check(fol, inv)
             yield seshadri_scaled_check(variety, inv)
         else:
-            yield positivity_check(inv, "ample")
+            yield positivity_check(inv, ample=True)
         yield from own
 
     return assemble_record(request_id(request, branch), request, branch, fol, checks)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import families
 from .errors import DomainError, UnsupportedRequest
-from .synthesis import ExampleRecord, require_length
+from .synthesis import MAX_DIMENSION, ExampleRecord
 from .value import Frozen
 
 # Row builder per family; a builder's parameters are the family's
@@ -43,7 +43,7 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
 
 
 # The parameters that are dimensions or ranks, in every family that has them.
-_LENGTHS = ("n", "r", "rprime", "base_dim")
+_DIMENSIONS = ("n", "r", "rprime", "base_dim")
 
 
 def parse_range(text: str) -> range:
@@ -110,8 +110,11 @@ def table_rows(family: str, ranges: dict[str, Sequence[int]]) -> list[TableRow]:
     if not tuples:
         return []
     for name in names:
-        if name in _LENGTHS:
-            require_length(name, max(ranges[name]))
+        if name in _DIMENSIONS and (top := max(ranges[name])) > MAX_DIMENSION:
+            raise DomainError(
+                f"{name} = {top} is too large: a dimension or rank may be at most "
+                f"{MAX_DIMENSION:,}"
+            )
     rows = []
     for combo in itertools.product(*(ranges[name] for name in names)):
         values = dict(zip(names, combo))

@@ -33,7 +33,6 @@ from .synthesis import (
     passfail,
     render_positivity,
     request_id,
-    require_length,
     skip,
     synthesize,
     target_check,
@@ -284,7 +283,6 @@ class OracleGrid(Frozen):
                 f"c_max must be at least b1_max*d_max + 1 = {b1_max * d_max + 1}, got {c_max}: "
                 "the oracle needs an ample class for every d <= d_max on every bundle"
             )
-        require_length("b1_max", b1_max, "the largest twist")
         fields = (m_max, b1_max, rprime_max, k_max, coeff_max, d_max, c_max)
         _refuse_over_ceiling(
             self.__slots__, fields, OracleGrid.__init__.__defaults__, _over_ceiling,

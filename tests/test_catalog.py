@@ -46,7 +46,8 @@ from foliadex import (
 from foliadex import catalog
 from foliadex.catalog import _READ, _RECIPES, _VARIETIES, _VARIETY_READ
 from foliadex.cli import main
-from foliadex.synthesis import assemble_record, request_id
+from foliadex.synthesis import assemble_record, record_id, request_id
+from foliadex.tables import FAMILY_PARAMS
 from foliadex.value import Value
 
 
@@ -578,10 +579,16 @@ def _arbitrary_records(draw):
         st.builds(CheckOutcome, st.text(max_size=8), st.sampled_from(CheckStatus), st.text()),
         max_size=3,
     ))
-    branch = draw(st.text(max_size=8))
-    # import refuses a synth record whose id is not the one of its request
-    record_id = draw(st.text()) if request is None else request_id(request, branch)
-    return assemble_record(record_id, request, branch, fol, lambda _: checks)
+    # import refuses a record whose id is not the one of its request and
+    # branch, or of its family and parameters
+    if request is None:
+        branch = draw(st.sampled_from(list(FAMILY_PARAMS)))
+        params = {name: draw(st.integers()) for name in FAMILY_PARAMS[branch]}
+        key = record_id("table", branch, params)
+    else:
+        branch = draw(st.text(max_size=8))
+        key = request_id(request, branch)
+    return assemble_record(key, request, branch, fol, lambda _: checks)
 
 
 @settings(deadline=None)

@@ -376,6 +376,33 @@ def test_synth_id_off_its_request_or_branch_is_refused_on_import(
     assert err.endswith(", the id of its request and branch\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("id", _ROW_ID + "x"),
+        _set("id", _ROW_ID + ":m=1"),
+        _set("id", "table:wps1:m=1:n=3"),
+        _set("id", "table:wps1:n=3:m=1/1"),
+        _set("id", "synth:wps1:n=3:m=1"),
+        _set("branch", "wps2"),
+        _set("branch", "cone"),
+        _set("branch", "pn"),
+    ],
+    ids=["id-char", "id-field", "id-order", "id-value", "id-head", "branch",
+         "branch-family", "branch-synth"],
+)
+def test_table_id_off_its_family_or_parameters_is_refused_on_import(
+    capsys, tmp_path, std_catalog, edit
+):
+    # a row with no request must carry the id record_id gives its family
+    # and integer parameters, named in the family's order
+    path = _one_record_file(std_catalog, tmp_path / "edited.json", _ROW_ID, edit)
+    code, out, err = run(capsys, "catalog", "import", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed record at position 0: record.id ")
+    assert err.endswith(" table row\n") and err.count("\n") == 1
+
+
 def _degree_sixteen_base(record):
     # p 13 -> 15 moves K from (-2, 14) to (-2, 16), so -K = (2, -16) is not
     # big; both stored canonicals follow, and the stored invariants do not
@@ -894,13 +921,16 @@ def test_oracle_grid_above_its_ceiling_fails_in_one_line(name):
         ("a2", ("table", "--family", "wps3", "--a1", "1..100000", "--a2", "1..100000")),
         ("n_max", ("verify", "--grid", "synth", "--kind", "fano-index", "--n-max", str(10**21))),
         ("q_max", ("verify", "--grid", "synth", "--kind", "fano-index", "--q-max", str(10**21))),
+        ("r", ("table", "--family", "mixed", "--r", "1..100000", "--out", "csv")),
+        ("n", ("table", "--family", "wps1", "--n", "3..100002", "--m", "1", "--out", "csv")),
+        ("n", ("synth", "--kind", "generalized-index", "--n", "100000000", "--r", "1", "--c", "1")),
     ],
-    ids=["cone-rprime", "wps3-a2", "synth-n-max", "synth-q-max"],
+    ids=["cone-rprime", "wps3-a2", "synth-n-max", "synth-q-max", "mixed-r", "wps1-n", "synth-n"],
 )
 def test_work_above_its_ceiling_fails_in_one_line(name, argv):
     # each of these would run for minutes or for ever; the product of the
-    # table's range lengths, or the synth grid's target-count bound, is
-    # refused before any work
+    # table's range lengths, the synth grid's target-count bound, or the
+    # dimension ceiling is refused before any work
     env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
     start = time.perf_counter()
     proc = subprocess.run(

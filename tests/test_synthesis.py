@@ -14,6 +14,7 @@ from foliadex import bundle, invariants, synthesis
 from foliadex import (
     BundleVariety,
     DomainError,
+    ParseError,
     SynthKind,
     SynthesisRequest,
     UnsupportedRequest,
@@ -26,8 +27,8 @@ from foliadex import (
 )
 from foliadex.catalog import _standard_tables, record_to_json
 from foliadex.lattice import Class2
-from foliadex.synthesis import TARGET_FIELD, record_id, request_id
-from foliadex.tables import table_rows
+from foliadex.synthesis import TARGET_FIELD, parse_record_id, record_id, request_id
+from foliadex.tables import FAMILY_PARAMS, table_rows
 
 # every synthesized record must come back with its construction checks green
 def assert_certified(record):
@@ -237,10 +238,12 @@ def test_records_are_built_only_by_the_assembler_and_the_decoder():
 
 def test_ids_are_formatted_in_one_place():
     # a synth record's id renders its request, a table row's its family
-    # and parameters; nothing else writes one
+    # and parameters; nothing else writes one, and the parser reads back
+    # only what it writes
     assert _callers("record_id") == {
         ("synthesis.py", "request_id"),
         ("families.py", "_family_record"),
+        ("synthesis.py", "parse_record_id"),
     }
 
 
@@ -261,6 +264,44 @@ def test_each_standard_id_renders_its_construction(std_catalog):
         rows = table_rows(family, ranges)
         expected.extend(record_id("table", family, row.params) for row in rows)
     assert [record.id for record in std_catalog.records] == expected
+
+
+def test_parse_record_id_inverts_record_id_on_every_standard_id(std_catalog):
+    for record in std_catalog.records:
+        head, branch, params = parse_record_id(record.id)
+        assert record_id(head, branch, params) == record.id
+        assert branch == record.branch
+        if record.request is not None:
+            assert (head, params) == (record.request.kind.value, {
+                "n": record.request.n, "r": record.request.r, "c": record.request.c,
+            })
+    assert parse_record_id("table:cone:k=2:rprime=1:m=3:d=0") == (
+        "table", "cone", {"base_dim": 2, "rprime": 1, "m": 3, "d": 0}
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(FAMILY_PARAMS)), st.data())
+def test_parse_record_id_inverts_record_id_on_table_rows(family, data):
+    ranges = {}
+    for name in FAMILY_PARAMS[family]:
+        start = data.draw(st.integers(-1, 9), label=name)
+        ranges[name] = range(start, start + data.draw(st.integers(1, 3)))
+    for row in table_rows(family, ranges):
+        head, branch, params = parse_record_id(row.record.id)
+        assert record_id(head, branch, params) == row.record.id
+        if row.record.request is None:
+            assert (head, branch, params) == ("table", family, row.params)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "table", "table:wps1:n", "table:wps1:n=3=4", "table:wps1:n=x", "table:wps1:n=03",
+     "table:cone:base_dim=2", "table:wps1:n=3:", "table:wps1:n=3:n=3"],
+)
+def test_parse_record_id_refuses_what_record_id_does_not_write(text):
+    with pytest.raises(ParseError, match="is not a record id$"):
+        parse_record_id(text)
 
 
 def test_each_certified_bundle_fact_has_one_test_and_one_rule():

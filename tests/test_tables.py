@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from foliadex.catalog import record_to_json
 from foliadex.cli import main
 from foliadex.errors import DomainError
+from foliadex.jsontext import render
 from foliadex.tables import FAMILY_PARAMS, table_rows
 
 # Every family over a box that holds feasible and infeasible tuples,
@@ -87,3 +89,24 @@ def test_table_tuples_are_bounded_before_any_is_built():
         table_rows("wps3", {"a1": range(1, 3), "a2": range(1, 50_002)})
     # with an empty range no tuple exists, however long the others are
     assert table_rows("wps3", {"a1": (), "a2": range(1, 10**21)}) == []
+
+
+def _box(names):
+    # each parameter over -2..8, or -1..6 in the four-parameter families
+    values = range(-1, 7) if len(names) == 4 else range(-2, 9)
+    return {name: values for name in names}
+
+
+def test_family_rows_over_a_box_are_pinned():
+    # Every row of every family over a box reaching past each bound on
+    # both sides, as its record's JSON; a builder's bounds may move
+    # between it and the constructors it calls, but not its rows.
+    texts = [
+        render(record_to_json(row.record))
+        for family, names in FAMILY_PARAMS.items()
+        for row in table_rows(family, _box(names))
+    ]
+    assert len(texts) == 1729
+    assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == (
+        "e414c1ef4bd83ddb008b6a95743151cbb2c432efb5ee1a467395e6831591c36a"
+    )
