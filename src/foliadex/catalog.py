@@ -15,8 +15,8 @@ the geometric objects through their validating constructors, so a
 structurally impossible object fails to reconstruct at all.  Some
 stored facts are derived again and compared on import: the canonical
 class, which each recipe derives from its ambient and parameters, and
-the ranks and leaf status a pullback or cone inherits from its base
-foliation.  A stored value that differs is a DomainError.  Every object
+the ranks, leaf status and provenance that the recipe fixes, if any.
+A stored value that differs is a DomainError.  Every object
 of a record must have exactly the keys its export writes, or the import
 is a ParseError naming the key.  A record's variety must be a bundle,
 a weighted projective space or a cone, the ambients compute_invariants
@@ -345,10 +345,10 @@ def _once(decoded: dict, decode, obj, *args):
 
 
 def _fol_from_json(obj, path: str, decoded: dict, ambient=None) -> FoliationDescriptor:
-    """A descriptor whose stored canonical class must equal the derived one.
-
-    A recipe's base foliation stores its own ambient; a record's
-    foliation is given the record's variety.
+    """A descriptor whose stored canonical class must equal the derived one,
+    built from every stored field, so that its constructor compares those
+    the recipe fixes.  A recipe's base foliation stores its own ambient; a
+    record's foliation is given the record's variety.
     """
     if ambient is None:
         ambient_obj, *values = _fields(obj, path, ("ambient", *_FOLIATION_FIELDS))

@@ -220,8 +220,6 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
         )
     base_fol = FoliationDescriptor(
         ambient=projective_space(2),
-        rank=1,
-        algebraic_rank=1,
         recipe=PnCatalogCase2(d_f=4, d_g=1),
         leaf_rc=LeafStatus.FALSE,
         provenance=(

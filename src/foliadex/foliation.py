@@ -10,24 +10,25 @@ existence is asserted.
 
 The canonical class K, in the ambient's class notation, is not an
 argument: each recipe derives it from the ambient and its parameters,
-and raises DomainError when it does not fit the ambient.  X is a
-bundle, r' and m are a cone's vertex rank and multiplier, a_i are the
-weights of P(1, a_1, ..., a_n), and s_base is the base foliation's K.
+and raises DomainError when it does not fit the ambient.  Nor are the
+fields listed after K below, nor the "constructed: ..." provenance of
+the fibration on a bundle, pullback, cone and coordinate recipes: a
+fixed field given anyway must agree, whether the descriptor is
+constructed or read from a catalog, and a free one must be given.  X
+is a bundle of fiber rank f and A its relative_anticanonical, r' and m
+are a cone's vertex rank and multiplier, a_i are the weights of
+P(1, a_1, ..., a_n), and s, r, r^a and rc are the base foliation's K,
+ranks and leaf status.
 
-    fibration on a bundle           -relative_anticanonical(X)
-    fibration on a polarized base   0, on a numerically-trivial-canonical base only
-    pullback                        -relative_anticanonical(X) + (0, s_base)
-    cone                            s_base/m - r'
-    coordinate j                    -(sum of a_i over 1 <= i <= n, i != j)
-    pn1 d                           d
-    pn2 (d_f, d_g)                  d_f + d_g - n - 1, with d_f, d_g >= 1
-    transcendental p                p
-
-A pullback or cone descriptor inherits its leaf status from the base
-foliation, and its rank and algebraic rank are the base's plus the
-fiber rank of the bundle or the vertex rank of the cone.  A
-contradicting status or rank is refused the same way, whether the
-descriptor is constructed or read from a catalog.
+    recipe                      K                          rank, r^a     leaf_rc
+    fibration on a bundle       -A                         f, f          true
+    fibration, polarized base   0, K_base num. trivial     r^a = rank
+    pullback                    -A + (0, s)                r+f, r^a+f    rc, true if r^a = 0
+    cone                        s/m - r'                   r+r', r^a+r'  rc, true if r^a = 0
+    coordinate j                -(sum of a_i, i != 0, j)   n-1, n-1      unknown
+    pn1 d                       d                                        true
+    pn2 (d_f, d_g >= 1)         d_f + d_g - n - 1          n-1, n-1      true if d_f = d_g = 1
+    transcendental p            p                          1, 0          unknown
 
 Constructors cover: the fibration foliation of a projective bundle,
 pullbacks of a base foliation to a bundle, the two-case catalog of
@@ -44,6 +45,7 @@ from typing import ClassVar, Union
 
 from .bundle import BundleVariety, relative_anticanonical
 from .errors import DomainError
+from .jsontext import render
 from .lattice import Class2
 from .rankone import (
     GeneralizedCone,
@@ -64,6 +66,12 @@ class LeafStatus(enum.Enum):
     TRUE = "true"
     FALSE = "false"
     UNKNOWN = "unknown"
+
+
+# the descriptor fields a recipe's fixed(ambient) returns, in this order,
+# each None where the recipe leaves it free; fixed is called only on an
+# ambient that the recipe's canonical(ambient) accepted
+_FIXABLE = ("rank", "algebraic_rank", "leaf_rc", "provenance")
 
 
 class _Recipe(Frozen):
@@ -98,6 +106,13 @@ class FibrationInduced(_Recipe):
             "numerically trivial canonical class"
         )
 
+    def fixed(self, ambient: Ambient) -> tuple:
+        if isinstance(ambient, PolarizedBase):
+            return (None, None, None, None)
+        # the leaves are the fibers, projective spaces
+        provenance = "constructed: relative tangent sheaf of the bundle projection"
+        return (ambient.fiber_rank, ambient.fiber_rank, LeafStatus.TRUE, provenance)
+
 
 class PullbackOverBundle(_Recipe):
     """Preimage of a base foliation under the bundle projection."""
@@ -118,6 +133,9 @@ class PullbackOverBundle(_Recipe):
                 f"foliation on P^{base.dim}"
             )
         return -relative_anticanonical(ambient) + Class2(0, self.base.canonical.s)
+
+    def fixed(self, ambient: Ambient) -> tuple:
+        return _inherited(self.base, ambient.fiber_rank, "projection")
 
 
 class ConeInduced(_Recipe):
@@ -146,6 +164,9 @@ class ConeInduced(_Recipe):
             raise DomainError("cone base foliations live on the base, not on a bundle")
         return RankOneClass(self.base.canonical.s / ambient.m - ambient.vertex_rank)
 
+    def fixed(self, ambient: Ambient) -> tuple:
+        return _inherited(self.base, ambient.vertex_rank, "ruling-projection")
+
 
 class CoordinateProjection(_Recipe):
     """Fibers of [x_0 ^ a_j : x_j] on a weighted projective space."""
@@ -166,6 +187,16 @@ class CoordinateProjection(_Recipe):
         # a pencil of hyperplanes on an honest projective space
         return ambient.is_smooth
 
+    def fixed(self, ambient: Ambient) -> tuple:
+        # Leaf closures are weighted hypersurfaces {x_j = c * x_0^{a_j}};
+        # their rational connectedness is left unknown rather than guessed,
+        # since the invariant formulas never depend on it.
+        n, j = ambient.dim, self.j
+        provenance = (
+            f"constructed: fibers of the pencil spanned by x_0^{ambient.weights[j]} and x_{j}"
+        )
+        return (n - 1, n - 1, LeafStatus.UNKNOWN, provenance)
+
 
 class PnCatalogCase1(_Recipe):
     """Linear-projection pullback of a transcendental rank-one foliation."""
@@ -181,6 +212,9 @@ class PnCatalogCase1(_Recipe):
     def linear_leaves(self, ambient: Ambient) -> bool:
         # the fibers of a linear projection
         return True
+
+    def fixed(self, ambient: Ambient) -> tuple:
+        return (None, None, LeafStatus.TRUE, None)
 
 
 class PnCatalogCase2(_Recipe):
@@ -201,6 +235,11 @@ class PnCatalogCase2(_Recipe):
         # a pencil of two hyperplanes
         return self.d_f == 1 and self.d_g == 1
 
+    def fixed(self, ambient: Ambient) -> tuple:
+        n = ambient.dim
+        # the leaves of a pencil of hyperplanes are hyperplanes
+        return (n - 1, n - 1, LeafStatus.TRUE if self.linear_leaves(ambient) else None, None)
+
 
 class TranscendentalRankOne(_Recipe):
     """Rank-one foliation with no algebraic leaf through a general point."""
@@ -212,6 +251,9 @@ class TranscendentalRankOne(_Recipe):
     def canonical(self, ambient: Ambient) -> RankOneClass:
         _on_projective_space(ambient, self.kind)
         return RankOneClass(self.p)
+
+    def fixed(self, ambient: Ambient) -> tuple:
+        return (1, 0, LeafStatus.UNKNOWN, None)
 
 
 Recipe = Union[
@@ -226,7 +268,7 @@ Recipe = Union[
 
 
 class FoliationDescriptor(Frozen):
-    """A foliation on its ambient; the canonical class is derived from the recipe."""
+    """A foliation on its ambient; the recipe derives K and every other field it fixes."""
 
     __slots__ = (
         "ambient", "rank", "algebraic_rank", "canonical", "recipe", "leaf_rc", "provenance",
@@ -242,32 +284,35 @@ class FoliationDescriptor(Frozen):
     def __init__(
         self,
         ambient: Ambient,
-        rank: int,
-        algebraic_rank: int,
         recipe: Recipe,
-        leaf_rc: LeafStatus,
-        provenance: str,
+        *,
+        rank: int | None = None,
+        algebraic_rank: int | None = None,
+        leaf_rc: LeafStatus | None = None,
+        provenance: str | None = None,
     ) -> None:
+        canonical = recipe.canonical(ambient)
+        given = (rank, algebraic_rank, leaf_rc, provenance)
+        fields = []
+        for name, value, fixed in zip(_FIXABLE, given, recipe.fixed(ambient)):
+            if value is None:
+                if fixed is None:
+                    raise DomainError(f"no {name} given, and the {recipe.kind} recipe fixes none")
+                value = fixed
+            elif fixed is not None and fixed != value:
+                raise DomainError(
+                    f"{name} {_written(value)} differs from {_written(fixed)}, "
+                    f"fixed by the {recipe.kind} recipe"
+                )
+            fields.append(value)
+        rank, algebraic_rank, leaf_rc, provenance = fields
         n = ambient.dim
         if not (1 <= rank < n):
             raise DomainError(f"rank must satisfy 1 <= rank < dim = {n}, got {rank}")
         if not (0 <= algebraic_rank <= rank):
             raise DomainError(f"algebraic rank must lie in [0, rank], got {algebraic_rank}")
-        canonical = recipe.canonical(ambient)
-        if isinstance(recipe, (FibrationInduced, CoordinateProjection)):
-            if algebraic_rank != rank:
-                raise DomainError("fibration-type recipes are algebraically integrable")
-        if isinstance(recipe, (PullbackOverBundle, ConeInduced)):
-            stored = (rank, algebraic_rank, leaf_rc.value)
-            inherited_rank, inherited_algebraic_rank, inherited_leaf_rc = _inherited(
-                ambient, recipe.base
-            )
-            inherited = (inherited_rank, inherited_algebraic_rank, inherited_leaf_rc.value)
-            if stored != inherited:
-                raise DomainError(
-                    f"(rank, algebraic_rank, leaf_rc) = {stored} contradicts "
-                    f"{inherited}, inherited from the base foliation"
-                )
+        if isinstance(recipe, FibrationInduced) and algebraic_rank != rank:
+            raise DomainError("the fibration recipe is algebraically integrable")
         Value.__init__(self, ambient, rank, algebraic_rank, canonical, recipe, leaf_rc, provenance)
 
     @property
@@ -275,33 +320,27 @@ class FoliationDescriptor(Frozen):
         return self.algebraic_rank == 0
 
 
-def _inherited(ambient: Ambient, base: FoliationDescriptor) -> tuple[int, int, LeafStatus]:
-    """Rank, algebraic rank and leaf status of a pullback or cone of base."""
+def _written(value) -> str:
+    """A field value as a catalog export writes it."""
+    return render(value.value if isinstance(value, LeafStatus) else value)
+
+
+def _inherited(base: FoliationDescriptor, extra: int, projection: str) -> tuple:
+    """The fixed fields of a pullback or cone of base, whose fibers have dimension extra."""
     # The bundle fibers, or the cone's ruling subspaces, are algebraic and
     # add their dimension to both ranks of the base foliation.
-    extra = ambient.fiber_rank if isinstance(ambient, BundleVariety) else ambient.vertex_rank
     # When the base foliation is purely transcendental, the algebraic part
     # upstairs is the fiber/ruling foliation, whose leaf closures are
     # projective spaces.  Otherwise leaf closures fiber over the base leaf
     # closures with rationally connected fibers, so the status transfers.
     leaf_rc = LeafStatus.TRUE if base.purely_transcendental else base.leaf_rc
-    return base.rank + extra, base.algebraic_rank + extra, leaf_rc
+    provenance = f"constructed: {projection} preimage of the base foliation"
+    return (base.rank + extra, base.algebraic_rank + extra, leaf_rc, provenance)
 
 
 def fibration_foliation(variety: BundleVariety) -> FoliationDescriptor:
-    """The relative tangent foliation of the bundle projection.
-
-    The leaves are the fibers, so rank and algebraic rank both equal the
-    fiber dimension.
-    """
-    return FoliationDescriptor(
-        ambient=variety,
-        rank=variety.fiber_rank,
-        algebraic_rank=variety.fiber_rank,
-        recipe=FibrationInduced(),
-        leaf_rc=LeafStatus.TRUE,
-        provenance="constructed: relative tangent sheaf of the bundle projection",
-    )
+    """The relative tangent foliation of the bundle projection."""
+    return FoliationDescriptor(variety, FibrationInduced())
 
 
 def pullback_over_bundle(
@@ -312,15 +351,7 @@ def pullback_over_bundle(
     Canonical classes add along the exact sequence relating the pullback
     to the relative tangent sheaf: K = K_{X/Z} + (deg K_base) F.
     """
-    rank, algebraic_rank, leaf_rc = _inherited(variety, base_foliation)
-    return FoliationDescriptor(
-        ambient=variety,
-        rank=rank,
-        algebraic_rank=algebraic_rank,
-        recipe=PullbackOverBundle(base_foliation),
-        leaf_rc=leaf_rc,
-        provenance="constructed: projection preimage of the base foliation",
-    )
+    return FoliationDescriptor(variety, PullbackOverBundle(base_foliation))
 
 
 def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
@@ -341,11 +372,10 @@ def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
     ambient = projective_space(n)
     if r <= n - 2:
         return FoliationDescriptor(
-            ambient=ambient,
+            ambient,
+            PnCatalogCase1(d),
             rank=r + 1,
             algebraic_rank=r,
-            recipe=PnCatalogCase1(d),
-            leaf_rc=LeafStatus.TRUE,
             provenance=(
                 "constructed: linear-projection pullback; asserted-existence for the "
                 f"transcendental rank-one factor of canonical degree {d + r}"
@@ -354,13 +384,11 @@ def pn_foliation(n: int, r: int, d: int) -> FoliationDescriptor:
     total = d + n + 1
     d_f = (total + 1) // 2
     d_g = total - d_f
-    leaf_rc = LeafStatus.TRUE if d_f == d_g == 1 else LeafStatus.UNKNOWN
     return FoliationDescriptor(
-        ambient=ambient,
-        rank=n - 1,
-        algebraic_rank=n - 1,
-        recipe=PnCatalogCase2(d_f, d_g),
-        leaf_rc=leaf_rc,
+        ambient,
+        PnCatalogCase2(d_f, d_g),
+        # the recipe fixes the leaves of a pencil of hyperplanes
+        leaf_rc=None if d_f == d_g == 1 else LeafStatus.UNKNOWN,
         provenance="constructed: pencil of hypersurfaces of degrees "
         f"({d_f}, {d_g})",
     )
@@ -377,11 +405,8 @@ def transcendental_rank1(k: int, p: int) -> FoliationDescriptor:
     if p < 1:
         raise DomainError(f"need canonical degree p >= 1, got {p}")
     return FoliationDescriptor(
-        ambient=projective_space(k),
-        rank=1,
-        algebraic_rank=0,
-        recipe=TranscendentalRankOne(p),
-        leaf_rc=LeafStatus.UNKNOWN,
+        projective_space(k),
+        TranscendentalRankOne(p),
         provenance=(
             f"asserted-existence: purely transcendental rank-one foliation of degree {p + 1}"
         ),
@@ -391,24 +416,8 @@ def transcendental_rank1(k: int, p: int) -> FoliationDescriptor:
 def wps_coordinate_foliation(
     variety: WeightedProjectiveSpace, j: int
 ) -> FoliationDescriptor:
-    """Fibers of the pencil spanned by x_0^{a_j} and x_j.
-
-    Leaf closures are weighted hypersurfaces {x_j = c * x_0^{a_j}}; their
-    rational connectedness is left unknown rather than guessed, since the
-    invariant formulas never depend on it.
-    """
-    n = variety.dim
-    if not (1 <= j <= n):
-        # checked before the provenance reads a_j
-        raise DomainError(f"coordinate index must satisfy 1 <= j <= {n}, got {j}")
-    return FoliationDescriptor(
-        ambient=variety,
-        rank=n - 1,
-        algebraic_rank=n - 1,
-        recipe=CoordinateProjection(j),
-        leaf_rc=LeafStatus.UNKNOWN,
-        provenance=f"constructed: fibers of the pencil spanned by x_0^{variety.weights[j]} and x_{j}",
-    )
+    """Fibers of the pencil spanned by x_0^{a_j} and x_j."""
+    return FoliationDescriptor(variety, CoordinateProjection(j))
 
 
 def cone_foliation(
@@ -421,12 +430,4 @@ def cone_foliation(
     subspace contributes the vertex rank to the anticanonical degree and
     the base contributes d/m through the degree-m polarization.
     """
-    rank, algebraic_rank, leaf_rc = _inherited(cone, base_foliation)
-    return FoliationDescriptor(
-        ambient=cone,
-        rank=rank,
-        algebraic_rank=algebraic_rank,
-        recipe=ConeInduced(base_foliation),
-        leaf_rc=leaf_rc,
-        provenance="constructed: ruling-projection preimage of the base foliation",
-    )
+    return FoliationDescriptor(cone, ConeInduced(base_foliation))

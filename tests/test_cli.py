@@ -609,6 +609,36 @@ def _bundle(record):
     return record["variety"]["family"] == "bundle"
 
 
+def _cone_over_transcendental(record):
+    return _cone(record) and record["foliation"]["recipe_params"]["base"]["recipe"] == (
+        "transcendental"
+    )
+
+
+# fields a recipe fixes, each stored with another value; all three
+# imported and verified before the recipes fixed them
+_FIXED_FIELD_EDITS = [
+    (
+        ("foliation", "leaf_rc"), "false", _nine_eighths,
+        'position 0: foliation: leaf_rc "false" differs from "true", '
+        "fixed by the fibration recipe",
+    ),
+    (
+        ("foliation", "provenance"),
+        "asserted-existence: fibers of the pencil spanned by x_0^1 and x_1",
+        _coordinate,
+        'position 0: foliation: provenance "asserted-existence: fibers of the pencil spanned '
+        'by x_0^1 and x_1" differs from "constructed: fibers of the pencil spanned by x_0^1 '
+        'and x_1", fixed by the coordinate recipe',
+    ),
+    (
+        ("foliation", "recipe_params", "base", "leaf_rc"), "true", _cone_over_transcendental,
+        'position 0: foliation.recipe_params.base: leaf_rc "true" differs from "unknown", '
+        "fixed by the transcendental recipe",
+    ),
+]
+
+
 def _with(invariant):
     return lambda record: record["invariants"][invariant] is not None
 
@@ -778,6 +808,7 @@ def _nested(depth):
             "--coeff-max is not read by verify --grid synth",
         ),
         ("flags", None, ("--grid", "standard"), None, "--grid is not read by verify --catalog"),
+        *((command, *edit) for edit in _FIXED_FIELD_EDITS for command in ("import", "verify")),
     ],
     ids=[
         "leaf-rc", "check-status", "big-flag", "long-literal", "bool-int", "long-synth-target",
@@ -797,6 +828,8 @@ def _nested(depth):
         "variety-m-zero", "request-n-one", "positivity-constructor", "report-constructor",
         "base-canonical-mismatch", "table-param-of-another-family", "catalog-oracle-flag",
         "standard-oracle-flag", "oracle-synth-flag", "synth-oracle-flag", "catalog-grid",
+        "fibration-leaf-rc-import", "fibration-leaf-rc-verify", "coordinate-provenance-import",
+        "coordinate-provenance-verify", "base-leaf-rc-import", "base-leaf-rc-verify",
     ],
 )
 def test_bad_input_fails_in_one_line(

@@ -1,6 +1,7 @@
 """Foliation descriptors: canonical classes, ranks, and the catalog recipes."""
 
 import ast
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -36,6 +37,7 @@ from foliadex import (
     transcendental_rank1,
     wps_coordinate_foliation,
 )
+from foliadex import foliation
 from foliadex.foliation import Recipe
 
 
@@ -302,3 +304,98 @@ def test_recipes_are_dispatched_only_in_foliation():
         for line in _recipe_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+FIXABLE = ("rank", "algebraic_rank", "leaf_rc", "provenance")
+
+
+@st.composite
+def fixing_foliations(draw):
+    """arbitrary_foliations, and pullbacks and cones of those on a P^k."""
+    fol = draw(arbitrary_foliations())
+    ambient = fol.ambient
+    lift = draw(st.sampled_from(("none", "pullback", "cone")))
+    if lift == "none" or not (isinstance(ambient, WeightedProjectiveSpace) and ambient.is_smooth):
+        return fol
+    k, m = ambient.dim, draw(st.integers(1, 3))
+    if lift == "pullback":
+        b = tuple(sorted(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)), reverse=True))
+        return pullback_over_bundle(BundleVariety(k, m, b), fol)
+    cone = GeneralizedCone(projective_space_base(k), m, draw(st.integers(1, 2)))
+    return cone_foliation(cone, fol)
+
+
+def _exported(value) -> str:
+    return json.dumps(value.value if isinstance(value, LeafStatus) else value)
+
+
+def _other_values(name, value):
+    """Values other than value of the field name, in and out of range."""
+    if name == "leaf_rc":
+        return [status for status in LeafStatus if status is not value]
+    if name == "provenance":
+        kind, rest = value.split(":", 1)
+        swapped = "asserted-existence" if kind == "constructed" else "constructed"
+        return [value + " (edited)", f"{swapped}:{rest}"]
+    return [value - 1, value + 1]
+
+
+@given(fixing_foliations())
+def test_fixed_fields_are_derived_and_compared(fol):
+    fixed = dict(zip(FIXABLE, fol.recipe.fixed(fol.ambient)))
+    stored = {name: getattr(fol, name) for name in FIXABLE}
+    free = {name: stored[name] for name, value in fixed.items() if value is None}
+    # the recipe's fields, and only those, may be left out
+    assert FoliationDescriptor(fol.ambient, fol.recipe, **free) == fol
+    assert FoliationDescriptor(fol.ambient, fol.recipe, **stored) == fol
+    kind = fol.recipe.kind
+    for name, value in fixed.items():
+        if value is None:
+            without = {key: given for key, given in free.items() if key != name}
+            with pytest.raises(DomainError) as refused:
+                FoliationDescriptor(fol.ambient, fol.recipe, **without)
+            assert str(refused.value) == f"no {name} given, and the {kind} recipe fixes none"
+            continue
+        assert stored[name] == value
+        for other in _other_values(name, value):
+            with pytest.raises(DomainError) as refused:
+                FoliationDescriptor(fol.ambient, fol.recipe, **{**stored, name: other})
+            assert str(refused.value) == (
+                f"{name} {_exported(other)} differs from {_exported(value)}, "
+                f"fixed by the {kind} recipe"
+            )
+
+
+def test_a_field_neither_given_nor_fixed_is_named():
+    with pytest.raises(DomainError, match="^no provenance given, and the transcendental recipe"):
+        FoliationDescriptor(projective_space(2), TranscendentalRankOne(1))
+    with pytest.raises(DomainError, match="^no rank given, and the pn1 recipe fixes none$"):
+        FoliationDescriptor(projective_space(3), PnCatalogCase1(1), provenance="test fixture")
+    fibers = PolarizedBase(2, False, SingularityClass.CALABI_YAU_LC, "test fixture")
+    with pytest.raises(DomainError, match="^no leaf_rc given, and the fibration recipe"):
+        FoliationDescriptor(fibers, FibrationInduced(), rank=1, algebraic_rank=1)
+
+
+def test_a_lift_derives_its_fields_from_its_base_once(monkeypatch):
+    calls = []
+    inherited = foliation._inherited
+    monkeypatch.setattr(
+        foliation, "_inherited", lambda *args: calls.append(args) or inherited(*args)
+    )
+    base = pn_foliation(2, 1, 0)
+    pullback_over_bundle(BundleVariety(2, 1, (1,)), base)
+    cone_foliation(GeneralizedCone(projective_space_base(2), 2, 1), base)
+    assert len(calls) == 2
+
+
+def test_descriptor_constructor_dispatches_on_no_lift_or_coordinate_recipe():
+    # the fixed fields live on the recipes; only the fibration's
+    # integrability on a polarized base is checked by class
+    tree = ast.parse(Path(foliation.__file__).read_text(encoding="utf-8"))
+    descriptor = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "FoliationDescriptor"
+    )
+    init = next(node for node in descriptor.body if getattr(node, "name", None) == "__init__")
+    assert len(list(_recipe_isinstance_calls(init))) == 1
+    assert "isinstance(recipe, FibrationInduced)" in ast.unparse(init)
