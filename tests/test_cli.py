@@ -610,9 +610,8 @@ def _bundle(record):
 
 
 def _cone_over_transcendental(record):
-    return _cone(record) and record["foliation"]["recipe_params"]["base"]["recipe"] == (
-        "transcendental"
-    )
+    base = record["foliation"]["recipe_params"].get("base")
+    return _cone(record) and base["recipe"] == "transcendental"
 
 
 # fields a recipe fixes, each stored with another value; all three
