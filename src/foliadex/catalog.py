@@ -1,12 +1,13 @@
 """Catalog container and its byte-deterministic JSON serialization.
 
 The value types are the schema: a value's JSON object holds its fields
-under their names, in __slots__ order, and one encoder (_to_json) and
-one decoder (_from_json) serve every object that follows this rule.
-Three keep code of their own: a variety stores its family first; a
-foliation stores its recipe's kind apart from the recipe's fields and
-leaves out the ambient where the record holds it; and a record adds its
-foliation's ambient as its variety.  Export renders, and import decodes,
+under their names, in __slots__ order, and one encoder (_text), which
+writes each value's JSON text straight from its fields, and one decoder
+(_from_json) serve every object that follows this rule.  Three keep
+code of their own: a variety stores its family first; a foliation
+stores its recipe's kind apart from the recipe's fields and leaves out
+the ambient where the record holds it; and a record adds its
+foliation's ambient as its variety.  Export writes, and import decodes,
 what several records share once per call.
 
 Export writes records with a fixed key order and no timestamps, so the
@@ -38,6 +39,7 @@ from functools import partial
 from typing import Optional, get_args
 
 from . import jsontext
+from .jsontext import string as _quoted
 from .bundle import BundleVariety, Positivity
 from .errors import DomainError, FoliadexError, ParseError
 from .foliation import FoliationDescriptor, LeafStatus, Recipe
@@ -100,52 +102,73 @@ _FAMILIES = {cls: family for family, cls in _VARIETIES.items()}
 # recipe kind -> recipe class
 _RECIPES = {recipe.kind: recipe for recipe in get_args(Recipe)}
 
-_PLAIN = frozenset((int, bool, str, type(None)))
+# the JSON text of a scalar, by its type; a rational's literal needs no escape
+_SCALARS = {
+    str: _quoted, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null", Fraction: lambda value: f'"{render_rational(value)}"',
+}
+
+# the keys of a foliation's object after its ambient, in export order
+_FOLIATION_FIELDS = (
+    "recipe", "recipe_params", "rank", "algebraic_rank", "canonical", "leaf_rc", "provenance",
+)
 
 
-def _to_json(value):
-    """value as JSON: a value type as the object of its fields in __slots__
-    order, a rational as its literal, a tuple as an array and an enum
-    member as its value; a foliation stores its ambient."""
+def _text(value, newline: str) -> str:
+    """The JSON text of value, its lines started with newline: a value type
+    as the object of its fields in __slots__ order, a rational as its
+    literal, a tuple as an array and an enum member as its value; a
+    foliation writes its ambient."""
     cls = type(value)
-    if cls in _PLAIN:
-        return value
-    if cls is Fraction:
-        return render_rational(value)
-    if cls is FoliationDescriptor:
-        return _fol_to_json(value, include_ambient=True)
-    if isinstance(value, Value):
-        # a loop, not a comprehension, which would be a call of its own
-        obj = {}
-        for name in cls.__slots__:
-            field = getattr(value, name)
-            obj[name] = field if type(field) in _PLAIN else _to_json(field)
-        return obj
+    scalar = _SCALARS.get(cls)
+    if scalar is not None:
+        return scalar(value)
     if cls is tuple:
-        return list(map(_to_json, value))
-    return value.value
+        return _joined("[]", [_text(item, newline + "  ") for item in value], newline)
+    if cls is FoliationDescriptor:
+        return _fol_text(value, newline)
+    if isinstance(value, Value):
+        return _object(value, newline, cls.__slots__)
+    return _quoted(value.value)
 
 
-def _variety_to_json(variety) -> dict:
-    return {"family": _FAMILIES[type(variety)], **_to_json(variety)}
+def _joined(brackets: str, members: list, newline: str) -> str:
+    """The JSON array or object of the texts members, one a line, at newline."""
+    if not members:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + f",{inner}".join(members) + newline + brackets[1]
 
 
-def _fol_to_json(fol: FoliationDescriptor, include_ambient: bool = False) -> dict:
-    obj: dict = {}
-    if include_ambient:
-        obj["ambient"] = _variety_to_json(fol.ambient)
-    obj["recipe"] = fol.recipe.kind
-    obj["recipe_params"] = _to_json(fol.recipe)
-    obj["rank"] = fol.rank
-    obj["algebraic_rank"] = fol.algebraic_rank
-    obj["canonical"] = _to_json(fol.canonical)
-    obj["leaf_rc"] = fol.leaf_rc.value
-    obj["provenance"] = fol.provenance
-    return obj
+def _object(value, newline: str, names: tuple, head: str = "") -> str:
+    """The JSON object of value's fields names, after head, the members
+    written before them, each led by a comma and its line's start."""
+    inner = newline + "  "
+    text = head
+    for name in names:
+        field = getattr(value, name)
+        scalar = _SCALARS.get(type(field))
+        text += f',{inner}"{name}": {scalar(field) if scalar else _text(field, inner)}'
+    return "{" + text[1:] + newline + "}" if text else "{}"
+
+
+def _variety_text(variety, newline: str) -> str:
+    cls = type(variety)
+    return _object(variety, newline, cls.__slots__, f',{newline}  "family": "{_FAMILIES[cls]}"')
+
+
+def _fol_text(fol: FoliationDescriptor, newline: str, ambient: bool = True) -> str:
+    """A foliation's object: its recipe's kind apart from the recipe's
+    fields, after its ambient unless the record holds it."""
+    inner = newline + "  "
+    head = f',{inner}"ambient": {_variety_text(fol.ambient, inner)}' if ambient else ""
+    recipe = fol.recipe
+    head += f',{inner}"recipe": "{recipe.kind}",{inner}"recipe_params": {_text(recipe, inner)}'
+    return _object(fol, newline, _FOLIATION_FIELDS[2:], head)
 
 
 def _share_key(obj):
-    # a check by value, as equal checks render alike; any other object by id
+    # a check by value, as equal checks write alike; any other object by id
     return (obj.name, obj.status, obj.detail) if type(obj) is CheckOutcome else id(obj)
 
 
@@ -157,39 +180,39 @@ def _shared_objects(records) -> dict:
     return {key: [count] for key, count in uses.items() if count > 1}
 
 
-# where an export starts the lines of a record's fields and of its checks
-_FIELD, _CHECK = "\n" + " " * 6, "\n" + " " * 8
-
-
-def _share(shared: dict, to_json, obj, newline: str):
-    """to_json(obj), or the text of an object in the export's table shared,
-    rendered at newline on its first use and kept to its last, with obj so
-    that no other object takes its id."""
+def _share(shared: dict, write, obj, newline: str, *args) -> str:
+    """write(obj, newline, *args), or the text of an object in the export's
+    table shared, written on its first use and kept to its last, with obj
+    so that no other object takes its id."""
     key = _share_key(obj)
     entry = shared.get(key)
     if entry is None:
-        return to_json(obj)
+        return write(obj, newline, *args)
     if len(entry) == 1:
-        entry += (jsontext.Text(jsontext.render(to_json(obj), newline)), obj)
+        entry += (write(obj, newline, *args), obj)
     entry[0] -= 1
     if not entry[0]:
         del shared[key]
     return entry[1]
 
 
-def record_to_json(record: ExampleRecord, shared: Optional[dict] = None) -> dict:
-    """JSON object for one record, exactly as it appears in an export; given
-    an export's table, a field or check it lists comes back as its text."""
+def record_to_json(record: ExampleRecord, newline: Optional[str] = None, shared=None):
+    """The JSON object of one record, read back from the text an export
+    writes of it; given newline, that text itself, its lines started with
+    newline.  Given an export's table shared, a field or check the table
+    lists is written once."""
     share = partial(_share, {} if shared is None else shared)
-    return {
-        "id": record.id,
-        "request": _to_json(record.request),
-        "branch": record.branch,
-        "variety": share(_variety_to_json, record.variety, _FIELD),
-        "foliation": share(_fol_to_json, record.foliation, _FIELD),
-        "invariants": share(_to_json, record.invariants, _FIELD),
-        "checks": [share(_to_json, check, _CHECK) for check in record.checks],
-    }
+    inner = (newline or "\n") + "  "
+    own = ("id", "request", "branch")
+    members = [f'"{name}": {_text(getattr(record, name), inner)}' for name in own]
+    members += (
+        f'"variety": {share(_variety_text, record.variety, inner)}',
+        f'"foliation": {share(_fol_text, record.foliation, inner, False)}',
+        f'"invariants": {share(_text, record.invariants, inner)}',
+        f'"checks": {_joined("[]", [share(_text, c, inner + "  ") for c in record.checks], inner)}',
+    )
+    text = _joined("{}", members, newline or "\n")
+    return text if newline else json.loads(text)
 
 
 _NOUNS = {int: "an integer", bool: "a boolean", str: "a string", list: "a JSON array"}
@@ -329,11 +352,6 @@ def _variety_from_json(obj, path: str):
     return _from_json(_VARIETIES[family], obj, path, _VARIETY_READ, ("family",))
 
 
-_FOLIATION_FIELDS = (
-    "recipe", "recipe_params", "rank", "algebraic_rank", "canonical", "leaf_rc", "provenance",
-)
-
-
 def _once(decoded: dict, decode, obj, *args):
     """decode(obj, *args), or what it returned for equal JSON earlier in the
     same import: decoded maps (decode, the marshal bytes of obj) to it."""
@@ -471,22 +489,14 @@ _CATALOG_KEYS = ("schema_version", "metadata", "records")
 
 def write_catalog(catalog: Catalog, out) -> None:
     """Write the export of catalog to the text stream out, one record at a
-    time: one record's JSON exists at once, and the text of each object
+    time: one record's text exists at once, and the text of each object
     that several records share from its first use to its last."""
     shared = _shared_objects(catalog.records)
-    # the frame around the records array, split where its one member
-    # stands: "\0" is no character of an escaped string
-    head, _, tail = jsontext.render({
-        "schema_version": SCHEMA_VERSION,
-        "metadata": catalog.metadata,
-        "records": [jsontext.Text("\0")] if catalog.records else [],
-    }).partition("\0")
-    out.write(head)
-    separator = ""
-    for record in catalog.records:
-        out.write(separator + jsontext.render(record_to_json(record, shared), "\n    "))
-        separator = ",\n    "
-    out.write(tail + "\n")
+    out.write(f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "metadata": ')
+    out.write(jsontext.render(catalog.metadata, "\n  ") + ',\n  "records": [')
+    for i, record in enumerate(catalog.records):
+        out.write(("," if i else "") + "\n    " + record_to_json(record, "\n    ", shared))
+    out.write("\n  ]\n}\n" if catalog.records else "]\n}\n")
 
 
 def export_catalog(catalog: Catalog) -> str:

@@ -107,7 +107,7 @@ def _record_summary_pairs(record: ExampleRecord) -> list[tuple[str, str]]:
 
 def _render_record(record: ExampleRecord, fmt: str) -> str:
     if fmt == "json":
-        return jsontext.render(record_to_json(record))
+        return record_to_json(record, "\n")
     return _render_pairs(_record_summary_pairs(record), fmt)
 
 

@@ -1,4 +1,4 @@
-"""The one JSON writer behind every JSON output of the package.
+"""The JSON text of every JSON output of the package.
 
 render(obj) returns exactly the text of json.dumps(obj, indent=2) for a
 tree of str-keyed dicts, lists, strings, integers, booleans and None,
@@ -7,21 +7,19 @@ Infinity) can reach an output.  json.dumps runs its C encoder only when
 indent is None; this writer keeps the C string escaper and joins each
 container's text as soon as the container is finished, which is faster
 than the pure-Python indenting encoder and holds fewer pieces alive.
-A Text in the tree is written as it is.
+The catalog writes its value types in the same layout, straight from
+their fields, with string, the same escaper.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _string
+from json.encoder import encode_basestring_ascii as string
 
 
-class Text(str):
-    """JSON text already rendered where it is written, which _render keeps."""
-
-
-def _render(obj, newline: str) -> str:
+def render(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=2), for the exact JSON types only, nested at newline."""
     if isinstance(obj, str):
-        return obj if type(obj) is Text else _string(obj)
+        return string(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -35,20 +33,12 @@ def _render(obj, newline: str) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        items = separator.join([_render(value, inner) for value in obj])
+        items = separator.join([render(value, inner) for value in obj])
         return f"[{inner}{items}{newline}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        # _string raises TypeError on a key that is not a str
-        items = separator.join(
-            [f"{_string(key)}: {_render(value, inner)}" for key, value in obj.items()]
-        )
-        return f"{{{inner}{items}{newline}}}"
+        # string raises TypeError on a key that is not a str
+        items = [f"{string(key)}: {render(value, inner)}" for key, value in obj.items()]
+        return f"{{{inner}{separator.join(items)}{newline}}}"
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
-def render(obj, newline: str = "\n") -> str:
-    """json.dumps(obj, indent=2), for the exact JSON types only, nested at newline."""
-    return _render(obj, newline)
-

@@ -483,20 +483,20 @@ def test_shared_nested_decodes_tell_true_from_one(std_catalog, keys, value, faul
 
 
 def _render_counts(monkeypatch, catalog_):
-    """Record-level foliation renders and check renders of one export."""
+    """Record-level foliation writes and check writes of one export."""
     counts = {"foliation": 0, "check": 0}
-    fol_to_json, to_json = catalog._fol_to_json, catalog._to_json
+    write_fol, write = catalog._fol_text, catalog._text
 
-    def counted_fol(fol, include_ambient=False):
-        counts["foliation"] += not include_ambient
-        return fol_to_json(fol, include_ambient)
+    def counted_fol(fol, newline, ambient=True):
+        counts["foliation"] += not ambient
+        return write_fol(fol, newline, ambient)
 
-    def counted(value):
+    def counted(value, newline):
         counts["check"] += type(value) is CheckOutcome
-        return to_json(value)
+        return write(value, newline)
 
-    monkeypatch.setattr(catalog, "_fol_to_json", counted_fol)
-    monkeypatch.setattr(catalog, "_to_json", counted)
+    monkeypatch.setattr(catalog, "_fol_text", counted_fol)
+    monkeypatch.setattr(catalog, "_text", counted)
     text = export_catalog(catalog_)
     monkeypatch.undo()
     return text, counts
@@ -598,6 +598,36 @@ def test_arbitrary_records_round_trip(record):
     back = import_catalog(text)
     assert back.records == (record,)
     assert export_catalog(back) == text
+
+
+def _assert_written_as_json_dumps(catalog_: Catalog) -> str:
+    """The export of catalog_, checked against the standard library's
+    encoder, which shares no code with the writer, and against import.
+    Neither check is a plain assert, which would diff megabytes."""
+    text = export_catalog(catalog_)
+    expected = json.dumps(json.loads(text), indent=2) + "\n"
+    if text != expected:
+        offset = next(i for i, (a, b) in enumerate(zip(text + "\0", expected + "\0")) if a != b)
+        pytest.fail(f"export differs at offset {offset}: {text[offset:offset + 200]!r}")
+    same = import_catalog(text) == catalog_
+    assert same, "the import of the export differs from the catalog"
+    return text
+
+
+def test_standard_export_is_json_dumps_text(std_catalog):
+    text = _assert_written_as_json_dumps(std_catalog)
+    _assert_written_as_json_dumps(import_catalog(text))
+    objects = json.loads(text)["records"]
+    assert len(objects) == len(std_catalog.records)
+    for record, obj in zip(std_catalog.records, objects):
+        same = record_to_json(record) == obj
+        assert same, record.id
+
+
+@settings(deadline=None)
+@given(_arbitrary_records())
+def test_arbitrary_records_are_json_dumps_text(record):
+    _assert_written_as_json_dumps(Catalog(records=(record,)))
 
 
 # every class the codec decodes from the JSON object of its fields
