@@ -1,30 +1,29 @@
 """Catalog container and its byte-deterministic JSON serialization.
 
 The value types are the schema: a value's JSON object holds its fields
-under their names, in __slots__ order, and one encoder (_text), which
-writes each value's JSON text straight from its fields, and one decoder
-(_from_json) serve every object that follows this rule.  Three keep
-code of their own: a variety stores its family first; a foliation
+under their names, in __slots__ order, and one encoder (_text) and one
+decoder (_from_json) serve every object that follows this rule.  Three
+keep code of their own: a variety stores its family first; a foliation
 stores its recipe's kind apart from the recipe's fields and leaves out
 the ambient where the record holds it; and a record adds its
-foliation's ambient as its variety.  Export writes, and import decodes,
-what several records share once per call.
+foliation's ambient as its variety.
 
-Export writes records with a fixed key order and no timestamps, so the
-same catalog always serializes to the same bytes.  Import reconstructs
-the geometric objects through their validating constructors, so a
-structurally impossible object fails to reconstruct at all.  Some
-stored facts are derived again and compared on import: the canonical
-class, which each recipe derives from its ambient and parameters, and
-the ranks, leaf status and provenance that the recipe fixes, if any.
-A stored value that differs is a DomainError.  Every object
-of a record must have exactly the keys its export writes, or the import
-is a ParseError naming the key.  A record's variety must be a bundle,
-a weighted projective space or a cone, the ambients compute_invariants
-accepts; a polarized base is accepted only as a cone's base or as a
-base foliation's ambient.  Stored invariants and check outcomes are
-parsed verbatim rather than recomputed, so an edited invariant survives
-the round trip and is caught by the verification layer.
+An export (schema 2) lists each distinct variety, foliation, invariant
+report and check once, in its objects array after the records, and a
+record, a recipe's base foliation and its ambient refer to them by
+index.  An entry is its object's text with the objects nested in it as
+indices, so text decides equality, and every index inside objects[k] is
+below k.  Import takes an index or an inline object at each of these
+positions, so schema 1, all inline, has the same decoder; a re-export
+writes schema 2.
+
+Export has a fixed key order and no timestamps, so a catalog always
+serializes to the same bytes.  Import rebuilds each object through its
+validating constructor and derives again the canonical class and the
+fields a recipe fixes: a stored value that differs is a DomainError, and
+an object without exactly its export's keys a ParseError.  A record's
+variety is a bundle, a weighted projective space or a cone.  Stored
+invariants and checks are read verbatim, for the verification layer.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
-import marshal
-from collections import Counter
+from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 from typing import Optional, get_args
@@ -68,7 +66,7 @@ from .synthesis import (
 from .tables import FAMILY_PARAMS, table_rows
 from .value import Frozen, Value
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class Catalog(Frozen):
@@ -114,21 +112,21 @@ _FOLIATION_FIELDS = (
 )
 
 
-def _text(value, newline: str) -> str:
+def _text(value, newline: str, table=None) -> str:
     """The JSON text of value, its lines started with newline: a value type
     as the object of its fields in __slots__ order, a rational as its
     literal, a tuple as an array and an enum member as its value; a
-    foliation writes its ambient."""
+    foliation writes its ambient, as indices given an export's table."""
     cls = type(value)
     scalar = _SCALARS.get(cls)
     if scalar is not None:
         return scalar(value)
     if cls is tuple:
-        return _joined("[]", [_text(item, newline + "  ") for item in value], newline)
+        return _joined("[]", [_text(item, newline + "  ", table) for item in value], newline)
     if cls is FoliationDescriptor:
-        return _fol_text(value, newline)
+        return _ref(table, _fol_text, value, newline, True)
     if isinstance(value, Value):
-        return _object(value, newline, cls.__slots__)
+        return _object(value, newline, cls.__slots__, "", table)
     return _quoted(value.value)
 
 
@@ -140,7 +138,7 @@ def _joined(brackets: str, members: list, newline: str) -> str:
     return brackets[0] + inner + f",{inner}".join(members) + newline + brackets[1]
 
 
-def _object(value, newline: str, names: tuple, head: str = "") -> str:
+def _object(value, newline: str, names: tuple, head: str = "", table=None) -> str:
     """The JSON object of value's fields names, after head, the members
     written before them, each led by a comma and its line's start."""
     inner = newline + "  "
@@ -148,69 +146,61 @@ def _object(value, newline: str, names: tuple, head: str = "") -> str:
     for name in names:
         field = getattr(value, name)
         scalar = _SCALARS.get(type(field))
-        text += f',{inner}"{name}": {scalar(field) if scalar else _text(field, inner)}'
+        text += f',{inner}"{name}": {scalar(field) if scalar else _text(field, inner, table)}'
     return "{" + text[1:] + newline + "}" if text else "{}"
 
 
-def _variety_text(variety, newline: str) -> str:
+def _variety_text(variety, newline: str, table=None) -> str:
     cls = type(variety)
     return _object(variety, newline, cls.__slots__, f',{newline}  "family": "{_FAMILIES[cls]}"')
 
 
-def _fol_text(fol: FoliationDescriptor, newline: str, ambient: bool = True) -> str:
+def _fol_text(fol: FoliationDescriptor, newline: str, table=None, ambient: bool = True) -> str:
     """A foliation's object: its recipe's kind apart from the recipe's
     fields, after its ambient unless the record holds it."""
     inner = newline + "  "
-    head = f',{inner}"ambient": {_variety_text(fol.ambient, inner)}' if ambient else ""
+    head = f',{inner}"ambient": {_ref(table, _variety_text, fol.ambient, inner)}' if ambient else ""
     recipe = fol.recipe
-    head += f',{inner}"recipe": "{recipe.kind}",{inner}"recipe_params": {_text(recipe, inner)}'
-    return _object(fol, newline, _FOLIATION_FIELDS[2:], head)
+    head += f',{inner}"recipe": "{recipe.kind}",{inner}"recipe_params": '
+    return _object(fol, newline, _FOLIATION_FIELDS[2:], head + _text(recipe, inner, table), table)
 
 
-def _share_key(obj):
-    # a check by value, as equal checks write alike; any other object by id
-    return (obj.name, obj.status, obj.detail) if type(obj) is CheckOutcome else id(obj)
+# the start of an entry's lines, in the objects array
+_ENTRY = "\n    "
 
 
-def _shared_objects(records) -> dict:
-    """An export's table: share key -> [uses] of each object that several
-    records hold, of their varieties, foliations, invariants and checks."""
-    objects = (obj for r in records for obj in (r.variety, r.foliation, r.invariants, *r.checks))
-    uses = Counter(map(_share_key, objects))
-    return {key: [count] for key, count in uses.items() if count > 1}
+def _ref(table, write, value, newline: str, *args) -> str:
+    """write(value, newline, table, *args), or given an export's table
+    (entries, memos), the index of value's entry: entries maps each entry's
+    text to its index, in first-use order, and memos[write, *args] maps an
+    object to its index, by id, as the export holds it, or a check by the
+    fields it writes, as a built catalog holds equal checks apart."""
+    if table is None:
+        return write(value, newline, None, *args)
+    entries, memos = table
+    memo = memos[write, *args]
+    key = (value.name, value.status, value.detail) if type(value) is CheckOutcome else id(value)
+    index = memo.get(key)
+    if index is None:
+        text = write(value, _ENTRY, table, *args)
+        index = memo[key] = entries.setdefault(text, str(len(entries)))
+    return index
 
 
-def _share(shared: dict, write, obj, newline: str, *args) -> str:
-    """write(obj, newline, *args), or the text of an object in the export's
-    table shared, written on its first use and kept to its last, with obj
-    so that no other object takes its id."""
-    key = _share_key(obj)
-    entry = shared.get(key)
-    if entry is None:
-        return write(obj, newline, *args)
-    if len(entry) == 1:
-        entry += (write(obj, newline, *args), obj)
-    entry[0] -= 1
-    if not entry[0]:
-        del shared[key]
-    return entry[1]
-
-
-def record_to_json(record: ExampleRecord, newline: Optional[str] = None, shared=None):
-    """The JSON object of one record, read back from the text an export
-    writes of it; given newline, that text itself, its lines started with
-    newline.  Given an export's table shared, a field or check the table
-    lists is written once."""
-    share = partial(_share, {} if shared is None else shared)
+def record_to_json(record: ExampleRecord, newline: Optional[str] = None, table=None):
+    """The JSON object of one record, read back from its inline text; given
+    newline, that text, its lines started with newline, and given an
+    export's table too, with its objects written as indices there."""
     inner = (newline or "\n") + "  "
     own = ("id", "request", "branch")
     members = [f'"{name}": {_text(getattr(record, name), inner)}' for name in own]
     members += (
-        f'"variety": {share(_variety_text, record.variety, inner)}',
-        f'"foliation": {share(_fol_text, record.foliation, inner, False)}',
-        f'"invariants": {share(_text, record.invariants, inner)}',
-        f'"checks": {_joined("[]", [share(_text, c, inner + "  ") for c in record.checks], inner)}',
+        f'"variety": {_ref(table, _variety_text, record.variety, inner)}',
+        f'"foliation": {_ref(table, _fol_text, record.foliation, inner, False)}',
+        f'"invariants": {_ref(table, _text, record.invariants, inner)}',
     )
+    checks = [_ref(table, _text, check, inner + "  ") for check in record.checks]
+    members.append(f'"checks": {_joined("[]", checks, inner)}')
     text = _joined("{}", members, newline or "\n")
     return text if newline else json.loads(text)
 
@@ -352,17 +342,34 @@ def _variety_from_json(obj, path: str):
     return _from_json(_VARIETIES[family], obj, path, _VARIETY_READ, ("family",))
 
 
-def _once(decoded: dict, decode, obj, *args):
-    """decode(obj, *args), or what it returned for equal JSON earlier in the
-    same import: decoded maps (decode, the marshal bytes of obj) to it."""
-    key = (decode, marshal.dumps(obj))
-    value = decoded.get(key)
-    if value is None:
-        value = decoded[key] = decode(obj, *args)
-    return value
+class _Objects:
+    """An import's objects array: decoded maps (k, *ids of args) to the
+    decode of objects[k], roles maps k to its decoder, and a reference
+    falls below bound, which is k inside objects[k]."""
+
+    def __init__(self, entries: list) -> None:
+        self.entries, self.decoded, self.roles, self.bound = entries, {}, {}, len(entries)
+
+    def at(self, decode, value, path: str, *args):
+        """decode(obj, path, *args) of value, inline, or of the entry value
+        indexes, at path objects[k], once per args objects and in one role."""
+        if not isinstance(value, int):
+            return decode(value, path, *args)
+        if type(value) is bool or not 0 <= value < self.bound:
+            raise ParseError(f"{path}: {value!r} is not an index of objects[0:{self.bound}]")
+        role = self.roles.setdefault(value, decode)
+        if role is not decode:
+            raise ParseError(f"{path}: objects[{value}] is {_ROLES[role]}, not {_ROLES[decode]}")
+        key = (value, *map(id, args))
+        found = self.decoded.get(key)
+        if found is None:
+            outer, self.bound = self.bound, value
+            found = self.decoded[key] = decode(self.entries[value], f"objects[{value}]", *args)
+            self.bound = outer
+        return found
 
 
-def _fol_from_json(obj, path: str, decoded: dict, ambient=None) -> FoliationDescriptor:
+def _fol_from_json(obj, path: str, table: _Objects, ambient=None) -> FoliationDescriptor:
     """A descriptor whose stored canonical class must equal the derived one,
     built from every stored field, so that its constructor compares those
     the recipe fixes.  A recipe's base foliation stores its own ambient; a
@@ -370,7 +377,7 @@ def _fol_from_json(obj, path: str, decoded: dict, ambient=None) -> FoliationDesc
     """
     if ambient is None:
         ambient_obj, *values = _fields(obj, path, ("ambient", *_FOLIATION_FIELDS))
-        ambient = _once(decoded, _variety_from_json, ambient_obj, f"{path}.ambient")
+        ambient = table.at(_variety_from_json, ambient_obj, f"{path}.ambient")
     else:
         values = _fields(obj, path, _FOLIATION_FIELDS)
     kind, params, rank, algebraic_rank, canonical, leaf_rc, provenance = values
@@ -378,8 +385,8 @@ def _fol_from_json(obj, path: str, decoded: dict, ambient=None) -> FoliationDesc
     stored = _from_json(cls, canonical, f"{path}.canonical")
     if _typed(str, kind, path, "recipe") not in _RECIPES:
         raise _not_one_of(_RECIPES, kind, path, "recipe")
-    read = {**_READ, "base": lambda base, at, key: _once(
-        decoded, _fol_from_json, base, f"{at}.{key}", decoded
+    read = {**_READ, "base": lambda base, at, key: table.at(
+        _fol_from_json, base, f"{at}.{key}", table
     )}
     recipe = _from_json(_RECIPES[kind], params, f"{path}.recipe_params", read)
     try:
@@ -401,7 +408,14 @@ def _fol_from_json(obj, path: str, decoded: dict, ambient=None) -> FoliationDesc
     return fol
 
 
+_invariants_from_json = partial(_from_json, InvariantReport)
 _check_from_json = partial(_from_json, CheckOutcome)
+
+# decoder -> the role of the objects it reads
+_ROLES = {
+    _variety_from_json: "a variety", _fol_from_json: "a foliation",
+    _invariants_from_json: "an invariant report", _check_from_json: "a check",
+}
 
 
 def _is_table_row_id(text: str, branch: str) -> bool:
@@ -418,48 +432,32 @@ def _is_table_row_id(text: str, branch: str) -> bool:
     )
 
 
-def _record_from_json(obj, decoded: dict) -> ExampleRecord:
-    """The record of obj, sharing what an earlier record of the same import
-    decoded from equal JSON.
-
-    decoded maps the marshal bytes of a record's (variety, foliation,
-    invariants) JSON to its (descriptor, invariants), and through _once
-    holds its checks, varieties and recipe bases.  A decode depends on its
-    JSON alone, and marshal tells true from 1 and 1 from 1.0, so equal
-    bytes decode alike.  Only a decode that succeeded is stored, and the
-    fields are read in the same order either way, so a malformed record
-    fails with its own message, nested objects included.  Last, a synth
-    record's id must be the one request_id gives its request and branch,
-    and a table row's id the one record_id gives its family and integer
-    parameters.
-    """
+def _record_from_json(obj, table: _Objects) -> ExampleRecord:
+    """The record of obj, its objects read through table.  Last, a synth
+    record's id and its variety's dimension must be its request's, and a
+    table row's id the one record_id gives its family and parameters."""
     names = ("id", "request", "branch", "variety", "foliation", "invariants", "checks")
     record_id, request, branch, variety, foliation, invariants, checks = _fields(
         obj, "record", names
     )
-    key = marshal.dumps((variety, foliation, invariants))
-    geometry = decoded.get(key)
-    if geometry is None:
-        ambient = _once(decoded, _variety_from_json, variety, "variety")
-        if isinstance(ambient, PolarizedBase):
-            raise _not_one_of(("bundle", "wps", "cone"), "polarized-base", "variety", "family")
+    ambient = table.at(_variety_from_json, variety, "variety")
+    if isinstance(ambient, PolarizedBase):
+        raise _not_one_of(("bundle", "wps", "cone"), "polarized-base", "variety", "family")
     record_id = _typed(str, record_id, "record", "id")
     request = None if request is None else _from_json(SynthesisRequest, request, "request")
     branch = _typed(str, branch, "record", "branch")
-    if geometry is None:
-        geometry = decoded[key] = (
-            _fol_from_json(foliation, "foliation", decoded, ambient),
-            _from_json(InvariantReport, invariants, "invariants"),
-        )
-    fol, inv = geometry
+    fol = table.at(_fol_from_json, foliation, "foliation", table, ambient)
+    inv = table.at(_invariants_from_json, invariants, "invariants")
     checks = tuple(
-        _once(decoded, _check_from_json, c, f"checks[{i}]")
+        table.at(_check_from_json, c, f"checks[{i}]")
         for i, c in enumerate(_typed(list, checks, "record", "checks"))
     )
     if request is not None and record_id != (expected := request_id(request, branch)):
         raise DomainError(
             f"record.id {record_id!r} is not {expected!r}, the id of its request and branch"
         )
+    if request is not None and ambient.dim != request.n:
+        raise DomainError(f"variety has dimension {ambient.dim}, not request.n = {request.n}")
     if request is None and not _is_table_row_id(record_id, branch):
         raise DomainError(f"record.id {record_id!r} is not the id of a {branch!r} table row")
     return ExampleRecord(record_id, request, branch, fol, inv, checks)
@@ -483,20 +481,23 @@ def _metadata_from_json(obj) -> dict:
 
 
 # the keys of the catalog object, in export order; import needs
-# schema_version and takes metadata and records as empty when absent
-_CATALOG_KEYS = ("schema_version", "metadata", "records")
+# schema_version, takes the others as empty when absent, and schema 1 has no objects
+_CATALOG_KEYS = ("schema_version", "metadata", "records", "objects")
 
 
 def write_catalog(catalog: Catalog, out) -> None:
-    """Write the export of catalog to the text stream out, one record at a
-    time: one record's text exists at once, and the text of each object
-    that several records share from its first use to its last."""
-    shared = _shared_objects(catalog.records)
+    """Write the export of catalog to the text stream out: one record's text
+    at a time, then the entries of the objects table, each held till then."""
+    entries: dict = {}
+    table = (entries, defaultdict(dict))
     out.write(f'{{\n  "schema_version": "{SCHEMA_VERSION}",\n  "metadata": ')
     out.write(jsontext.render(catalog.metadata, "\n  ") + ',\n  "records": [')
     for i, record in enumerate(catalog.records):
-        out.write(("," if i else "") + "\n    " + record_to_json(record, "\n    ", shared))
-    out.write("\n  ]\n}\n" if catalog.records else "]\n}\n")
+        out.write(("," if i else "") + _ENTRY + record_to_json(record, _ENTRY, table))
+    out.write(("\n  ]" if catalog.records else "]") + ',\n  "objects": [')
+    for i, entry in enumerate(entries):
+        out.write(("," if i else "") + _ENTRY + entry)
+    out.write("\n  ]\n}\n" if entries else "]\n}\n")
 
 
 def export_catalog(catalog: Catalog) -> str:
@@ -507,15 +508,12 @@ def export_catalog(catalog: Catalog) -> str:
 
 
 def import_catalog(text: str) -> Catalog:
-    """The catalog in text.  Parsed JSON is dropped as it is decoded: the
-    text once it is parsed, each record's object once it is a record.
-
-    Each distinct (variety, foliation, invariants) of the records is
-    decoded once, and so is each distinct check, variety and recipe base.
-    On the standard export that is 1,104 geometries for 1,833 records, 941
-    checks for 5,829, and 404 varieties and 122 bases for 1,875 and 771.
-    The table of decodes lives for this call only.
-    """
+    """The catalog in text, of schema 2 or 1.  Parsed JSON is dropped as it
+    is decoded: the text once parsed, each record's object once a record.
+    Each entry is decoded once, on its first reference, and a record's
+    foliation once per (variety, foliation) pair: 2,679 entries and 1,104
+    descriptors on the standard export.  An index names an entry, inside
+    objects[k] one before k, and every entry is read by a record, in one role."""
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -526,26 +524,24 @@ def import_catalog(text: str) -> Catalog:
     if not isinstance(obj, dict):
         raise ParseError("catalog must be a JSON object")
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise DomainError(
-            f"unsupported schema version {version!r}, expected {SCHEMA_VERSION!r}"
-        )
+    if version not in ("1", SCHEMA_VERSION):
+        raise DomainError(f"unsupported schema version {version!r}, expected '1' or '2'")
+    keys = _CATALOG_KEYS if version == SCHEMA_VERSION else _CATALOG_KEYS[:3]
     for key in obj:
         # a re-export would drop it
-        if key not in _CATALOG_KEYS:
-            raise ParseError(
-                f"{_key_path('catalog', key)} is unknown; expected " + ", ".join(_CATALOG_KEYS)
-            )
+        if key not in keys:
+            raise ParseError(f"{_key_path('catalog', key)} is unknown; expected " + ", ".join(keys))
     metadata = _metadata_from_json(obj.get("metadata", {}))
-    record_objs = obj.get("records", [])
-    if not isinstance(record_objs, list):
-        raise ParseError("catalog records must be a JSON array")
+    record_objs, entries = obj.get("records", []), obj.get("objects", [])
+    for name, value in (("records", record_objs), ("objects", entries)):
+        if not isinstance(value, list):
+            raise ParseError(f"catalog {name} must be a JSON array")
     records = []
-    decoded: dict = {}
+    table = _Objects(entries)
     for i, record_obj in enumerate(record_objs):
         record_objs[i] = None  # record_obj holds it until the next record
         try:
-            records.append(_record_from_json(record_obj, decoded))
+            records.append(_record_from_json(record_obj, table))
         except (FoliadexError, LookupError, TypeError, ValueError, RecursionError) as exc:
             # A package error (a typed field, a validating constructor)
             # keeps its class and message; anything else, such as recipe
@@ -554,6 +550,9 @@ def import_catalog(text: str) -> Catalog:
             if isinstance(exc, FoliadexError):
                 raise type(exc)(f"malformed record at position {i}: {exc}") from exc
             raise ParseError(f"malformed record at position {i}: {exc!r}") from exc
+    unread = next((k for k in range(len(entries)) if k not in table.roles), None)
+    if unread is not None:
+        raise ParseError(f"objects[{unread}] is read by no record, and a re-export would drop it")
     return Catalog(metadata=metadata, records=tuple(records))
 
 

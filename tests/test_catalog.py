@@ -64,15 +64,68 @@ def test_round_trip_is_byte_identical(std_catalog):
     assert text.endswith("\n")
 
 
+# the size and sha256 of the standard export
+EXPORT_PIN = (1_166_381, "1bdd42e7c34be789982c553f5542d5424749469a0dec1f0efe64356cf0689cd3")
+
+
+def _pin(text: str) -> tuple:
+    data = text.encode("utf-8")
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
 def test_export_bytes_are_pinned(std_catalog):
     # The standard export is a published artifact: any change to how a
     # record renders must show up here, not slip through a round trip.
-    data = export_catalog(std_catalog).encode("utf-8")
-    assert len(data) == 3_665_965
-    assert (
-        hashlib.sha256(data).hexdigest()
-        == "cb67558f760ddbd3d4b575b4eab262818f9bb3c35d7a6885e1d31891aa307dbc"
+    assert _pin(export_catalog(std_catalog)) == EXPORT_PIN
+
+
+def _inline(catalog_: Catalog, version: str = SCHEMA_VERSION) -> dict:
+    """The JSON of catalog_ with every object written where it is used, as
+    schema 1 stores it, and no objects array."""
+    records = [record_to_json(record) for record in catalog_.records]
+    return {"schema_version": version, "metadata": catalog_.metadata, "records": records}
+
+
+def _tabled(inline: dict) -> dict:
+    """The schema 2 JSON of an inline catalog, built from its JSON alone:
+    each variety, foliation, base foliation and its ambient, invariant
+    report and check replaced by the index of its entry, an entry per
+    distinct json.dumps text, in first-use order, with the objects nested
+    in it replaced first."""
+    entries = {}
+
+    def ref(obj):
+        obj = dict(obj)
+        if "ambient" in obj:
+            obj["ambient"] = ref(obj["ambient"])
+        params = obj.get("recipe_params", {})
+        if "base" in params:
+            obj["recipe_params"] = {**params, "base": ref(params["base"])}
+        return entries.setdefault(json.dumps(obj), len(entries))
+
+    records = [
+        {
+            **record,
+            "variety": ref(record["variety"]),
+            "foliation": ref(record["foliation"]),
+            "invariants": ref(record["invariants"]),
+            "checks": [ref(check) for check in record["checks"]],
+        }
+        for record in inline["records"]
+    ]
+    objects = [json.loads(text) for text in entries]
+    return {**inline, "schema_version": "2", "records": records, "objects": objects}
+
+
+def test_schema_1_export_imports_and_re_exports_to_the_pinned_bytes(std_catalog):
+    # The inline layout json.dumps writes is byte for byte the schema 1
+    # export; its import re-exports as schema 2.
+    old = json.dumps(_inline(std_catalog, "1"), indent=2) + "\n"
+    assert _pin(old) == (
+        3_665_965, "cb67558f760ddbd3d4b575b4eab262818f9bb3c35d7a6885e1d31891aa307dbc"
     )
+    again = export_catalog(import_catalog(old))
+    assert _pin(again) == EXPORT_PIN
 
 
 # the metadata import_catalog admits: a flat object of scalars
@@ -86,12 +139,7 @@ FLAT_METADATA = st.dictionaries(
 @given(FLAT_METADATA, st.sampled_from([0, 1, 2, 37]), st.integers(0, 1795))
 def test_streamed_export_equals_json_dumps(std_catalog, metadata, count, start):
     catalog = Catalog(metadata=metadata, records=std_catalog.records[start:start + count])
-    obj = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": metadata,
-        "records": [record_to_json(r) for r in catalog.records],
-    }
-    expected = json.dumps(obj, indent=2) + "\n"
+    expected = json.dumps(_tabled(_inline(catalog)), indent=2) + "\n"
     out = io.StringIO()
     write_catalog(catalog, out)
     assert out.getvalue() == expected
@@ -125,7 +173,7 @@ def _with_rectangle_details(std_catalog):
     Audits once enumerated d <= 3, c <= 3*b1 + 6 in the (L, F) basis;
     the export is otherwise unchanged by the move to the fixed window.
     """
-    obj = json.loads(export_catalog(std_catalog))
+    obj = _inline(std_catalog, "1")
     for record_obj, record in zip(obj["records"], std_catalog.records):
         for check in record_obj["checks"]:
             if WINDOW in check["detail"]:
@@ -187,9 +235,13 @@ def test_failing_oracle_sweep_report_bytes_are_pinned(capsys, monkeypatch):
 
 
 def test_schema_version_gate(std_catalog):
-    obj = json.loads(export_catalog(std_catalog))
-    obj["schema_version"] = "2"
-    with pytest.raises(DomainError):
+    obj = json.loads(export_catalog(Catalog(records=std_catalog.records[:3])))
+    obj["schema_version"] = "3"
+    with pytest.raises(DomainError, match="^unsupported schema version '3', expected '1' or '2'$"):
+        import_catalog(json.dumps(obj))
+    # schema 1 has no objects array
+    obj["schema_version"] = "1"
+    with pytest.raises(ParseError, match=r"^catalog\.objects is unknown; expected schema_version"):
         import_catalog(json.dumps(obj))
 
 
@@ -212,7 +264,7 @@ def test_malformed_record_rejected(std_catalog):
 
 
 def test_tampered_value_imports_but_fails_verification(std_catalog):
-    obj = json.loads(export_catalog(std_catalog))
+    obj = _inline(std_catalog)
     victim = next(
         r for r in obj["records"] if r["invariants"]["gen_index"] not in (None, "0")
     )
@@ -226,7 +278,7 @@ def test_tampered_value_imports_but_fails_verification(std_catalog):
 
 
 def test_structural_tamper_rejected_at_import(std_catalog):
-    obj = json.loads(export_catalog(std_catalog))
+    obj = _inline(std_catalog)
     victim = next(r for r in obj["records"] if r["variety"]["family"] == "wps")
     victim["foliation"]["rank"] = 99
     with pytest.raises(DomainError):
@@ -240,7 +292,7 @@ def test_consistent_canonical_tamper_rejected_at_import(std_catalog):
     record = next(r for r in std_catalog.records if r.id == record_id)
     assert record.foliation.canonical == Class2(-3, -48)
     edited = SimpleNamespace(ambient=record.variety, canonical=Class2(-3, -40))
-    obj = json.loads(export_catalog(std_catalog))
+    obj = _inline(std_catalog)
     victim = next(r for r in obj["records"] if r["id"] == record_id)
     victim["foliation"]["canonical"]["gamma"] = "-40"
     victim["invariants"] = record_to_json(
@@ -265,7 +317,7 @@ def test_consistent_canonical_tamper_rejected_at_import(std_catalog):
 )
 def test_unknown_record_key_rejected(std_catalog, path, named):
     # a re-export would drop the key, so import refuses it by its path
-    obj = json.loads(export_catalog(Catalog(metadata={}, records=std_catalog.records[:1])))
+    obj = _inline(Catalog(metadata={}, records=std_catalog.records[:1]))
     target = obj["records"][0]
     for key in path[:-1]:
         target = target[key]
@@ -401,9 +453,31 @@ def test_import_decodes_each_distinct_geometry_once(std_catalog):
     records = import_catalog(export_catalog(std_catalog)).records
     assert len(records) == 1833
     assert len({id(r.foliation) for r in records}) == 1104
-    assert len({id(r.invariants) for r in records}) == 1104
+    assert len({id(r.invariants) for r in records}) == 279
     assert len({id(c) for r in records for c in r.checks}) == 941
     assert sum(len(r.checks) for r in records) == 5829
+
+
+def test_edited_shared_invariants_fail_every_record_that_refers_to_them(std_catalog, tmp_path):
+    obj = json.loads(export_catalog(std_catalog))
+    referrers = {}
+    for record in obj["records"]:
+        referrers.setdefault(record["invariants"], []).append(record["id"])
+    k = max(
+        (k for k in referrers if obj["objects"][k]["gen_index"] is not None),
+        key=lambda k: len(referrers[k]),
+    )
+    assert len(referrers[k]) == 34
+    entry = obj["objects"][k]
+    entry["gen_index"] = str(Fraction(entry["gen_index"]) + 7)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--catalog", str(path), "--out", "json"]) == 1
+    failures = json.loads(out.getvalue())["failures"]
+    assert {f["check"] for f in failures} == {"stored-invariants-match-recomputation"}
+    assert [f["record"] for f in failures] == referrers[k]
 
 
 def test_records_sharing_a_geometry_keep_their_own_fields(std_catalog):
@@ -432,8 +506,9 @@ def test_shared_decodes_tell_true_from_one(std_catalog):
 
 
 def test_import_decodes_each_distinct_variety_and_base_once(std_catalog, monkeypatch):
-    # 1,875 varieties (1,104 records' and 771 bases' ambients) and 1,875
-    # foliations (1,104 records' and 771 bases) were each decoded
+    # one decode per variety entry (402 records' varieties and one base's
+    # ambient alone), per (variety, foliation) pair of the records and per
+    # base foliation entry, of 1,875 varieties and 1,875 foliations held
     calls = {"variety": 0, "foliation": 0}
 
     def counted(name, decode):
@@ -445,10 +520,10 @@ def test_import_decodes_each_distinct_variety_and_base_once(std_catalog, monkeyp
     for name, decoder in (("variety", "_variety_from_json"), ("foliation", "_fol_from_json")):
         monkeypatch.setattr(catalog, decoder, counted(name, getattr(catalog, decoder)))
     records = import_catalog(export_catalog(std_catalog)).records
-    assert calls == {"variety": 404, "foliation": 1226}
+    assert calls == {"variety": 403, "foliation": 1104 + 120}
     fols = {id(r.foliation): r.foliation for r in records}.values()
     bases = [fol.recipe.base for fol in fols if hasattr(fol.recipe, "base")]
-    assert (len(bases), len({id(b) for b in bases})) == (771, 122)
+    assert (len(bases), len({id(b) for b in bases})) == (771, 120)
     assert len({id(r.variety) for r in records}) == 402
 
 
@@ -487,13 +562,13 @@ def _render_counts(monkeypatch, catalog_):
     counts = {"foliation": 0, "check": 0}
     write_fol, write = catalog._fol_text, catalog._text
 
-    def counted_fol(fol, newline, ambient=True):
+    def counted_fol(fol, newline, table=None, ambient=True):
         counts["foliation"] += not ambient
-        return write_fol(fol, newline, ambient)
+        return write_fol(fol, newline, table, ambient)
 
-    def counted(value, newline):
+    def counted(value, newline, table=None):
         counts["check"] += type(value) is CheckOutcome
-        return write(value, newline)
+        return write(value, newline, table)
 
     monkeypatch.setattr(catalog, "_fol_text", counted_fol)
     monkeypatch.setattr(catalog, "_text", counted)
@@ -505,11 +580,11 @@ def _render_counts(monkeypatch, catalog_):
 def test_export_renders_each_shared_object_once(std_catalog, monkeypatch):
     text, counts = _render_counts(monkeypatch, std_catalog)
     assert counts["foliation"] == 1203  # distinct descriptor objects of the built catalog
-    assert counts["check"] <= 941  # distinct check values, of 5,199 check objects
+    assert counts["check"] == 941  # distinct check values, of 5,199 check objects
     again, counts = _render_counts(monkeypatch, import_catalog(text))
     assert again == text
     assert counts["foliation"] == 1104  # distinct geometries of the import
-    assert counts["check"] <= 941
+    assert counts["check"] == 941
 
 
 def _apart(records):
@@ -528,14 +603,8 @@ def test_shared_and_distinct_objects_export_alike(std_catalog):
     apart = _apart(shared)
     assert apart == shared
     assert len({id(r.foliation) for r in apart}) == len({id(r.invariants) for r in apart}) == 1833
-    expected = json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "metadata": std_catalog.metadata,
-            "records": [record_to_json(r) for r in shared],
-        },
-        indent=2,
-    ) + "\n"
+    inline = _inline(Catalog(metadata=std_catalog.metadata, records=shared))
+    expected = json.dumps(_tabled(inline), indent=2) + "\n"
     for records in (shared, apart, std_catalog.records):
         out = io.StringIO()
         write_catalog(Catalog(metadata=std_catalog.metadata, records=records), out)
@@ -617,11 +686,8 @@ def _assert_written_as_json_dumps(catalog_: Catalog) -> str:
 def test_standard_export_is_json_dumps_text(std_catalog):
     text = _assert_written_as_json_dumps(std_catalog)
     _assert_written_as_json_dumps(import_catalog(text))
-    objects = json.loads(text)["records"]
-    assert len(objects) == len(std_catalog.records)
-    for record, obj in zip(std_catalog.records, objects):
-        same = record_to_json(record) == obj
-        assert same, record.id
+    same = json.loads(text) == _tabled(_inline(std_catalog))
+    assert same, "the export is not the table of the records' inline JSON"
 
 
 @settings(deadline=None)

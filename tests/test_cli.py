@@ -223,7 +223,7 @@ def test_catalog_file_round_trip(capsys, tmp_path, std_catalog):
 
     code, out, _ = run(capsys, "catalog", "import", "--in", str(first))
     assert code == 0
-    assert out.strip() == "imported 40 records (schema 1)"
+    assert out.strip() == "imported 40 records (schema 2)"
 
     code, _, _ = run(capsys, "catalog", "import", "--in", str(first), "--out-file", str(second))
     assert code == 0
@@ -303,9 +303,17 @@ def test_export_to_stdout_reports_a_last_piece_that_does_not_fit(
     device.room = size  # so the stream closes quietly
 
 
+def _inline(records) -> dict:
+    """The catalog JSON of records with every object written where it is used."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "metadata": {},
+        "records": [record_to_json(record) for record in records],
+    }
+
+
 def test_tampered_catalog_fails_verify(capsys, tmp_path, std_catalog):
-    small = Catalog(metadata={}, records=std_catalog.records[:25])
-    obj = json.loads(export_catalog(small))
+    obj = _inline(std_catalog.records[:25])
     victim = next(r for r in obj["records"] if r["invariants"]["gen_index"] is not None)
     victim["invariants"]["gen_index"] = "997"
     path = tmp_path / "tampered.json"
@@ -341,7 +349,7 @@ _ROW_ID = "table:wps1:n=3:m=1"
 def _one_record_file(std_catalog, path, record_id, edit):
     """A catalog file holding the record record_id after edit(record JSON)."""
     record = next(r for r in std_catalog.records if r.id == record_id)
-    obj = json.loads(export_catalog(Catalog(metadata={}, records=(record,))))
+    obj = _inline((record,))
     edit(obj["records"][0])
     path.write_text(json.dumps(obj))
     return path
@@ -542,6 +550,75 @@ def test_polarized_base_variety_is_refused(capsys, tmp_path, std_catalog, comman
         "error: malformed record at position 0: "
         "variety.family must be one of bundle, wps, cone, got 'polarized-base'\n"
     )
+
+
+def _index_out_of_range(obj):
+    n = len(obj["objects"])
+    obj["records"][1]["invariants"] = n
+    return f"malformed record at position 1: invariants: {n} is not an index of objects[0:{n}]"
+
+
+def _negative_index(obj):
+    obj["records"][1]["checks"][0] = -1
+    n = len(obj["objects"])
+    return f"malformed record at position 1: checks[0]: -1 is not an index of objects[0:{n}]"
+
+
+def _boolean_index(obj):
+    obj["records"][0]["variety"] = True
+    n = len(obj["objects"])
+    return f"malformed record at position 0: variety: True is not an index of objects[0:{n}]"
+
+
+def _index_to_itself(obj):
+    # the base foliation's entry names itself as its ambient
+    k = next(k for k, entry in enumerate(obj["objects"]) if "ambient" in entry)
+    obj["objects"][k]["ambient"] = k
+    return (
+        f"malformed record at position 1: objects[{k}].ambient: {k} is not an index of "
+        f"objects[0:{k}]"
+    )
+
+
+def _entry_read_by_no_record(obj):
+    n = len(obj["objects"])
+    obj["objects"].append(obj["objects"][0])
+    return f"objects[{n}] is read by no record, and a re-export would drop it"
+
+
+def _entry_in_two_roles(obj):
+    record = obj["records"][1]
+    record["invariants"] = k = record["variety"]
+    return (
+        f"malformed record at position 1: invariants: objects[{k}] is a variety, "
+        "not an invariant report"
+    )
+
+
+@pytest.mark.parametrize("command", ["import", "verify"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _index_out_of_range, _negative_index, _boolean_index, _index_to_itself,
+        _entry_read_by_no_record, _entry_in_two_roles,
+    ],
+)
+def test_malformed_object_table_fails_in_one_line(capsys, tmp_path, std_catalog, command, edit):
+    # two records, the second over a base foliation and its ambient
+    plain, based = (
+        next(r for r in std_catalog.records if hasattr(r.foliation.recipe, "base") is has_base)
+        for has_base in (False, True)
+    )
+    obj = json.loads(export_catalog(Catalog(records=(plain, based))))
+    refusal = edit(obj)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(obj))
+    if command == "import":
+        argv = ["catalog", "import", "--in", str(path), "--out-file", str(tmp_path / "again.json")]
+    else:
+        argv = ["verify", "--catalog", str(path)]
+    assert run(capsys, *argv) == (1, "", f"error: {refusal}\n")
+    assert not (tmp_path / "again.json").exists()
 
 
 def _big_not_ample(record):
