@@ -2,11 +2,12 @@
 
 The value types are the schema: a value's JSON object holds its fields
 under their names, in __slots__ order, and one encoder (_text) and one
-decoder (_from_json) serve every object that follows this rule.  Three
-keep code of their own: a variety stores its family first; a foliation
-stores its recipe's kind apart from the recipe's fields and leaves out
-the ambient where the record holds it; and a record adds its
-foliation's ambient as its variety.
+decoder (_from_json), which reads each field by the type its class
+declares, serve every object that follows this rule.  Three keep code
+of their own: a variety stores its family first; a foliation stores its
+recipe's kind apart from the recipe's fields and leaves out the ambient
+where the record holds it; and a record adds its foliation's ambient as
+its variety.
 
 An export (schema 2) lists each distinct variety, foliation, invariant
 report and check once, in its objects array after the records, and a
@@ -28,17 +29,18 @@ invariants and checks are read verbatim, for the verification layer.
 
 from __future__ import annotations
 
+import enum
 import io
 import itertools
 import json
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial
-from typing import Optional, get_args
+from typing import Optional, get_args, get_type_hints
 
 from . import jsontext
 from .jsontext import string as _quoted
-from .bundle import BundleVariety, Positivity
+from .bundle import BundleVariety
 from .errors import DomainError, FoliadexError, ParseError
 from .foliation import FoliationDescriptor, LeafStatus, Recipe
 from .lattice import (
@@ -51,10 +53,9 @@ from .rankone import (
     GeneralizedCone,
     PolarizedBase,
     RankOneClass,
-    SingularityClass,
     WeightedProjectiveSpace,
 )
-from .report import CheckOutcome, CheckStatus, InvariantReport
+from .report import CheckOutcome, InvariantReport
 from .synthesis import (
     ExampleRecord,
     SynthesisRequest,
@@ -70,19 +71,21 @@ SCHEMA_VERSION = "2"
 
 
 class Catalog(Frozen):
-    __slots__ = ("metadata", "records")
+    __slots__ = ("metadata", "records", "schema_version")
     metadata: dict
     records: tuple[ExampleRecord, ...]
+    schema_version: str  # the one its file declares; write_catalog writes SCHEMA_VERSION
 
     def __init__(
-        self, metadata: dict | None = None, records: tuple[ExampleRecord, ...] = ()
+        self, metadata: dict | None = None, records: tuple[ExampleRecord, ...] = (),
+        schema_version: str = SCHEMA_VERSION,
     ) -> None:
         seen = set()
         for record in records:
             if record.id in seen:
                 raise DomainError(f"duplicate record id {record.id!r}")
             seen.add(record.id)
-        Value.__init__(self, {} if metadata is None else metadata, records)
+        Value.__init__(self, {} if metadata is None else metadata, records, schema_version)
 
 
 # ---------------------------------------------------------------------------
@@ -280,81 +283,72 @@ def _fields(obj, path: str, names: tuple[str, ...]) -> list:
     raise ParseError(f"{path}.{missing} is missing")
 
 
-def _nested(cls):
-    """The reader of a field that holds a cls object."""
-    return lambda value, path, key: _from_json(cls, value, f"{path}.{key}")
-
-
-_integer, _boolean, _string = partial(_typed, int), partial(_typed, bool), partial(_typed, str)
-
-# field name -> reader(value, path, name) of its JSON value, for every
-# object _from_json decodes; a field not listed is an integer
+# declared type -> reader(value, path, name) of a field's JSON value; an
+# enum, a foliation and any other value type are read as _Objects.reader says
 _READ = {
-    "kind": partial(_enum, SynthKind),
-    "c": _rational,
-    "gen_index": _optional_rational,
-    "fano_index": _optional_rational,
-    "seshadri_antican": _optional_rational,
-    "positivity": _nested(Positivity),
-    "pseff": _boolean,
-    "big": _boolean,
-    "nef": _boolean,
-    "ample": _boolean,
-    "name": _string,
-    "status": partial(_enum, CheckStatus),
-    "detail": _string,
-    "s": _rational,
-    "beta": _rational,
-    "gamma": _rational,
-    "b": _integers,
-    "weights": _integers,
-    "is_projective_space": _boolean,
-    "singularity_class": partial(_enum, SingularityClass),
-    "label": _string,
+    int: partial(_typed, int), bool: partial(_typed, bool), str: partial(_typed, str),
+    Fraction: _rational, Fraction | None: _optional_rational, tuple[int, ...]: _integers,
 }
 
-# a variety's base is a cone's polarized base, stored without its family
-_VARIETY_READ = {**_READ, "base": _nested(PolarizedBase)}
 
-
-def _from_json(cls, obj, path: str, read: dict = _READ, before: tuple = ()):
+def _from_json(cls, obj, path: str, table: _Objects, before: tuple = ()):
     """The cls object stored at path as the JSON object of its fields, in
-    __slots__ order, each read by its reader in read.
+    __slots__ order, each read by the reader table gives its declared type.
 
     before names keys that precede the fields, which the caller reads.
     """
     names = cls.__slots__
     values = _fields(obj, path, before + names)[len(before):]
-    fields = [read.get(name, _integer)(value, path, name) for name, value in zip(names, values)]
+    fields = [read(v, path, name) for read, name, v in zip(table.readers(cls), names, values)]
     try:
         return cls(*fields)
     except DomainError as exc:
         raise _refused(path, exc) from None
 
 
-def _variety_from_json(obj, path: str):
+def _variety_from_json(obj, path: str, table: _Objects):
     """An ambient from its JSON object, which stores its family first."""
     if not isinstance(obj, dict):
         raise ParseError(f"{path} must be a JSON object")
     family = _typed(str, obj.get("family"), path, "family")
     if family not in _VARIETIES:
         raise _not_one_of(_VARIETIES, family, path, "family")
-    return _from_json(_VARIETIES[family], obj, path, _VARIETY_READ, ("family",))
+    return _from_json(_VARIETIES[family], obj, path, table, ("family",))
 
 
 class _Objects:
     """An import's objects array: decoded maps (k, *ids of args) to the
-    decode of objects[k], roles maps k to its decoder, and a reference
-    falls below bound, which is k inside objects[k]."""
+    decode of objects[k], roles maps k to its decoder, a reference falls
+    below bound, which is k inside objects[k], and read maps each decoded
+    class to the readers of its fields."""
 
     def __init__(self, entries: list) -> None:
         self.entries, self.decoded, self.roles, self.bound = entries, {}, {}, len(entries)
+        self.read = {}
+
+    def readers(self, cls) -> tuple:
+        """The reader of each field of cls, in __slots__ order."""
+        if cls not in self.read:
+            hints = get_type_hints(cls)
+            self.read[cls] = tuple(self.reader(hints[name]) for name in cls.__slots__)
+        return self.read[cls]
+
+    def reader(self, kind):
+        """The reader(value, path, name) of a field of declared type kind."""
+        if kind in _READ:
+            return _READ[kind]
+        if issubclass(kind, enum.Enum):
+            return partial(_enum, kind)
+        if kind is FoliationDescriptor:
+            # a recipe's base foliation, the one value type an index may stand for
+            return lambda value, path, key: self.at(_fol_from_json, value, f"{path}.{key}")
+        return lambda value, path, key: _from_json(kind, value, f"{path}.{key}", self)
 
     def at(self, decode, value, path: str, *args):
-        """decode(obj, path, *args) of value, inline, or of the entry value
-        indexes, at path objects[k], once per args objects and in one role."""
+        """decode(obj, path, self, *args) of value, inline, or of the entry
+        value indexes, at path objects[k], once per args objects and in one role."""
         if not isinstance(value, int):
-            return decode(value, path, *args)
+            return decode(value, path, self, *args)
         if type(value) is bool or not 0 <= value < self.bound:
             raise ParseError(f"{path}: {value!r} is not an index of objects[0:{self.bound}]")
         role = self.roles.setdefault(value, decode)
@@ -364,7 +358,8 @@ class _Objects:
         found = self.decoded.get(key)
         if found is None:
             outer, self.bound = self.bound, value
-            found = self.decoded[key] = decode(self.entries[value], f"objects[{value}]", *args)
+            entry = self.entries[value]
+            found = self.decoded[key] = decode(entry, f"objects[{value}]", self, *args)
             self.bound = outer
         return found
 
@@ -382,13 +377,10 @@ def _fol_from_json(obj, path: str, table: _Objects, ambient=None) -> FoliationDe
         values = _fields(obj, path, _FOLIATION_FIELDS)
     kind, params, rank, algebraic_rank, canonical, leaf_rc, provenance = values
     cls = RankOneClass if isinstance(canonical, dict) and "s" in canonical else Class2
-    stored = _from_json(cls, canonical, f"{path}.canonical")
+    stored = _from_json(cls, canonical, f"{path}.canonical", table)
     if _typed(str, kind, path, "recipe") not in _RECIPES:
         raise _not_one_of(_RECIPES, kind, path, "recipe")
-    read = {**_READ, "base": lambda base, at, key: table.at(
-        _fol_from_json, base, f"{at}.{key}", table
-    )}
-    recipe = _from_json(_RECIPES[kind], params, f"{path}.recipe_params", read)
+    recipe = _from_json(_RECIPES[kind], params, f"{path}.recipe_params", table)
     try:
         fol = FoliationDescriptor(
             ambient=ambient,
@@ -444,9 +436,9 @@ def _record_from_json(obj, table: _Objects) -> ExampleRecord:
     if isinstance(ambient, PolarizedBase):
         raise _not_one_of(("bundle", "wps", "cone"), "polarized-base", "variety", "family")
     record_id = _typed(str, record_id, "record", "id")
-    request = None if request is None else _from_json(SynthesisRequest, request, "request")
+    request = None if request is None else _from_json(SynthesisRequest, request, "request", table)
     branch = _typed(str, branch, "record", "branch")
-    fol = table.at(_fol_from_json, foliation, "foliation", table, ambient)
+    fol = table.at(_fol_from_json, foliation, "foliation", ambient)
     inv = table.at(_invariants_from_json, invariants, "invariants")
     checks = tuple(
         table.at(_check_from_json, c, f"checks[{i}]")
@@ -553,7 +545,7 @@ def import_catalog(text: str) -> Catalog:
     unread = next((k for k in range(len(entries)) if k not in table.roles), None)
     if unread is not None:
         raise ParseError(f"objects[{unread}] is read by no record, and a re-export would drop it")
-    return Catalog(metadata=metadata, records=tuple(records))
+    return Catalog(metadata, tuple(records), version)
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def _read_catalog(path: str) -> Catalog:
 def cmd_catalog_import(args) -> int:
     catalog = _read_catalog(args.in_file)
     if args.out_file is None:
-        print(f"imported {len(catalog.records)} records (schema {SCHEMA_VERSION})")
+        print(f"imported {len(catalog.records)} records (schema {catalog.schema_version})")
     else:
         _write_export(catalog, args.out_file)
     return 0

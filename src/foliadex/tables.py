@@ -1,10 +1,11 @@
 """Row generators behind the table command.
 
 A family name plus integer ranges yields one ExampleRecord per feasible
-parameter tuple; infeasible tuples (wrong coprimality, out-of-range
-degrees, targets outside a construction's reach) are skipped rather
-than reported, so a sweep over a rectangle of parameters prints exactly
-the rows that exist.
+parameter tuple, a record on the family's branch; infeasible tuples
+(wrong coprimality, out-of-range degrees, targets outside a
+construction's reach or synthesized on another family's branch) are
+skipped rather than reported, so a sweep over a rectangle of parameters
+prints exactly the rows that exist.
 """
 
 from __future__ import annotations
@@ -122,5 +123,6 @@ def table_rows(family: str, ranges: dict[str, Sequence[int]]) -> list[TableRow]:
             record = _BUILDERS[family](**values)
         except (DomainError, UnsupportedRequest):
             continue
-        rows.append(TableRow(values, record))
+        if record.branch == family:
+            rows.append(TableRow(values, record))
     return rows

@@ -7,8 +7,10 @@ import json
 import re
 import time
 import tracemalloc
+from enum import Enum
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +27,7 @@ from foliadex import (
     DomainError,
     ExampleRecord,
     FoliadexError,
+    FoliationDescriptor,
     GeneralizedCone,
     InvariantReport,
     ParseError,
@@ -44,7 +47,7 @@ from foliadex import (
     write_catalog,
 )
 from foliadex import catalog
-from foliadex.catalog import _READ, _RECIPES, _VARIETIES, _VARIETY_READ
+from foliadex.catalog import _RECIPES, _VARIETIES
 from foliadex.cli import main
 from foliadex.synthesis import assemble_record, record_id, request_id
 from foliadex.tables import FAMILY_PARAMS
@@ -126,6 +129,13 @@ def test_schema_1_export_imports_and_re_exports_to_the_pinned_bytes(std_catalog)
     )
     again = export_catalog(import_catalog(old))
     assert _pin(again) == EXPORT_PIN
+
+
+def test_catalog_import_names_the_schema_its_file_declares(std_catalog, tmp_path, capsys):
+    path = tmp_path / "schema1.json"
+    path.write_text(json.dumps(_inline(std_catalog, "1"), indent=2) + "\n")
+    assert main(["catalog", "import", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "imported 1833 records (schema 1)\n"
 
 
 # the metadata import_catalog admits: a flat object of scalars
@@ -711,10 +721,68 @@ def test_decoded_classes_take_their_fields_in_slots_order(cls):
         assert code.co_varnames[1:code.co_argcount] == cls.__slots__
 
 
-def test_every_reader_reads_a_decoded_field():
-    fields = {name for cls in DECODED for name in cls.__slots__}
-    assert set(_READ) <= fields
-    assert set(_VARIETY_READ) <= fields
+def _stored(value, obj):
+    """Each object of a DECODED class under value, with its JSON object in
+    obj, value's inline JSON; a record's foliation leaves out its ambient."""
+    if type(value) in DECODED:
+        yield value, obj
+    for name in type(value).__slots__:
+        key = "recipe_params" if name == "recipe" else name
+        if key in obj:
+            field = getattr(value, name)
+            pairs = zip(field, obj[key]) if type(field) is tuple else [(field, obj[key])]
+            for item, item_obj in pairs:
+                if isinstance(item, Value):
+                    yield from _stored(item, item_obj)
+
+
+# declared type -> the JSON types a field of it is stored as; an enum is
+# stored as its value, a string, and any other value type as an object
+_STORED_AS = {
+    int: (int,), bool: (bool,), str: (str,), Fraction: (str,), Fraction | None: (str, type(None)),
+    tuple[int, ...]: (list,), FoliationDescriptor: (dict, int),
+}
+
+
+def test_every_field_is_read_by_its_declared_type(std_catalog):
+    # A field of a decoded object stored as a JSON value of a type its
+    # declared type is not stored as is refused at its path: none is read
+    # as an integer, say, for want of a reader of its type.
+    samples = {}
+    for record in std_catalog.records:
+        obj = record_to_json(record)
+        for value, value_obj in (*_stored(record.variety, obj["variety"]), *_stored(record, obj)):
+            samples.setdefault(type(value), (obj, value_obj))
+    assert set(samples) == set(DECODED)
+    for cls, (obj, value_obj) in samples.items():
+        hints = get_type_hints(cls)
+        for name in cls.__slots__:
+            kind = hints[name]
+            stored_as = _STORED_AS.get(kind) or ((str,) if issubclass(kind, Enum) else (dict,))
+            stored = value_obj[name]
+            for wrong in (1, True, "x", None, [], {}):
+                if type(wrong) not in stored_as:
+                    value_obj[name] = wrong
+                    with pytest.raises(ParseError, match=rf"\.{name}\b"):
+                        import_catalog(json.dumps({"schema_version": "1", "records": [obj]}))
+            value_obj[name] = stored
+
+
+def test_only_a_recipe_base_takes_an_index(std_catalog):
+    # An integer stands for a recipe's base foliation alone: at the
+    # invariants' positivity or at a cone's base it is refused like any
+    # other value that is not a JSON object.
+    record = next(r for r in std_catalog.records if isinstance(r.variety, GeneralizedCone))
+    obj = json.loads(export_catalog(Catalog(records=(record,))))
+    (record_obj,), objects = obj["records"], obj["objects"]
+    assert type(objects[record_obj["foliation"]]["recipe_params"]["base"]) is int
+    for k, key in ((record_obj["invariants"], "positivity"), (record_obj["variety"], "base")):
+        stored, objects[k][key] = objects[k][key], 0
+        refusal = f"malformed record at position 0: objects[{k}].{key} must be a JSON object"
+        with pytest.raises(ParseError, match=rf"^{re.escape(refusal)}$"):
+            import_catalog(json.dumps(obj))
+        objects[k][key] = stored
+    import_catalog(json.dumps(obj))
 
 
 def test_invariants_are_read_in_field_order(std_catalog):

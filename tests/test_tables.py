@@ -6,10 +6,10 @@ import json
 import pytest
 
 from foliadex.catalog import record_to_json
-from foliadex.cli import main
+from foliadex.cli import build_parser, main
 from foliadex.errors import DomainError
 from foliadex.jsontext import render
-from foliadex.tables import FAMILY_PARAMS, table_rows
+from foliadex.tables import FAMILY_PARAMS, parse_range, table_rows
 
 # Every family over a box that holds feasible and infeasible tuples,
 # plus requests that table_rows or parse_range reject.
@@ -54,7 +54,7 @@ def test_table_output_is_pinned(capsys):
     transcript.append(", ".join(families))
     data = "".join(transcript).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == (
-        "c7e96471b2efbdec2ff634a90ebe9783c931881a373a49f7725985f7ec8fe052"
+        "1207ad75c9b97e01251e64fdcaf760f52f4cb67e62396a4b9f5855924ecd28e4"
     )
 
 
@@ -106,7 +106,32 @@ def test_family_rows_over_a_box_are_pinned():
         for family, names in FAMILY_PARAMS.items()
         for row in table_rows(family, _box(names))
     ]
-    assert len(texts) == 1729
+    assert len(texts) == 1724
     assert hashlib.sha256("".join(texts).encode("utf-8")).hexdigest() == (
-        "e414c1ef4bd83ddb008b6a95743151cbb2c432efb5ee1a467395e6831591c36a"
+        "13a8813060db3204993b3bb3c57d1462d7b249a0308e36825f11261d73be297a"
     )
+
+
+def _rectangles(family):
+    """The ranges of each TABLE_REQUESTS request of family that gives them
+    all, with n over 2..5 where the family has it."""
+    parser = build_parser()
+    for request in TABLE_REQUESTS:
+        args = parser.parse_args(["table", *request])
+        texts = {name: getattr(args, name) for name in FAMILY_PARAMS[family]}
+        if args.family != family or None in texts.values():
+            continue
+        try:
+            ranges = {name: parse_range(text) for name, text in texts.items()}
+        except DomainError:
+            continue
+        yield {**ranges, "n": range(2, 6)} if "n" in ranges else ranges
+
+
+@pytest.mark.parametrize("family", ["hirzebruch", "case1", "case2"])
+def test_synth_backed_rows_are_built_on_their_familys_branch(family):
+    # a case2 target (a-1)/a on a surface is synthesized as a Hirzebruch
+    # record, which is no case2 row
+    rows = [row for ranges in _rectangles(family) for row in table_rows(family, ranges)]
+    assert rows
+    assert {row.record.branch for row in rows} == {family}

@@ -117,7 +117,7 @@ SAMPLES = {
         ("m_max", "b1_max", "rprime_max", "k_max", "coeff_max", "d_max", "c_max"),
     ),
     SynthGrid: (lambda: SynthGrid(SynthKind.SESHADRI, 4, 6), ("kind", "n_max", "q_max")),
-    Catalog: (lambda: Catalog({"a": 1}, (_RECORD,)), ("metadata", "records")),
+    Catalog: (lambda: Catalog({"a": 1}, (_RECORD,)), ("metadata", "records", "schema_version")),
 }
 
 
