@@ -18,6 +18,7 @@ boundary / outside answers are never approximate.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
@@ -71,13 +72,22 @@ def render_optional(value: Fraction | None, absent: str | None) -> str | None:
 
 
 def reduced_targets(limit: Fraction, q_max: int) -> list[Fraction]:
-    """Every reduced p/q with q <= q_max and 0 < p/q <= limit, ascending."""
-    return sorted(
-        Fraction(p, q)
-        for q in range(1, q_max + 1)
-        for p in range(1, math.floor(limit * q) + 1)
-        if math.gcd(p, q) == 1
-    )
+    """Every reduced p/q with q <= q_max and 0 < p/q <= limit, ascending.
+
+    A walk over the Farey sequence of order q_max lists those of (0, 1]
+    in order; shifting that list by each whole part up to limit keeps
+    them reduced and ascending, so nothing is sorted or tested for a
+    common factor, and the shifted list is cut at limit.
+    """
+    unit = []
+    # a/b and c/d are neighbours in the Farey sequence, c/d the next term
+    a, b, c, d = 0, 1, 1, q_max
+    while c <= d:
+        unit.append((c, d))
+        k = (q_max + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    targets = [Fraction(w * q + p, q) for w in range(math.floor(limit) + 1) for p, q in unit]
+    return targets[: bisect.bisect_right(targets, limit)]
 
 
 def _coerce(value: int | Fraction) -> Fraction:

@@ -19,6 +19,7 @@ multiple of cartier_index(V) * H, and the smallest one is best.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -233,13 +234,21 @@ def rank_one_invariants(variety: RankOneAmbient, s: Fraction) -> InvariantReport
     witnesses the positive multiples of cartier_index(V)*H, so both
     index optimizations are solved by the smallest witness and the two
     indices coincide at s / cartier_index(V); they are absent unless
-    s > 0.  The Seshadri value scales the generator's by s >= 0.
+    s > 0.  The Seshadri value scales the generator's by s >= 0.  The
+    report depends on the variety only through those two numbers, so
+    ambients that agree on them share one report per s.
     """
+    return _rank_one_report(cartier_index(variety), seshadri_of_generator(variety), s)
+
+
+# The standard catalog and its verification ask for 267 distinct reports.
+@functools.lru_cache(maxsize=1024)
+def _rank_one_report(index: int, generator_seshadri: Fraction, s: Fraction) -> InvariantReport:
     flags = rank_one_positivity(RankOneClass(s))
     gen = fano = None
     if s > 0:
-        gen = fano = s / cartier_index(variety)
-    sesh = s * seshadri_of_generator(variety) if s >= 0 else None
+        gen = fano = s / index
+    sesh = s * generator_seshadri if s >= 0 else None
     return InvariantReport(
         gen_index=gen, fano_index=fano, seshadri_antican=sesh, positivity=flags
     )

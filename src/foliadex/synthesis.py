@@ -401,21 +401,32 @@ def _cone_construction(n: int, r: int, c: Fraction) -> tuple[FoliationDescriptor
     """The cone foliation realizing c and its cone-resolution check.
 
     Fano-index and Seshadri targets build the same cone for the same
-    (n, r, c), so the two records of a pair share one descriptor; their
-    invariants are still computed by assemble_record, once per record.
+    (n, r, c), so the two records of a pair share one descriptor.  Targets
+    of other ranks or dimensions share the cone over P^k and the base
+    foliation wherever these agree, and the rank-one report is shared by
+    value, so each distinct piece is built once.
     """
     rprime = c.numerator // c.denominator + 1
     frac = rprime - c
     p, q = frac.numerator, frac.denominator
-    cone = GeneralizedCone(
-        base=projective_space_base(n - rprime), m=q, vertex_rank=rprime
-    )
-    if r > rprime:
-        base_fol = pn_foliation(n - rprime, r - rprime, p)
-    else:
-        base_fol = transcendental_rank1(n - rprime, p)
-    fol = cone_foliation(cone, base_fol)
+    base_fol = _pn_base_foliation(n - rprime, max(r - rprime, 0), p)
+    fol = cone_foliation(_pn_cone(n - rprime, q, rprime), base_fol)
     return fol, cone_resolution_check(fol)
+
+
+# The standard catalog's cones take 70 distinct (k, m, r') and their bases
+# 98 distinct (k, rank, p).
+@functools.lru_cache(maxsize=256)
+def _pn_cone(k: int, m: int, rprime: int) -> GeneralizedCone:
+    """The cone C(P^k, O(m)) with vertex P^{r'-1}."""
+    return GeneralizedCone(base=projective_space_base(k), m=m, vertex_rank=rprime)
+
+
+@functools.lru_cache(maxsize=256)
+def _pn_base_foliation(k: int, rank: int, p: int) -> FoliationDescriptor:
+    """The foliation on P^k with K = p*H and algebraic rank rank: a P^k
+    foliation if rank > 0, else a transcendental rank-one one."""
+    return pn_foliation(k, rank, p) if rank else transcendental_rank1(k, p)
 
 
 # ---------------------------------------------------------------------------

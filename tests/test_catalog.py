@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 import time
 import tracemalloc
 from enum import Enum
@@ -49,8 +50,14 @@ from foliadex import (
 from foliadex import catalog
 from foliadex.catalog import _RECIPES, _VARIETIES
 from foliadex.cli import main
-from foliadex.synthesis import assemble_record, record_id, request_id
-from foliadex.tables import FAMILY_PARAMS
+from foliadex.synthesis import (
+    assemble_record,
+    parse_record_id,
+    record_id,
+    request_id,
+    synthesize,
+)
+from foliadex.tables import _BUILDERS, FAMILY_PARAMS
 from foliadex.value import Value
 
 
@@ -466,6 +473,50 @@ def test_import_decodes_each_distinct_geometry_once(std_catalog):
     assert len({id(r.invariants) for r in records}) == 279
     assert len({id(c) for r in records for c in r.checks}) == 941
     assert sum(len(r.checks) for r in records) == 5829
+
+
+def test_build_shares_each_repeated_cone_base_and_report(std_catalog, monkeypatch):
+    # cones over P^k, their base foliations and rank-one reports are built
+    # once per distinct geometry, so the export renders each of them once
+    records = std_catalog.records
+    assert len({id(r.variety) for r in records}) == 643
+    assert len({id(r.invariants) for r in records}) == 510
+    bases = {id(r.foliation.recipe.base) for r in records if hasattr(r.foliation.recipe, "base")}
+    assert len(bases) == 248
+    calls = 0
+    render = catalog._object
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "_object", counted)
+    catalog.write_catalog(std_catalog, io.StringIO())
+    assert calls == 8969
+
+
+def test_each_standard_record_rebuilds_from_its_id(std_catalog):
+    # Each record is rebuilt with every cache of the package emptied, so a
+    # cache that handed two constructions one object breaks an equality.
+    clears = [
+        value.cache_clear
+        for name, module in list(sys.modules.items())
+        if name.startswith("foliadex.")
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    ]
+    assert len(clears) >= 5
+    for record in std_catalog.records:
+        for clear in clears:
+            clear()
+        head, branch, params = parse_record_id(record.id)
+        if head == "table":
+            rebuilt = _BUILDERS[branch](**{name: int(v) for name, v in params.items()})
+        else:
+            n, r, c = params["n"], params["r"], params["c"]
+            rebuilt = synthesize(SynthesisRequest(SynthKind(head), int(n), int(r), c))
+        assert rebuilt == record, record.id
 
 
 def test_edited_shared_invariants_fail_every_record_that_refers_to_them(std_catalog, tmp_path):

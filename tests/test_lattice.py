@@ -15,6 +15,7 @@ from foliadex.lattice import (
     _parse_literal,
     content,
     parse_rational,
+    reduced_targets,
     render_rational,
 )
 
@@ -139,3 +140,31 @@ def test_over_common_denominator_is_not_stored():
     assert cls.over_common_denominator() == (3, -2, 6)
     assert Class2.__slots__ == ("beta", "gamma")
     assert repr(cls) == "Class2(beta=Fraction(1, 2), gamma=Fraction(-1, 3))"
+
+
+def _reduced_targets_by_definition(limit, q_max):
+    """Every reduced p/q with q <= q_max and 0 < p/q <= limit, ascending."""
+    return sorted(
+        Fraction(p, q)
+        for q in range(1, q_max + 1)
+        for p in range(1, math.floor(limit * q) + 1)
+        if math.gcd(p, q) == 1
+    )
+
+
+@given(
+    st.one_of(
+        st.integers(-3, 6).map(Fraction),
+        st.fractions(min_value=-3, max_value=6, max_denominator=50),
+    ),
+    st.integers(1, 40),
+)
+def test_reduced_targets_match_their_definition(limit, q_max):
+    targets = reduced_targets(limit, q_max)
+    assert targets == _reduced_targets_by_definition(limit, q_max)
+    assert all(type(c) is Fraction for c in targets)
+
+
+@pytest.mark.parametrize("limit", [Fraction(0), Fraction(-1), Fraction(-5, 2)])
+def test_reduced_targets_up_to_a_limit_at_most_zero_are_empty(limit):
+    assert reduced_targets(limit, 8) == []

@@ -633,19 +633,19 @@ def test_decode_and_verify_tables_live_for_one_call():
 
 def test_build_cache_is_bounded():
     # A long-lived caller building catalog after catalog holds at most
-    # maxsize cone constructions.
-    tree = ast.parse(Path(synthesis.__file__).read_text(encoding="utf-8"))
+    # maxsize entries in each of the package's caches.
     caches = [
-        decorator
-        for func in ast.walk(tree)
+        (path.name, decorator)
+        for path in sorted(Path(synthesis.__file__).parent.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(func, ast.FunctionDef)
         for decorator in func.decorator_list
         if "cache" in ast.unparse(decorator)
     ]
-    assert caches
-    for decorator in caches:
-        assert isinstance(decorator, ast.Call), ast.unparse(decorator)
-        assert ast.unparse(decorator.func) == "functools.lru_cache"
+    assert {name for name, _ in caches} >= {"lattice.py", "rankone.py", "synthesis.py"}
+    for name, decorator in caches:
+        assert isinstance(decorator, ast.Call), (name, ast.unparse(decorator))
+        assert ast.unparse(decorator.func) == "functools.lru_cache", name
         (maxsize,) = [k.value for k in decorator.keywords if k.arg == "maxsize"]
-        assert isinstance(maxsize, ast.Constant) and type(maxsize.value) is int
-        assert maxsize.value > 0
+        assert isinstance(maxsize, ast.Constant) and type(maxsize.value) is int, name
+        assert maxsize.value > 0, name
