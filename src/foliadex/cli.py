@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -249,14 +251,9 @@ def cmd_info(args) -> int:
 
 
 def _write_export(catalog: Catalog, path: Optional[str]) -> None:
-    """Stream the export of catalog to the file at path, or to stdout.
-
-    stdout is flushed here, so a failed write of its last piece is an
-    OSError that main reports, not an error at interpreter exit.
-    """
+    """Stream the export of catalog to the file at path, or to stdout."""
     if path is None:
         write_catalog(catalog, sys.stdout)
-        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8") as handle:
             write_catalog(catalog, handle)
@@ -370,7 +367,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # function total so embedders get a return code either way
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        # stdout's last buffered write fails here, where it is reported,
+        # not at interpreter exit; None is a closed stdout
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except UnsupportedRequest as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
@@ -384,5 +386,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry: main() on sys.argv, then gc.freeze().
+
+    Freezing moves the run's objects into the permanent generation, so the
+    collections at interpreter exit skip them; main leaves the collector
+    alone for in-process callers.  Output main could not flush, and has
+    reported, goes to os.devnull, so the flush at exit cannot fail again.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -3,13 +3,16 @@
 import ast
 import csv
 import errno
+import gc
 import hashlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,30 +251,66 @@ def test_catalog_export_matches_library(capsys, tmp_path, std_catalog):
     assert out == export_catalog(std_catalog)
 
 
+def _child_env() -> dict:
+    """The environment for a CLI child, with stdout block-buffered as it
+    is by default: PYTHONUNBUFFERED would hide a failed last flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(foliadex.__file__).parents[1])
+    return env
+
+
+# Each command that writes stdout, with its output well under one buffer
+# except the export's.
+_STDOUT_COMMANDS = {
+    "export-stdout": ["catalog", "export"],
+    "synth-json": [
+        "synth", "--kind", "generalized-index", "--n", "3", "--r", "2", "--c", "3/2", "--out", "json",
+    ],
+    "info": ["info"],
+    "table": ["table", "--family", "wps1", "--n", "3..5", "--m", "1..3"],
+    "verify-oracle": ["verify", "--grid", "oracle"],
+}
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
     [
-        ["catalog", "export"],
+        *_STDOUT_COMMANDS.values(),
         ["catalog", "export", "--out-file", "/dev/full"],
         ["catalog", "import", "--in", "small.json", "--out-file", "/dev/full"],
     ],
-    ids=["export-stdout", "export-file", "import-file"],
+    ids=[*_STDOUT_COMMANDS, "export-file", "import-file"],
 )
 def test_full_device_fails_in_one_line(tmp_path, std_catalog, argv):
     # The export is written piece by piece; a write that fails, the last
     # buffered one included, must end in main's one-line error, not in a
-    # traceback or an error at interpreter exit.
+    # traceback or an error at interpreter exit (exit 120).
     small = Catalog(metadata={}, records=std_catalog.records[:40])
     (tmp_path / "small.json").write_text(export_catalog(small))
-    env = {**os.environ, "PYTHONPATH": str(Path(foliadex.__file__).parents[1])}
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "foliadex.cli", *argv], stdout=full, stderr=subprocess.PIPE,
-            text=True, cwd=tmp_path, env=env, timeout=60,
+            text=True, cwd=tmp_path, env=_child_env(), timeout=60,
         )
     assert proc.returncode == 1
     assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("argv", _STDOUT_COMMANDS.values(), ids=_STDOUT_COMMANDS)
+def test_closed_pipe_fails_in_one_line(argv):
+    # a reader that has gone away, as `foliadex table ... | head -c 1` leaves
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foliadex.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 class _FillsUp(io.RawIOBase):
@@ -1093,6 +1132,54 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_installed_script_and_module_run_call_the_process_entry():
+    # the installed `foliadex` script and `python -m foliadex.cli` must
+    # both start cli.run, the entry that freezes the collector at exit
+    pyproject = Path(foliadex.__file__).parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["foliadex"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == ["sys.exit(run())"]
+
+
+_FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("foliadex.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["info", "--out", "json"], 0),
+        (["info", "--no-such-flag"], 1),
+        (["synth", "--kind", "fano-index", "--n", "3", "--r", "2", "--c", "7/5"], 2),
+    ],
+    ids=["ok", "usage", "unsupported"],
+)
+def test_module_run_freezes_its_objects_before_exit(argv, code):
+    # the collections at interpreter exit skip frozen objects; an atexit
+    # hook runs after run() has returned, before those collections
+    proc = subprocess.run(
+        [sys.executable, "-c", _FROZEN_AT_EXIT, *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "True"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # tests, embedders and the tracer call main in-process
+    before = gc.get_freeze_count()
+    assert main(["info"]) == 0
+    assert main(["synth", "--kind", "fano-index", "--n", "3", "--r", "2", "--c", "7/5"]) == 2
+    assert gc.get_freeze_count() == before
 
 
 def test_missing_catalog_file(capsys):

@@ -287,6 +287,75 @@ def test_hand_store_scan_finds_every_call():
     assert _hand_stores(source) == [3, 5, 6]
 
 
+# Calls that change how the process ends.  gc.freeze is cli.run's alone;
+# os._exit and atexit would skip or add exit work that `coverage run` and
+# `python -m cProfile` rely on, and gc.disable would let a large table's
+# garbage grow unchecked.
+_PROCESS_CALLS = ("gc.freeze", "gc.disable", "os._exit", "atexit")
+
+
+def _process_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, name) for each use in source of a name in
+    _PROCESS_CALLS, by attribute, name or import; '' at module level."""
+    found = []
+
+    def visit(node, where):
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+        found.extend(
+            (where, name) for name in names
+            if name in _PROCESS_CALLS or name.startswith("atexit.")
+        )
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_process_entry_changes_how_the_process_ends():
+    sources = sorted(Path(foliadex.__file__).parent.glob("*.py"))
+    found = [
+        (path.name, where, name)
+        for path in sources
+        for where, name in _process_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("cli.py", "run", "gc.freeze")]
+
+
+def test_process_call_scan_finds_every_use():
+    source = (
+        "import atexit\n"
+        "from os import _exit\n"
+        "import gc\n"
+        "gc.disable()\n"
+        "def run():\n"
+        "    gc.freeze()\n"
+        "    def later():\n"
+        "        atexit.register(print)\n"
+        "    return os._exit\n"
+        "gc.collect()\n"
+    )
+    assert _process_calls(source) == [
+        ("", "atexit"),
+        ("", "os._exit"),
+        ("", "gc.disable"),
+        ("run", "gc.freeze"),
+        ("later", "atexit.register"),
+        ("later", "atexit"),
+        ("run", "os._exit"),
+    ]
+
+
 _INHERITED = sorted(
     (cls for cls in SAMPLES if "__init__" not in vars(cls)), key=lambda c: c.__qualname__
 )
