@@ -29,8 +29,11 @@ record, in the construction check that stores the outcome.
 Positivity and the choice between the two terms of the minimum run on
 integers: a class is read as numerators over its least common positive
 denominator (Class2.over_common_denominator), which keeps every sign and
-order, and a Fraction is built only for a value that is returned.  The
-witness test compares the two coordinates as Fractions.
+order.  _classify holds the positivity inequalities and _closed_form_terms
+the closed form as (num, den); classify_divisor and generalized_index wrap
+them into a Positivity and a Fraction for a value that is returned, and
+the oracle sweep reads them as they are.  The witness test compares the two
+coordinates as Fractions.
 """
 
 from __future__ import annotations
@@ -133,21 +136,26 @@ def _is_big(m: int, beta_num: int, gamma_num: int) -> bool:
     return beta_num > 0 and gamma_num > -m * beta_num
 
 
-def classify_divisor(variety: BundleVariety, cls: Class2) -> Positivity:
-    """Positivity flags from the two cone inequalities.
+def _classify(m: int, b1: int, beta_num: int, gamma_num: int) -> tuple[bool, bool, bool, bool]:
+    """(pseff, big, nef, ample) of a class from the two cone inequalities.
 
     beta >= 0 and gamma >= -m*beta give pseudoeffectivity, strict versions
     give bigness; gamma >= b_1*beta upgrades to nef, strict plus beta > 0
     to ample.  The inequalities are tested on the numerators of beta and
-    gamma over their common positive denominator, which keeps their signs.
+    gamma over a common positive denominator, which keeps their signs.
     """
+    return (
+        beta_num >= 0 and gamma_num >= -m * beta_num,
+        _is_big(m, beta_num, gamma_num),
+        beta_num >= 0 and gamma_num >= b1 * beta_num,
+        beta_num > 0 and gamma_num > b1 * beta_num,
+    )
+
+
+def classify_divisor(variety: BundleVariety, cls: Class2) -> Positivity:
+    """The positivity flags _classify gives cls over its common denominator."""
     beta, gamma, _ = cls.over_common_denominator()
-    m, b1 = variety.m, variety.b1
-    pseff = beta >= 0 and gamma >= -m * beta
-    big = _is_big(m, beta, gamma)
-    nef = beta >= 0 and gamma >= b1 * beta
-    ample = beta > 0 and gamma > b1 * beta
-    return Positivity(pseff=pseff, big=big, nef=nef, ample=ample)
+    return Positivity(*_classify(variety.m, variety.b1, beta, gamma))
 
 
 def relative_anticanonical(variety: BundleVariety) -> Class2:
@@ -199,7 +207,7 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
     m, b1 = variety.m, variety.b1
     if not _is_big(m, beta_num, gamma_num):
         raise DomainError(f"generalized index needs a big class, got {cls}")
-    t = _closed_form(m, b1, beta_num, gamma_num, den)
+    t = Fraction(*_closed_form_terms(m, b1, beta_num, gamma_num, den))
     total = m + b1 + 1
     # where the two terms of the minimum are equal, both branches give
     # p_e = p_a = 0
@@ -214,14 +222,17 @@ def generalized_index(variety: BundleVariety, cls: Class2) -> tuple[Fraction, In
     return t, IndexWitness(t, Class2(1, b1 + 1), p_e, p_a)
 
 
-def _closed_form(m: int, b1: int, beta_num: int, gamma_num: int, den: int) -> Fraction:
-    """min(beta, (m*beta + gamma)/(m + b1 + 1)) for a big class given by its
-    numerators over den, unguarded: the caller has classified the class."""
+def _closed_form_terms(
+    m: int, b1: int, beta_num: int, gamma_num: int, den: int
+) -> tuple[int, int]:
+    """min(beta, (m*beta + gamma)/(m + b1 + 1)) as (num, den') with den' > 0,
+    not necessarily reduced, for a big class given by its numerators over
+    den, unguarded: the caller has classified the class."""
     total = m + b1 + 1
     # (m*beta + gamma)/(m + b1 + 1) <= beta, both sides times den*(m + b1 + 1) > 0
     if m * beta_num + gamma_num <= beta_num * total:
-        return Fraction(m * beta_num + gamma_num, den * total)
-    return Fraction(beta_num, den)
+        return m * beta_num + gamma_num, den * total
+    return beta_num, den
 
 
 def fano_index(variety: BundleVariety, cls: Class2) -> Fraction:

@@ -318,9 +318,10 @@ def _variety_from_json(obj, path: str, table: _Objects):
 
 class _Objects:
     """An import's objects array: decoded maps (k, *ids of args) to the
-    decode of objects[k], roles maps k to its decoder, a reference falls
-    below bound, which is k inside objects[k], and read maps each decoded
-    class to the readers of its fields."""
+    decode of objects[k], and (decoder, JSON text, bound, *ids of args) to
+    the decode of an inline object, roles maps k to its decoder, a
+    reference falls below bound, which is k inside objects[k], and read
+    maps each decoded class to the readers of its fields."""
 
     def __init__(self, entries: list) -> None:
         self.entries, self.decoded, self.roles, self.bound = entries, {}, {}, len(entries)
@@ -346,9 +347,17 @@ class _Objects:
 
     def at(self, decode, value, path: str, *args):
         """decode(obj, path, self, *args) of value, inline, or of the entry
-        value indexes, at path objects[k], once per args objects and in one role."""
+        value indexes, at path objects[k], once per args objects and in one
+        role.  An inline object is decoded once per decoder, JSON text,
+        bound and args objects, so a schema 1 import shares equal objects
+        as the objects array does."""
         if not isinstance(value, int):
-            return decode(value, path, self, *args)
+            # a reference inside the text is valid only below the bound
+            key = (decode, json.dumps(value), self.bound, *map(id, args))
+            found = self.decoded.get(key)
+            if found is None:
+                found = self.decoded[key] = decode(value, path, self, *args)
+            return found
         if type(value) is bool or not 0 <= value < self.bound:
             raise ParseError(f"{path}: {value!r} is not an index of objects[0:{self.bound}]")
         role = self.roles.setdefault(value, decode)

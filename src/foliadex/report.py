@@ -107,7 +107,8 @@ class SweepReport(Value):
         The same as add(f"{prefix}:{record}", outcome) for each prefix in
         turn and each row in order, where rows was filled by add(record,
         outcome): the counts are added by multiplication, and an id is
-        built only for a failing row.
+        built only for a failing row.  So prefixes are read only when
+        rows holds a failure; otherwise only their number counts.
         """
         times = len(prefixes)
         self.total += times * rows.total

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .bundle import BundleVariety, Positivity, _closed_form, classify_divisor
+from .bundle import BundleVariety, Positivity, _classify, _closed_form_terms
 from .errors import DomainError, UnsupportedRequest
 from .foliation import FoliationDescriptor, LeafStatus
 from .invariants import ambient_is_smooth, compute_invariants
@@ -373,22 +373,27 @@ def _oracle_sweep(grid: OracleGrid) -> SweepReport:
     audits of the first such bundle.  The rows of one (b-tail, m) group
     are added in one step, in the order of a loop over k and then over
     the classes: counted by multiplication, with an id built only for a
-    failing row, so a failing audit fails each of its rows.
+    failing row, so a failing audit fails each of its rows, and a group's
+    k prefixes and b-tail text are built only when its audit failed.
     """
     report = SweepReport()
     audits: dict[tuple[int, int], SweepReport] = {}
+    ks = range(1, grid.k_max + 1)
     for rprime in range(1, grid.rprime_max + 1):
         for b_ascending in itertools.combinations_with_replacement(
             range(grid.b1_max + 1), rprime
         ):
             b = tuple(reversed(b_ascending))
-            tail = ",".join(str(e) for e in b)
             for m in range(1, grid.m_max + 1):
                 key = (m, b[0])
                 if key not in audits:
                     audits[key] = _audit_classes(grid, BundleVariety(base_dim=1, m=m, b=b))
-                prefixes = [f"oracle:k={k}:m={m}:b={tail}" for k in range(1, grid.k_max + 1)]
-                report.add_under(prefixes, audits[key])
+                rows = audits[key]
+                prefixes = ks  # only counted: rows holds no failure to name
+                if rows.failures:
+                    tail = ",".join(str(e) for e in b)
+                    prefixes = [f"oracle:k={k}:m={m}:b={tail}" for k in ks]
+                report.add_under(prefixes, rows)
     return report
 
 
@@ -397,28 +402,43 @@ def _audit_classes(grid: OracleGrid, variety: BundleVariety) -> SweepReport:
 
     Returns one row per class, in the sweep's class order, with the
     record id suffix beta=...:gamma=....  Each class is classified once,
-    by this filter: the closed form takes the filtered class through its
-    unguarded entry point, and the enumeration's own guard reads only
-    the class's numerators.
+    on its integers by bundle._classify; a Class2 is built only for a
+    class that passes, to hand to the enumeration, whose own guard reads
+    only the class's numerators.  The closed form, the direct formula and
+    the enumeration are compared by cross-multiplying over their positive
+    denominators, so a passing row is only counted; the Fractions, detail
+    and outcome are built for a failing row alone.
     """
     m, b1 = variety.m, variety.b1
     denom = m + b1 + 1
     rows = SweepReport()
+    passed = 0
+    gammas = [(gamma, Fraction(gamma)) for gamma in range(-grid.coeff_max, grid.coeff_max + 1)]
     for beta in range(1, grid.coeff_max + 1):
-        for gamma in range(-grid.coeff_max, grid.coeff_max + 1):
-            cls = Class2(beta, gamma)
-            flags = classify_divisor(variety, cls)
-            if not flags.big or flags.ample:
+        beta_q = Fraction(beta)
+        for gamma, gamma_q in gammas:
+            _, big, _, ample = _classify(m, b1, beta, gamma)
+            if not big or ample:
                 continue
-            value = _closed_form(m, b1, beta, gamma, 1)
-            formula = Fraction(m * beta + gamma, denom)
-            enumerated = oracle_generalized_index(variety, cls, grid.d_max, grid.c_max)
-            ok = value == formula == enumerated
-            detail = (
-                f"closed form {render_rational(value)}, direct formula "
-                f"{render_rational(formula)}, enumeration {render_rational(enumerated)}"
+            num, den = _closed_form_terms(m, b1, beta, gamma, 1)
+            direct = m * beta + gamma
+            enumerated = oracle_generalized_index(
+                variety, Class2(beta_q, gamma_q), grid.d_max, grid.c_max
             )
-            rows.add(f"beta={beta}:gamma={gamma}", passfail("closed-form-vs-oracle", ok, detail))
+            # num/den == direct/denom == enumerated
+            if num * denom == direct * den and (
+                num * enumerated.denominator == enumerated.numerator * den
+            ):
+                passed += 1
+                continue
+            detail = (
+                f"closed form {render_rational(Fraction(num, den))}, direct formula "
+                f"{render_rational(Fraction(direct, denom))}, enumeration "
+                f"{render_rational(enumerated)}"
+            )
+            rows.add(f"beta={beta}:gamma={gamma}", passfail("closed-form-vs-oracle", False, detail))
+    rows.total += passed
+    rows.passed += passed
     return rows
 
 

@@ -475,6 +475,25 @@ def test_import_decodes_each_distinct_geometry_once(std_catalog):
     assert sum(len(r.checks) for r in records) == 5829
 
 
+@pytest.mark.parametrize("version", ["1", SCHEMA_VERSION])
+def test_import_shares_equal_objects_in_either_schema(std_catalog, version):
+    # a schema 1 import decodes an inline object once per JSON text, so it
+    # holds the objects of a schema 2 import, and verify_catalog grades
+    # 1,104 descriptors rather than 1,833
+    if version == SCHEMA_VERSION:
+        text = export_catalog(std_catalog)
+    else:
+        text = json.dumps(_inline(std_catalog, version), indent=2) + "\n"
+    records = import_catalog(text).records
+    counts = [
+        len({id(r.foliation) for r in records}),
+        len({id(r.invariants) for r in records}),
+        len({id(r.variety) for r in records}),
+        len({id(c) for r in records for c in r.checks}),
+    ]
+    assert counts == [1104, 279, 402, 941]
+
+
 def test_build_shares_each_repeated_cone_base_and_report(std_catalog, monkeypatch):
     # cones over P^k, their base foliations and rank-one reports are built
     # once per distinct geometry, so the export renders each of them once

@@ -403,14 +403,14 @@ def test_adding_rows_under_prefixes_equals_adding_each_row(rows, prefixes, befor
 
 def test_sweep_classifies_each_class_once(monkeypatch):
     # 16 (m, b1) pairs times 78 classes (beta <= 6, |gamma| <= 6) are
-    # classified by the sweep's filter and by nothing else; the 856 big
-    # and not ample ones reach the kernel once each.
-    honest_classify, honest_kernel = bundle.classify_divisor, _kernels.best_index_bound
+    # classified on their integers by the sweep's filter and by nothing
+    # else; the 856 big and not ample ones reach the kernel once each.
+    honest_classify, honest_kernel = bundle._classify, _kernels.best_index_bound
     classified, kernel_calls = [], []
 
-    def counting_classify(variety, cls):
-        classified.append((variety.m, variety.b1, cls))
-        return honest_classify(variety, cls)
+    def counting_classify(m, b1, beta_num, gamma_num):
+        classified.append((m, b1, beta_num, gamma_num))
+        return honest_classify(m, b1, beta_num, gamma_num)
 
     def counting_kernel(*args):
         kernel_calls.append(args)
@@ -418,14 +418,117 @@ def test_sweep_classifies_each_class_once(monkeypatch):
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("foliadex") and (
-            getattr(module, "classify_divisor", None) is honest_classify
+            getattr(module, "_classify", None) is honest_classify
         ):
-            monkeypatch.setattr(module, "classify_divisor", counting_classify)
+            monkeypatch.setattr(module, "_classify", counting_classify)
     monkeypatch.setattr(_kernels, "best_index_bound", counting_kernel)
     report = run_sweep(OracleGrid())
     assert report.total == 24312
     assert len(classified) == len(set(classified)) == 1248
     assert len(kernel_calls) == 856
+
+
+# (num, den) with den > 0 to a perturbed (num, den) with den > 0, for num > 0
+_TERMS = {
+    "honest": lambda num, den: (num, den),
+    "plus-one": lambda num, den: (num + den, den),
+    "unreduced": lambda num, den: (2 * num, 2 * den),
+    "inverted": lambda num, den: (den, num),
+    "halved": lambda num, den: (num, 2 * den),
+}
+
+
+@st.composite
+def _big_not_ample(draw):
+    """(m, b1, beta, gamma) with -m*beta < gamma <= b1*beta."""
+    m, b1, beta = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    return m, b1, beta, draw(st.integers(-m * beta + 1, b1 * beta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_big_not_ample(), st.sampled_from(sorted(_TERMS)), st.sampled_from(sorted(_TERMS)))
+def test_sweep_audit_on_integers_equals_its_fraction_reference(drawn, closed, enumerated):
+    # The audit compares on integers; with the drawn class's closed form
+    # and enumeration each honest or perturbed, a row passes iff the three
+    # values are equal as Fractions, and a failing row has the id and
+    # detail of the Fraction audit it replaced.
+    m, b1, beta, gamma = drawn
+    honest_terms, honest_kernel = verification._closed_form_terms, _kernels.best_index_bound
+    assert Fraction(*honest_terms(m, b1, beta, gamma, 1)) == min(
+        Fraction(beta), Fraction(m * beta + gamma, m + b1 + 1)
+    )
+
+    def closed_form_terms(*args):  # (m, b1, beta_num, gamma_num, den)
+        terms = honest_terms(*args)
+        return _TERMS[closed](*terms) if args == (m, b1, beta, gamma, 1) else terms
+
+    def kernel(*args):  # (beta_num, gamma_num, scale, m, b1, d_max, c_max)
+        num, den, d, c = honest_kernel(*args)
+        if args[:5] == (beta, gamma, 1, m, b1):
+            num, den = _TERMS[enumerated](num, den)
+        return num, den, d, c
+
+    grid = OracleGrid(
+        m_max=m, b1_max=b1, rprime_max=1, k_max=1, coeff_max=max(beta, abs(gamma)),
+        d_max=2, c_max=2 * b1 + 3,
+    )
+    variety = BundleVariety(base_dim=1, m=m, b=(b1,))
+    expected, passed = [], 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_closed_form_terms", closed_form_terms)
+        patch.setattr(_kernels, "best_index_bound", kernel)
+        rows = verification._audit_classes(grid, variety)
+        for b in range(1, grid.coeff_max + 1):
+            for g in range(-grid.coeff_max, grid.coeff_max + 1):
+                if not -m * b < g <= b1 * b:
+                    continue
+                value = Fraction(*closed_form_terms(m, b1, b, g, 1))
+                formula = Fraction(m * b + g, m + b1 + 1)
+                found = oracle_generalized_index(variety, Class2(b, g), grid.d_max, grid.c_max)
+                if value == formula == found:
+                    passed += 1
+                    continue
+                expected.append({
+                    "record": f"beta={b}:gamma={g}",
+                    "check": "closed-form-vs-oracle",
+                    "detail": f"closed form {render_rational(value)}, "
+                    f"direct formula {render_rational(formula)}, "
+                    f"enumeration {render_rational(found)}",
+                })
+    assert rows.failures == expected
+    assert (rows.total, rows.passed, rows.failed, rows.skipped) == (
+        passed + len(expected), passed, len(expected), 0
+    )
+
+
+def test_sweep_builds_row_text_only_for_a_failing_class(monkeypatch):
+    # A passing row is only counted: the clean default sweep builds no
+    # outcome, and the pinned failing grid one per failing distinct class,
+    # however many (k, b-tail) rows share it.
+    honest_passfail, honest_oracle = verification.passfail, verification.oracle_generalized_index
+    calls = []
+
+    def counting(name, ok, detail):
+        calls.append((name, ok, detail))
+        return honest_passfail(name, ok, detail)
+
+    monkeypatch.setattr(verification, "passfail", counting)
+    assert run_sweep(OracleGrid()).ok
+    assert calls == []
+
+    wrong = {Class2(1, 0), Class2(2, 1)}
+
+    def wrong_for_two_classes(variety, cls, d_max, c_max):
+        value = honest_oracle(variety, cls, d_max, c_max)
+        return value + 1 if cls in wrong else value
+
+    monkeypatch.setattr(verification, "oracle_generalized_index", wrong_for_two_classes)
+    report = run_sweep(OracleGrid(m_max=2, b1_max=2, rprime_max=2, k_max=3, coeff_max=3))
+    ids = [dict(p.split("=") for p in f["record"].split(":")[1:]) for f in report.failures]
+    failing = {(i["m"], i["b"].split(",")[0], i["beta"], i["gamma"]) for i in ids}
+    # (1, 0) on the six (m, b1), (2, 1) on the four with b1 >= 1
+    assert len(calls) == len(failing) == 10
+    assert report.failed == len(report.failures) > len(failing)
 
 
 @pytest.mark.parametrize(
