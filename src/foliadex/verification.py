@@ -403,8 +403,8 @@ def _audit_classes(grid: OracleGrid, variety: BundleVariety) -> SweepReport:
     Returns one row per class, in the sweep's class order, with the
     record id suffix beta=...:gamma=....  Each class is classified once,
     on its integers by bundle._classify; a Class2 is built only for a
-    class that passes, to hand to the enumeration, whose own guard reads
-    only the class's numerators.  The closed form, the direct formula and
+    class that passes the filter, to hand to the enumeration, whose own
+    guard reads only the class's numerators.  The closed form, the direct formula and
     the enumeration are compared by cross-multiplying over their positive
     denominators, so a passing row is only counted; the Fractions, detail
     and outcome are built for a failing row alone.
@@ -413,6 +413,7 @@ def _audit_classes(grid: OracleGrid, variety: BundleVariety) -> SweepReport:
     denom = m + b1 + 1
     rows = SweepReport()
     passed = 0
+    # each coordinate's Fraction is made once per audit, not once per class
     gammas = [(gamma, Fraction(gamma)) for gamma in range(-grid.coeff_max, grid.coeff_max + 1)]
     for beta in range(1, grid.coeff_max + 1):
         beta_q = Fraction(beta)
