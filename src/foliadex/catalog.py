@@ -60,11 +60,10 @@ from .synthesis import (
     ExampleRecord,
     SynthesisRequest,
     SynthKind,
-    parse_record_id,
     request_id,
     synthesize,
 )
-from .tables import FAMILY_PARAMS, table_rows
+from .tables import parse_construction, table_rows
 from .value import Frozen, Value
 
 SCHEMA_VERSION = "2"
@@ -419,24 +418,11 @@ _ROLES = {
 }
 
 
-def _is_table_row_id(text: str, branch: str) -> bool:
-    """Whether text is the id of the table row of family branch at integer
-    parameters, named as FAMILY_PARAMS names them."""
-    try:
-        head, id_branch, params = parse_record_id(text)
-    except ParseError:
-        return False
-    return (
-        (head, id_branch) == ("table", branch)
-        and tuple(params) == FAMILY_PARAMS.get(branch)
-        and all(value.denominator == 1 for value in params.values())
-    )
-
-
 def _record_from_json(obj, table: _Objects) -> ExampleRecord:
     """The record of obj, its objects read through table.  Last, a synth
-    record's id and its variety's dimension must be its request's, and a
-    table row's id the one record_id gives its family and parameters."""
+    record's id, its variety's dimension and its foliation's algebraic rank
+    must be its request's, and a table row's id must parse to a construction
+    of its family."""
     names = ("id", "request", "branch", "variety", "foliation", "invariants", "checks")
     record_id, request, branch, variety, foliation, invariants, checks = _fields(
         obj, "record", names
@@ -459,8 +445,18 @@ def _record_from_json(obj, table: _Objects) -> ExampleRecord:
         )
     if request is not None and ambient.dim != request.n:
         raise DomainError(f"variety has dimension {ambient.dim}, not request.n = {request.n}")
-    if request is None and not _is_table_row_id(record_id, branch):
-        raise DomainError(f"record.id {record_id!r} is not the id of a {branch!r} table row")
+    if request is not None and fol.algebraic_rank != request.r:
+        raise DomainError(
+            f"foliation has algebraic rank {fol.algebraic_rank}, not request.r = {request.r}"
+        )
+    if request is None:
+        try:
+            parse_construction(record_id)
+            table_row = record_id.startswith(f"table:{branch}:")
+        except ParseError:
+            table_row = False
+        if not table_row:
+            raise DomainError(f"record.id {record_id!r} is not the id of a {branch!r} table row")
     return ExampleRecord(record_id, request, branch, fol, inv, checks)
 
 

@@ -4,12 +4,13 @@ Each builder returns an ExampleRecord for one row of a family table,
 its parameters are the table's parameter columns, and it raises
 DomainError or UnsupportedRequest for an infeasible tuple.  The
 Hirzebruch and case-1/case-2 bundle rows are synthesis requests.  The
-weighted-hypersurface pencils in their four weight patterns, the cone
-rows, the index-gap bundles, and the two boundary families whose leaves
-are not rationally connected are built here and carry a family-formula
-check comparing all three recomputed invariants against the closed
-forms the family realizes.  A builder checks only the bounds that no
-constructor it calls refuses already.
+weighted-hypersurface pencils in their four weight patterns and the cone
+rows are built by the geometry functions synthesize uses for the same
+branch; these, the index-gap bundles, and the two boundary families whose
+leaves are not rationally connected carry a family-formula check
+comparing all three recomputed invariants against the closed forms the
+family realizes.  A builder checks only the bounds that no constructor it
+calls refuses already.
 """
 
 from __future__ import annotations
@@ -28,30 +29,33 @@ from .foliation import (
     cone_foliation,
     pn_foliation,
     pullback_over_bundle,
-    wps_coordinate_foliation,
 )
 from .lattice import render_optional
 from .rankone import (
     GeneralizedCone,
     PolarizedBase,
     SingularityClass,
-    WeightedProjectiveSpace,
     projective_space,
     projective_space_base,
 )
 from .report import CheckOutcome, InvariantReport
 from .synthesis import (
     FAMILY_FORMULA_CHECK,
+    GEOMETRY,
     ExampleRecord,
+    Geometry,
+    SynthesisRequest,
+    SynthKind,
     assemble_record,
     boundary_sharpness_check,
     cone_resolution_check,
+    construction,
     mixed_gap_check,
     oracle_agreement_check,
     passfail,
     positivity_check,
     record_id,
-    synth_generalized_index,
+    synthesize,
     witness_check,
 )
 
@@ -73,94 +77,87 @@ def family_formula_check(
 
 def _family_record(
     family: str,
-    params: dict[str, int],
-    fol: FoliationDescriptor,
+    args: tuple[int, ...],
+    geometry: Geometry,
     expected: tuple[Optional[Fraction], Optional[Fraction], Optional[Fraction]],
     extra: Callable[[InvariantReport], tuple[CheckOutcome, ...]] = lambda inv: (),
 ) -> ExampleRecord:
-    """The table row of family at params: the family-formula and ample
-    checks, then extra(inv)."""
+    """The table row of family at its parameters args, on geometry (a
+    foliation and its own checks): the family-formula and ample checks,
+    the geometry's own, then extra(inv)."""
+    fol, own = geometry
     return assemble_record(
-        record_id("table", family, params),
+        record_id("table", family, dict(zip(FAMILY_PARAMS[family], args))),
         None,
         family,
         fol,
         lambda inv: (
             family_formula_check(inv, expected),
             positivity_check(inv, ample=True),
+            *own,
             *extra(inv),
         ),
     )
 
 
-def hirzebruch_record(a: int) -> ExampleRecord:
-    """Hirzebruch surface F_(a-1) with its ruling: iota-hat = 1 - 1/a."""
-    if a < 2:
-        raise DomainError("need a >= 2")
-    return synth_generalized_index(2, 1, Fraction(a - 1, a))
-
-
-def _lowest_terms(p: int, q: int) -> Fraction:
+def _synth_row(branch: str, n: int, r: int, p: int, q: int) -> ExampleRecord:
+    """The synth record of the generalized index p/q, in lowest terms with
+    q >= 1, if synthesize builds it on branch: the one rule of the
+    Hirzebruch, case-1 and case-2 rows, checked before any geometry."""
     if q < 1 or math.gcd(p, q) != 1:
         raise DomainError("p/q not in lowest terms")
-    return Fraction(p, q)
+    request = SynthesisRequest(SynthKind.GENERALIZED_INDEX, n, r, Fraction(p, q))
+    if construction(request)[0] != branch:
+        raise DomainError(f"{branch} rows do not hold the target {p}/{q}")
+    return synthesize(request)
+
+
+def hirzebruch_record(a: int) -> ExampleRecord:
+    """Hirzebruch surface F_(a-1) with its ruling: iota-hat = 1 - 1/a."""
+    return _synth_row("hirzebruch", 2, 1, a - 1, a)
 
 
 def case1_record(n: int, r: int, p: int, q: int) -> ExampleRecord:
     """Fibration over a case-1 bundle: iota-hat = p/q, a non-integer in (1, r)."""
-    c = _lowest_terms(p, q)
-    if c <= 1 or c.denominator == 1:
-        raise DomainError("case1 targets are non-integers in (1, r)")
-    return synth_generalized_index(n, r, c)
+    return _synth_row("case1", n, r, p, q)
 
 
 def case2_record(n: int, r: int, p: int, q: int) -> ExampleRecord:
     """Pullback to a case-2 bundle: iota-hat = p/q in (0, 1)."""
-    c = _lowest_terms(p, q)
-    if not c < 1:
-        raise DomainError("case2 targets lie in (0, 1)")
-    return synth_generalized_index(n, r, c)
+    return _synth_row("case2", n, r, p, q)
 
 
 def wps1_record(n: int, m: int) -> ExampleRecord:
     """Weights (1, 1, 1, m, ..., m), pencil on the first coordinate."""
     if n < 3:
         raise DomainError(f"need n >= 3, got n={n}")
-    variety = WeightedProjectiveSpace((1, 1, 1) + (m,) * (n - 2))
-    fol = wps_coordinate_foliation(variety, 1)
+    geometry = GEOMETRY["wps1"](n, m)
     value = Fraction(m * (n - 2) + 1, m)
-    return _family_record("wps1", {"n": n, "m": m}, fol, (value, value, value))
+    return _family_record("wps1", (n, m), geometry, (value, value, value))
 
 
 def wps2_record(n: int, mprime: int, m: int) -> ExampleRecord:
     """Weights (1, m', ..., m', m), pencil on the first coordinate."""
     if n < 3:
         raise DomainError(f"need n >= 3, got n={n}")
-    variety = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
-    fol = wps_coordinate_foliation(variety, 1)
+    geometry = GEOMETRY["wps2"](n, mprime, m)
     index = Fraction((n - 2) * mprime + m, mprime * m)
     eps = 1 + Fraction((n - 2) * mprime, m)
-    return _family_record(
-        "wps2", {"n": n, "mprime": mprime, "m": m}, fol, (index, index, eps)
-    )
+    return _family_record("wps2", (n, mprime, m), geometry, (index, index, eps))
 
 
 def wps3_record(a1: int, a2: int) -> ExampleRecord:
     """Weights (1, a1, a2), pencil on the first coordinate."""
-    variety = WeightedProjectiveSpace((1, a1, a2))
-    fol = wps_coordinate_foliation(variety, 1)
+    geometry = GEOMETRY["wps3"](a1, a2)
     index = Fraction(1, a1)
-    return _family_record("wps3", {"a1": a1, "a2": a2}, fol, (index, index, Fraction(1)))
+    return _family_record("wps3", (a1, a2), geometry, (index, index, Fraction(1)))
 
 
 def wps4_record(a1: int, a2: int) -> ExampleRecord:
     """Weights (1, a1, a2), pencil on the second coordinate."""
-    variety = WeightedProjectiveSpace((1, a1, a2))
-    fol = wps_coordinate_foliation(variety, 2)
+    geometry = GEOMETRY["wps4"](a1, a2)
     index = Fraction(1, a2)
-    return _family_record(
-        "wps4", {"a1": a1, "a2": a2}, fol, (index, index, Fraction(a1, a2))
-    )
+    return _family_record("wps4", (a1, a2), geometry, (index, index, Fraction(a1, a2)))
 
 
 def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleRecord:
@@ -169,18 +166,9 @@ def cone_table_record(base_dim: int, rprime: int, m: int, d: int) -> ExampleReco
         raise DomainError(
             f"need 0 <= d < m*rprime = {m * rprime} for an ample record, got d={d}"
         )
-    cone = GeneralizedCone(
-        base=projective_space_base(base_dim), m=m, vertex_rank=rprime
-    )
-    fol = cone_foliation(cone, pn_foliation(base_dim, 1, d))
+    geometry = GEOMETRY["cone"](base_dim, rprime, m, 1, d)
     value = rprime - Fraction(d, m)
-    return _family_record(
-        "cone",
-        {"base_dim": base_dim, "rprime": rprime, "m": m, "d": d},
-        fol,
-        (value, value, value),
-        lambda inv: (cone_resolution_check(fol),),
-    )
+    return _family_record("cone", (base_dim, rprime, m, d), geometry, (value, value, value))
 
 
 def mixed_record(r: int) -> ExampleRecord:
@@ -196,8 +184,8 @@ def mixed_record(r: int) -> ExampleRecord:
     fol = pullback_over_bundle(variety, pn_foliation(r + 2, r, -r))
     return _family_record(
         "mixed",
-        {"r": r},
-        fol,
+        (r,),
+        (fol, ()),
         (Fraction(r), Fraction(1), None),
         lambda inv: (
             witness_check(fol),
@@ -233,13 +221,10 @@ def rc_genus_record(r: int, m: int) -> ExampleRecord:
     value = (r - 1) - Fraction(2, m)
     return _family_record(
         "rc-genus",
-        {"r": r, "m": m},
-        fol,
+        (r, m),
+        (fol, (cone_resolution_check(fol),)),
         (value, value, value),
-        lambda inv: (
-            cone_resolution_check(fol),
-            boundary_sharpness_check(inv, fol, at_equality=False),
-        ),
+        lambda inv: (boundary_sharpness_check(inv, fol, at_equality=False),),
     )
 
 
@@ -276,11 +261,26 @@ def rc_flat_record(n: int, r: int, m: int) -> ExampleRecord:
     value = Fraction(r - 1)
     return _family_record(
         "rc-flat",
-        {"n": n, "r": r, "m": m},
-        fol,
+        (n, r, m),
+        (fol, (cone_resolution_check(fol),)),
         (value, value, value),
-        lambda inv: (
-            cone_resolution_check(fol),
-            boundary_sharpness_check(inv, fol, at_equality=True),
-        ),
+        lambda inv: (boundary_sharpness_check(inv, fol, at_equality=True),),
     )
+
+
+# Row builder per family; a builder's parameters are the family's
+# parameter names, in order.
+_BUILDERS: dict[str, Callable[..., ExampleRecord]] = {
+    "hirzebruch": hirzebruch_record, "wps1": wps1_record, "wps2": wps2_record,
+    "wps3": wps3_record, "wps4": wps4_record, "cone": cone_table_record,
+    "case1": case1_record, "case2": case2_record, "mixed": mixed_record,
+    "rc-genus": rc_genus_record, "rc-flat": rc_flat_record,
+}
+
+# Parameter names per family, in declaration order; the table columns
+# lead with these.  Every builder takes positional-or-keyword parameters
+# only, which lead its code object's local names.
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    family: builder.__code__.co_varnames[: builder.__code__.co_argcount]
+    for family, builder in _BUILDERS.items()
+}

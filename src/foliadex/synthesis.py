@@ -394,28 +394,52 @@ def request_id(request: SynthesisRequest, branch: str) -> str:
     )
 
 
-# The standard catalog builds its 630 cone constructions once for the Fano
-# index, then again for the Seshadri value, so the cache must hold them all.
+# ---------------------------------------------------------------------------
+# Geometry: one function per branch, from the branch's arguments to its
+# foliation and the checks only that construction stores.  synthesize picks
+# a branch and its arguments for a target; a table row on a branch that
+# synthesize also builds calls the same function.
+
+# A construction: a branch of GEOMETRY and the arguments of its function.
+Construction = tuple[str, tuple[int, ...]]
+Geometry = tuple[FoliationDescriptor, tuple[CheckOutcome, ...]]
+
+
+def _hirzebruch(a: int) -> Geometry:
+    """The ruling of the Hirzebruch surface F_(a-1)."""
+    return fibration_foliation(BundleVariety(base_dim=1, m=a - 1, b=(0,))), ()
+
+
+def _case1(n: int, r: int, p: int, q: int) -> Geometry:
+    """The fibration of the case-1 bundle of the target p/q in (1, r)."""
+    params = case1_parameters(r, p, q)
+    variety = BundleVariety(base_dim=n - r, m=q, b=params.b_list)
+    return fibration_foliation(variety), (case1_constraints_check(params, r),)
+
+
+def _case2(n: int, r: int, p: int, q: int) -> Geometry:
+    """The pullback to the case-2 bundle of the target p/q in (0, 1)."""
+    base_fol = _pn_base_foliation(n - 1, r - 1, 2 * (q - p) - 1)
+    return pullback_over_bundle(BundleVariety(base_dim=n - 1, m=q, b=(q - 1,)), base_fol), ()
+
+
+# The standard catalog builds its 630 synth cones once for the Fano index,
+# then again for the Seshadri value, and its 36 cone rows, 9 of which are
+# synth cones: 657 distinct arguments, so the cache must hold them all.
 @functools.lru_cache(maxsize=1024)
-def _cone_construction(n: int, r: int, c: Fraction) -> tuple[FoliationDescriptor, CheckOutcome]:
-    """The cone foliation realizing c and its cone-resolution check.
+def _cone(k: int, rprime: int, m: int, rank: int, d: int) -> Geometry:
+    """The cone C(P^k, O(m)) with vertex P^{r'-1} over the foliation on P^k
+    with K = d*H and algebraic rank rank, and its cone-resolution check.
 
-    Fano-index and Seshadri targets build the same cone for the same
-    (n, r, c), so the two records of a pair share one descriptor.  Targets
-    of other ranks or dimensions share the cone over P^k and the base
-    foliation wherever these agree, and the rank-one report is shared by
-    value, so each distinct piece is built once.
-    """
-    rprime = c.numerator // c.denominator + 1
-    frac = rprime - c
-    p, q = frac.numerator, frac.denominator
-    base_fol = _pn_base_foliation(n - rprime, max(r - rprime, 0), p)
-    fol = cone_foliation(_pn_cone(n - rprime, q, rprime), base_fol)
-    return fol, cone_resolution_check(fol)
+    The Fano-index and Seshadri records of one (n, r, c), and a cone row
+    equal to a synth cone, share one descriptor.  Other cones share the
+    cone over P^k and the base foliation where these agree."""
+    fol = cone_foliation(_pn_cone(k, m, rprime), _pn_base_foliation(k, rank, d))
+    return fol, (cone_resolution_check(fol),)
 
 
-# The standard catalog's cones take 70 distinct (k, m, r') and their bases
-# 98 distinct (k, rank, p).
+# The standard catalog's cones take 73 distinct (k, m, r'), and the bases
+# of its cones and case-2 pullbacks 115 distinct (k, rank, p).
 @functools.lru_cache(maxsize=256)
 def _pn_cone(k: int, m: int, rprime: int) -> GeneralizedCone:
     """The cone C(P^k, O(m)) with vertex P^{r'-1}."""
@@ -429,87 +453,64 @@ def _pn_base_foliation(k: int, rank: int, p: int) -> FoliationDescriptor:
     return pn_foliation(k, rank, p) if rank else transcendental_rank1(k, p)
 
 
+def _wps(weights: tuple[int, ...], j: int) -> Geometry:
+    """The pencil on coordinate j of the weighted projective space of weights."""
+    return wps_coordinate_foliation(WeightedProjectiveSpace(weights), j), ()
+
+
+GEOMETRY: dict[str, Callable[..., Geometry]] = {
+    "pn": lambda n, r, d: (pn_foliation(n, r, d), ()),
+    "hirzebruch": _hirzebruch, "case1": _case1, "case2": _case2, "cone": _cone,
+    "wps1": lambda n, m: _wps((1, 1, 1) + (m,) * (n - 2), 1),
+    "wps2": lambda n, mprime, m: _wps((1,) + (mprime,) * (n - 1) + (m,), 1),
+    "wps3": lambda a1, a2: _wps((1, a1, a2), 1),
+    "wps4": lambda a1, a2: _wps((1, a1, a2), 2),
+}
+
+
 # ---------------------------------------------------------------------------
 # Dispatch.
 
 
-def _surface_open_question(c: Fraction) -> UnsupportedRequest:
-    return UnsupportedRequest(
-        "on surfaces the realized generalized indices below 1 are exactly "
-        f"1 - 1/a; whether every rational number in (0, 1), such as "
-        f"{render_rational(c)}, occurs is an open question"
-    )
-
-
-def _rank_open_question(n: int, c: Fraction) -> UnsupportedRequest:
-    return UnsupportedRequest(
+def construction(request: SynthesisRequest) -> Construction:
+    """The branch and arguments that realize request, or UnsupportedRequest."""
+    kind, n, r, c = request.kind, request.n, request.r, request.c
+    p, q = c.numerator, c.denominator
+    if c > r:
+        raise UnsupportedRequest(
+            f"target {render_rational(c)} exceeds the bound c <= r = "
+            f"{r} forced by the algebraic-rank inequality r^a >= iota-hat"
+        )
+    if q == 1:
+        return "pn", (n, r, -p)
+    if kind is SynthKind.GENERALIZED_INDEX:
+        if n > 2:
+            return ("case1" if p > q else "case2"), (n, r, p, q)
+        if p == q - 1:
+            return "hirzebruch", (q,)
+        raise UnsupportedRequest(
+            "on surfaces the realized generalized indices below 1 are exactly "
+            f"1 - 1/a; whether every rational number in (0, 1), such as "
+            f"{render_rational(c)}, occurs is an open question"
+        )
+    if c <= min(r, n - 2):
+        # c = r' - d/m, with r' - 1 < c < r' and d/m in lowest terms
+        rprime = p // q + 1
+        return "cone", (n - rprime, rprime, q, max(r - rprime, 0), rprime * q - p)
+    # What is left: r = n-1 and n-2 < c < n-1.
+    if kind is SynthKind.SESHADRI:
+        if n == 2:
+            return "wps4", (p, q)
+        ratio = (c - 1) / (n - 2)
+        return "wps2", (n, ratio.numerator, ratio.denominator)
+    # c - (n-2) = 1/a, with a = q, exactly when p = (n-2)q + 1
+    if p == (n - 2) * q + 1:
+        return ("wps1", (n, q)) if n >= 3 else ("wps3", (q, q + 1))
+    raise UnsupportedRequest(
         f"for rank n-1 = {n - 1} the realized non-integer Fano indices above "
         f"n-2 = {n - 2} are exactly n-2 + 1/a; whether every rational c in "
         f"(n-2, n-1), such as {render_rational(c)}, occurs is an open question"
     )
-
-
-# A construction: its branch, its foliation and the checks only it stores.
-Construction = tuple[str, FoliationDescriptor, tuple[CheckOutcome, ...]]
-
-
-def _synth_generalized_index(n: int, r: int, c: Fraction) -> Construction:
-    if n == 2:
-        if c.numerator == c.denominator - 1:
-            a = c.denominator
-            variety = BundleVariety(base_dim=1, m=a - 1, b=(0,))
-            return "hirzebruch", fibration_foliation(variety), ()
-        raise _surface_open_question(c)
-    if c > 1:
-        params = case1_parameters(r, c.numerator, c.denominator)
-        variety = BundleVariety(base_dim=n - r, m=params.q, b=params.b_list)
-        return "case1", fibration_foliation(variety), (case1_constraints_check(params, r),)
-    p, q = c.numerator, c.denominator
-    variety = BundleVariety(base_dim=n - 1, m=q, b=(q - 1,))
-    d = 2 * (q - p) - 1
-    if r >= 2:
-        base_fol = pn_foliation(n - 1, r - 1, d)
-    else:
-        base_fol = transcendental_rank1(n - 1, d)
-    return "case2", pullback_over_bundle(variety, base_fol), ()
-
-
-def _synth_fano_index(n: int, r: int, c: Fraction) -> Construction:
-    fractional = c - (n - 2)
-    if r == n - 1 and 0 < fractional < 1 and fractional.numerator == 1:
-        a = fractional.denominator
-        if n >= 3:
-            variety = WeightedProjectiveSpace((1, 1, 1) + (a,) * (n - 2))
-            branch = "wps1"
-        else:
-            variety = WeightedProjectiveSpace((1, a, a + 1))
-            branch = "wps3"
-        return branch, wps_coordinate_foliation(variety, 1), ()
-    raise _rank_open_question(n, c)
-
-
-def _synth_seshadri(n: int, r: int, c: Fraction) -> Construction:
-    if n == 2:
-        variety = WeightedProjectiveSpace((1, c.numerator, c.denominator))
-        return "wps4", wps_coordinate_foliation(variety, 2), ()
-    if r == n - 1 and n - 2 < c < n - 1:
-        ratio = (c - 1) / (n - 2)
-        mprime, m = ratio.numerator, ratio.denominator
-        variety = WeightedProjectiveSpace((1,) + (mprime,) * (n - 1) + (m,))
-        return "wps2", wps_coordinate_foliation(variety, 1), ()
-    raise UnsupportedRequest(
-        f"no construction for a Seshadri target {render_rational(c)} with "
-        f"n={n}, r={r}"
-    )
-
-
-# The construction per kind of a target that is neither an integer nor, for
-# a Fano index or Seshadri value, in the cone range.
-_DISPATCH = {
-    SynthKind.GENERALIZED_INDEX: _synth_generalized_index,
-    SynthKind.FANO_INDEX: _synth_fano_index,
-    SynthKind.SESHADRI: _synth_seshadri,
-}
 
 
 def synthesize(request: SynthesisRequest) -> ExampleRecord:
@@ -521,23 +522,12 @@ def synthesize(request: SynthesisRequest) -> ExampleRecord:
     positivity the branch promises (big but not ample on a bundle, with
     the index audits; ample elsewhere), then the construction's own.
     """
-    n, r, c = request.n, request.r, request.c
-    if c > r:
-        raise UnsupportedRequest(
-            f"target {render_rational(c)} exceeds the bound c <= r = "
-            f"{r} forced by the algebraic-rank inequality r^a >= iota-hat"
-        )
-    if c.denominator == 1:
-        branch, fol, own = "pn", pn_foliation(n, r, -int(c)), ()
-    elif request.kind is not SynthKind.GENERALIZED_INDEX and c <= min(r, n - 2):
-        fol, resolution = _cone_construction(n, r, c)
-        branch, own = "cone", (resolution,)
-    else:
-        branch, fol, own = _DISPATCH[request.kind](n, r, c)
+    branch, args = construction(request)
+    fol, own = GEOMETRY[branch](*args)
     variety = fol.ambient
 
     def checks(inv: InvariantReport) -> Iterator[CheckOutcome]:
-        yield target_check(inv, TARGET_FIELD[request.kind], c)
+        yield target_check(inv, TARGET_FIELD[request.kind], request.c)
         if isinstance(variety, BundleVariety):
             yield positivity_check(inv, ample=False)
             yield witness_check(fol)
@@ -551,9 +541,7 @@ def synthesize(request: SynthesisRequest) -> ExampleRecord:
 
 
 def synth_generalized_index(n: int, r: int, c: Fraction | int | str) -> ExampleRecord:
-    return synthesize(
-        SynthesisRequest(SynthKind.GENERALIZED_INDEX, n, r, Fraction(c))
-    )
+    return synthesize(SynthesisRequest(SynthKind.GENERALIZED_INDEX, n, r, Fraction(c)))
 
 
 def synth_fano_index(n: int, r: int, c: Fraction | int | str) -> ExampleRecord:

@@ -1,4 +1,5 @@
-"""Row generators behind the table command.
+"""Row generators behind the table command, and the construction a record
+id names: build(record_id) rebuilds the record, synth record or table row.
 
 A family name plus integer ranges yields one ExampleRecord per feasible
 parameter tuple, a record on the family's branch; infeasible tuples
@@ -11,36 +12,45 @@ prints exactly the rows that exist.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import families
-from .errors import DomainError, UnsupportedRequest
-from .synthesis import MAX_DIMENSION, ExampleRecord
+from .errors import DomainError, ParseError, UnsupportedRequest
+from .families import _BUILDERS, FAMILY_PARAMS
+from .synthesis import (
+    MAX_DIMENSION,
+    ExampleRecord,
+    SynthesisRequest,
+    SynthKind,
+    parse_record_id,
+    synthesize,
+)
 from .value import Frozen
 
-# Row builder per family; a builder's parameters are the family's
-# parameter names, in order.
-_BUILDERS = {
-    "hirzebruch": families.hirzebruch_record,
-    "wps1": families.wps1_record,
-    "wps2": families.wps2_record,
-    "wps3": families.wps3_record,
-    "wps4": families.wps4_record,
-    "cone": families.cone_table_record,
-    "case1": families.case1_record,
-    "case2": families.case2_record,
-    "mixed": families.mixed_record,
-    "rc-genus": families.rc_genus_record,
-    "rc-flat": families.rc_flat_record,
-}
 
-# Parameter names per family, in declaration order; the table columns
-# lead with these.  Every builder takes positional-or-keyword parameters
-# only, which lead its code object's local names.
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    family: builder.__code__.co_varnames[: builder.__code__.co_argcount]
-    for family, builder in _BUILDERS.items()
-}
+def parse_construction(text: str) -> tuple[Callable[..., ExampleRecord], tuple]:
+    """The builder and arguments the record id text names: synthesize and
+    its SynthesisRequest for a synth id, the family's builder and its
+    integer parameters, named as FAMILY_PARAMS names them, for a table id;
+    ParseError for any other text."""
+    head, branch, params = parse_record_id(text)
+    values = tuple(params.values())
+    if head == "table":
+        names = FAMILY_PARAMS.get(branch)
+        if tuple(params) == names and all(v.denominator == 1 for v in values):
+            return _BUILDERS[branch], tuple(map(int, values))
+    elif tuple(params) == ("n", "r", "c") and all(v.denominator == 1 for v in values[:2]):
+        n, r, c = values
+        try:
+            return synthesize, (SynthesisRequest(SynthKind(head), int(n), int(r), c),)
+        except ValueError:  # an unknown kind, or a DomainError of the request
+            pass
+    raise ParseError(f"{text!r} is not a record id")
+
+
+def build(record_id: str) -> ExampleRecord:
+    """The record that record_id names, built as parse_construction reads it."""
+    builder, args = parse_construction(record_id)
+    return builder(*args)
 
 
 # The parameters that are dimensions or ranks, in every family that has them.
@@ -123,6 +133,5 @@ def table_rows(family: str, ranges: dict[str, Sequence[int]]) -> list[TableRow]:
             record = _BUILDERS[family](**values)
         except (DomainError, UnsupportedRequest):
             continue
-        if record.branch == family:
-            rows.append(TableRow(values, record))
+        rows.append(TableRow(values, record))
     return rows

@@ -50,14 +50,8 @@ from foliadex import (
 from foliadex import catalog
 from foliadex.catalog import _RECIPES, _VARIETIES
 from foliadex.cli import main
-from foliadex.synthesis import (
-    assemble_record,
-    parse_record_id,
-    record_id,
-    request_id,
-    synthesize,
-)
-from foliadex.tables import _BUILDERS, FAMILY_PARAMS
+from foliadex.synthesis import assemble_record, record_id, request_id
+from foliadex.tables import FAMILY_PARAMS, build
 from foliadex.value import Value
 
 
@@ -490,13 +484,14 @@ def test_schema_1_import_shares_the_objects_of_a_schema_2_import(std_catalog):
 
 
 def test_build_shares_each_repeated_cone_base_and_report(std_catalog, monkeypatch):
-    # cones over P^k, their base foliations and rank-one reports are built
-    # once per distinct geometry, so the export renders each of them once
+    # cones over P^k, the base foliations of cones and pullbacks and the
+    # rank-one reports are built once per distinct geometry, so the export
+    # renders each of them once
     records = std_catalog.records
-    assert len({id(r.variety) for r in records}) == 643
+    assert len({id(r.variety) for r in records}) == 610
     assert len({id(r.invariants) for r in records}) == 510
     bases = {id(r.foliation.recipe.base) for r in records if hasattr(r.foliation.recipe, "base")}
-    assert len(bases) == 248
+    assert len(bases) == 124
     calls = 0
     render = catalog._object
 
@@ -507,7 +502,7 @@ def test_build_shares_each_repeated_cone_base_and_report(std_catalog, monkeypatc
 
     monkeypatch.setattr(catalog, "_object", counted)
     catalog.write_catalog(std_catalog, io.StringIO())
-    assert calls == 8969
+    assert calls == 8380
 
 
 def test_each_standard_record_rebuilds_from_its_id(std_catalog):
@@ -524,13 +519,7 @@ def test_each_standard_record_rebuilds_from_its_id(std_catalog):
     for record in std_catalog.records:
         for clear in clears:
             clear()
-        head, branch, params = parse_record_id(record.id)
-        if head == "table":
-            rebuilt = _BUILDERS[branch](**{name: int(v) for name, v in params.items()})
-        else:
-            n, r, c = params["n"], params["r"], params["c"]
-            rebuilt = synthesize(SynthesisRequest(SynthKind(head), int(n), int(r), c))
-        assert rebuilt == record, record.id
+        assert build(record.id) == record, record.id
 
 
 def test_edited_shared_invariants_fail_every_record_that_refers_to_them(std_catalog, tmp_path):
@@ -654,7 +643,7 @@ def _render_counts(monkeypatch, catalog_):
 
 def test_export_renders_each_shared_object_once(std_catalog, monkeypatch):
     text, counts = _render_counts(monkeypatch, std_catalog)
-    assert counts["foliation"] == 1203  # distinct descriptor objects of the built catalog
+    assert counts["foliation"] == 1194  # distinct descriptor objects of the built catalog
     assert counts["check"] == 941  # distinct check values, of 5,199 check objects
     again, counts = _render_counts(monkeypatch, import_catalog(text))
     assert again == text
@@ -714,11 +703,14 @@ def _lifted_foliations(draw):
 @st.composite
 def _arbitrary_records(draw):
     fol = draw(_lifted_foliations())
-    n = fol.ambient.dim
+    # import refuses a synth record whose variety's dimension or whose
+    # foliation's algebraic rank is not its request's
+    n, r = fol.ambient.dim, fol.algebraic_rank
     target = st.fractions(min_value=Fraction(1, 8), max_value=n, max_denominator=8)
-    request = draw(st.none() | st.builds(
-        SynthesisRequest, st.sampled_from(SynthKind), st.just(n), st.integers(1, n - 1), target,
-    ))
+    requests = st.builds(
+        SynthesisRequest, st.sampled_from(SynthKind), st.just(n), st.just(r), target,
+    ) if 0 < r < n else st.nothing()
+    request = draw(st.none() | requests)
     checks = draw(st.lists(
         st.builds(CheckOutcome, st.text(max_size=8), st.sampled_from(CheckStatus), st.text()),
         max_size=3,

@@ -591,6 +591,29 @@ def test_polarized_base_variety_is_refused(capsys, tmp_path, std_catalog, comman
     )
 
 
+def _pullback_on_a_weighted_space(record):
+    # the case-2 pullback record moved onto P(1, 1, 1, 2), of its dimension
+    record["variety"] = {"family": "wps", "weights": [1, 1, 1, 2]}
+
+
+def test_pullback_on_a_weighted_projective_space_is_refused(capsys, tmp_path, std_catalog):
+    path = _one_record_file(
+        std_catalog, tmp_path / "moved.json", _SYNTH_ID, _pullback_on_a_weighted_space
+    )
+    code, out, err = run(capsys, "catalog", "import", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: malformed record at position 0: foliation: the pullback recipe lives on a bundle\n"
+    )
+
+
+def test_metadata_that_is_not_an_object_is_refused(capsys, tmp_path):
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "metadata": [], "records": []}))
+    code, out, err = run(capsys, "catalog", "import", "--in", str(path))
+    assert (code, out, err) == (1, "", "error: catalog metadata must be a JSON object\n")
+
+
 def _index_out_of_range(obj):
     n = len(obj["objects"])
     obj["records"][1]["invariants"] = n

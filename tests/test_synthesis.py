@@ -28,7 +28,7 @@ from foliadex import (
 from foliadex.catalog import _standard_tables, record_to_json
 from foliadex.lattice import Class2
 from foliadex.synthesis import TARGET_FIELD, parse_record_id, record_id, request_id
-from foliadex.tables import FAMILY_PARAMS, table_rows
+from foliadex.tables import FAMILY_PARAMS, build, table_rows
 
 # every synthesized record must come back with its construction checks green
 def assert_certified(record):
@@ -247,6 +247,33 @@ def test_ids_are_formatted_in_one_place():
     }
 
 
+def test_ids_are_parsed_in_one_place():
+    # parse_construction is the one reader of an id, for build and for
+    # the import check of a table row's id
+    assert _callers("parse_record_id") == {("tables.py", "parse_construction")}
+    assert _callers("parse_construction") == {
+        ("tables.py", "build"),
+        ("catalog.py", "_record_from_json"),
+    }
+
+
+def test_each_shared_branch_has_one_geometry():
+    # synthesize and the table rows of the wps1-wps4 and cone branches
+    # build their foliations through the same geometry functions
+    assert _callers("wps_coordinate_foliation") == {("synthesis.py", "_wps")}
+    assert _callers("_pn_cone") == {("synthesis.py", "_cone")}
+    assert {where for module, where in _callers("cone_foliation")} == {
+        "_cone", "rc_genus_record", "rc_flat_record",
+    }
+    # the Hirzebruch, case-1 and case-2 rows are synth requests, under one rule
+    assert {c for c in _callers("synthesize") if c[0] == "families.py"} == {
+        ("families.py", "_synth_row"),
+    }
+    assert {where for module, where in _callers("_synth_row")} == {
+        "hirzebruch_record", "case1_record", "case2_record",
+    }
+
+
 def test_id_grammar():
     request = SynthesisRequest(SynthKind.SESHADRI, 3, 2, Fraction(3, 2))
     assert request_id(request, "cone") == "seshadri:cone:n=3:r=2:c=3/2"
@@ -280,28 +307,77 @@ def test_parse_record_id_inverts_record_id_on_every_standard_id(std_catalog):
     )
 
 
+def _box(family):
+    """A small box of family's parameters, each over up to 3 values in -1..11."""
+    return st.fixed_dictionaries({
+        name: st.builds(lambda start, size: range(start, start + size),
+                        st.integers(-1, 9), st.integers(1, 3))
+        for name in FAMILY_PARAMS[family]
+    })
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(sorted(FAMILY_PARAMS)), st.data())
 def test_parse_record_id_inverts_record_id_on_table_rows(family, data):
-    ranges = {}
-    for name in FAMILY_PARAMS[family]:
-        start = data.draw(st.integers(-1, 9), label=name)
-        ranges[name] = range(start, start + data.draw(st.integers(1, 3)))
-    for row in table_rows(family, ranges):
+    for row in table_rows(family, data.draw(_box(family))):
         head, branch, params = parse_record_id(row.record.id)
         assert record_id(head, branch, params) == row.record.id
         if row.record.request is None:
             assert (head, branch, params) == ("table", family, row.params)
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["", "table", "table:wps1:n", "table:wps1:n=3=4", "table:wps1:n=x", "table:wps1:n=03",
-     "table:cone:base_dim=2", "table:wps1:n=3:", "table:wps1:n=3:n=3"],
-)
+@pytest.mark.parametrize("family", FAMILY_PARAMS)
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_build_rebuilds_each_table_row_from_its_id(family, data):
+    # a synth-backed row's id is its request's, any other row's is its
+    # family's and parameters'; either names the row's construction
+    for row in table_rows(family, data.draw(_box(family))):
+        assert build(row.record.id) == row.record
+
+
+# texts record_id does not write
+_NOT_IDS = [
+    "", "table", "table:wps1:n", "table:wps1:n=3=4", "table:wps1:n=x", "table:wps1:n=03",
+    "table:cone:base_dim=2", "table:wps1:n=3:", "table:wps1:n=3:n=3",
+]
+
+
+@pytest.mark.parametrize("text", _NOT_IDS)
 def test_parse_record_id_refuses_what_record_id_does_not_write(text):
     with pytest.raises(ParseError, match="is not a record id$"):
         parse_record_id(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *_NOT_IDS,
+        # table ids with misnamed, misordered, missing, surplus or non-integer parameters
+        "table:wps1:n=3:mm=2", "table:wps1:m=2:n=3", "table:wps1:n=3", "table:wps1:n=3:m=2:d=0",
+        "table:wps1:n=3:m=1/2", "table:cone:k=2:rprime=1:m=3:d=-1/2", "table:quintic:a=2",
+        # synth ids of no kind, with a non-integer dimension or rank, or out of range
+        "volume:pn:n=3:r=1:c=1", "fano-index:pn:n=7/2:r=1:c=1", "fano-index:pn:n=3:r=1/2:c=1",
+        "fano-index:pn:n=3:r=3:c=1", "fano-index:pn:n=3:r=1:c=0", "fano-index:pn:n=3:r=1",
+        "fano-index:pn:r=1:n=3:c=1",
+    ],
+)
+def test_build_refuses_what_names_no_construction(text):
+    with pytest.raises(ParseError, match="is not a record id$"):
+        build(text)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(2, 12), st.data())
+def test_every_seshadri_target_up_to_the_rank_synthesizes(n, data):
+    # the targets c <= r that no cone or P^n realizes are the surface
+    # targets and the band n-2 < c < n-1 of rank n-1, both weighted spaces
+    r = data.draw(st.integers(1, n - 1), label="r")
+    q = data.draw(st.integers(1, 12), label="q")
+    c = Fraction(data.draw(st.integers(1, r * q), label="p"), q)
+    record = synth_seshadri(n, r, c)
+    assert record.invariants.seshadri_antican == c
+    assert_certified(record)
 
 
 def test_each_certified_bundle_fact_has_one_test_and_one_rule():

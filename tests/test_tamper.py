@@ -6,9 +6,11 @@ Every edit below changes a field that some recipe fixes: a record's leaf
 status, its provenance kind, and the leaf status of a transcendental base
 foliation.  Each edit either is refused on import, fails verify --catalog,
 or passes both; the test pins how many do each, and which recipes the
-survivors sit on.  Last, the base dimension of a synth record's bundle,
+survivors sit on.  Then the base dimension of a synth record's bundle,
 which its request fixes, is edited by one either way, and every edit is
-refused on import.
+refused on import.  Last, a synth record's foliation is swapped for one
+of another algebraic rank on the same variety, which its request also
+fixes, and every swap is refused on import.
 """
 
 import json
@@ -124,4 +126,65 @@ def test_dimension_refusal_names_the_record_and_both_dimensions(std_catalog):
         import_catalog(text)
     assert str(refusal.value) == (
         "malformed record at position 0: variety has dimension 4, not request.n = 3"
+    )
+
+
+def _rank_refusal(record) -> str:
+    """Which rule of import refuses the one-record catalog of record."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [record]})
+    try:
+        import_catalog(text)
+    except FoliadexError as exc:
+        return "rank" if "not request.r" in str(exc) else "other"
+    return "none"
+
+
+def test_synth_foliation_swaps_of_another_algebraic_rank_are_refused(std_catalog):
+    # A synth record's foliation must have the algebraic rank r of its
+    # request.  Each synth record is given the foliation of the first
+    # synth record of its branch and variety whose algebraic rank differs.
+    # Without this rule, 452 of the 1,352 swaps import and pass verify
+    # --catalog, because the donor's invariants are the record's own, and
+    # the other 900 import and fail verify.
+    peers = {}
+    for record in std_catalog.records:
+        if record.request is not None:
+            peers.setdefault((record.branch, record.variety), []).append(record)
+    refusals = Counter()
+    for record in std_catalog.records:
+        if record.request is None:
+            continue
+        rank = record.foliation.algebraic_rank
+        donor = next(
+            (peer for peer in peers[record.branch, record.variety]
+             if peer.foliation.algebraic_rank != rank),
+            None,
+        )
+        if donor is not None:
+            edited = record_to_json(record)
+            edited["foliation"] = record_to_json(donor)["foliation"]
+            refusals[_rank_refusal(edited)] += 1
+    assert refusals == Counter(rank=1352)
+
+
+@pytest.mark.parametrize(
+    "record_id, donor_id, ranks",
+    [
+        ("seshadri:cone:n=6:r=5:c=7/2", "fano-index:cone:n=6:r=4:c=7/2", (4, 5)),
+        ("generalized-index:case2:n=4:r=3:c=5/8", "generalized-index:case2:n=4:r=2:c=5/8", (2, 3)),
+        ("seshadri:cone:n=6:r=3:c=14/5", "seshadri:cone:n=6:r=5:c=14/5", (5, 3)),
+    ],
+)
+def test_rank_refusal_names_the_record_and_both_ranks(std_catalog, record_id, donor_id, ranks):
+    # a donor on the same variety, with the record's own invariants
+    by_id = {r.id: r for r in std_catalog.records}
+    obj = record_to_json(by_id[record_id])
+    obj["foliation"] = record_to_json(by_id[donor_id])["foliation"]
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": {}, "records": [obj]})
+    with pytest.raises(FoliadexError) as refusal:
+        import_catalog(text)
+    stored, requested = ranks
+    assert str(refusal.value) == (
+        "malformed record at position 0: "
+        f"foliation has algebraic rank {stored}, not request.r = {requested}"
     )

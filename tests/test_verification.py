@@ -632,7 +632,7 @@ def _reference_report(records) -> SweepReport:
 
 
 def test_verify_catalog_recomputes_each_distinct_descriptor_once(std_catalog, monkeypatch):
-    assert len({id(r.foliation) for r in std_catalog.records}) == 1203
+    assert len({id(r.foliation) for r in std_catalog.records}) == 1194
     records = import_catalog(export_catalog(std_catalog)).records
     honest = verification.compute_invariants
     calls = []
